@@ -17,8 +17,7 @@ from .samuel import (LocalRingPresentation, ValuationCertificate,
                      samuel_slope)
 from .elimpres import (PointSpec, PPresentation, ReesAlgebra,
                        build_p_presentation, clean, cross_check_theorems,
-                       diff_saturate_once, hironaka_order, slope,
-                       tschirnhausen_ord)
+                       diff_saturate_once, slope, tschirnhausen_ord)
 
 __version__ = "0.1.0"
 
@@ -32,7 +31,7 @@ __all__ = [
     "LocalRingPresentation", "ValuationCertificate", "kernel_lambda",
     "kernel_lambda_at_prime", "nu", "nubar", "samuel_slope",
     "PointSpec", "PPresentation", "ReesAlgebra", "build_p_presentation",
-    "clean", "cross_check_theorems", "diff_saturate_once", "hironaka_order",
-    "slope", "tschirnhausen_ord",
+    "clean", "cross_check_theorems", "diff_saturate_once", "slope",
+    "tschirnhausen_ord",
     "__version__",
 ]

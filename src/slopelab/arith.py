@@ -1,8 +1,10 @@
 """Exact scalars: rationals, prime fields, and the nonnegative rational line
-with a genuine infinity element.
+with a genuine infinity element, plus the one exact row reduction.
 
 Everything downstream (orders, slopes, thresholds) flows through these types,
-so no floats anywhere.
+so no floats anywhere. Coefficients of either field share one spelling for
+inversion (``1 / c``) and print as their value (``str(c)``), so no other
+module needs to know which field a coefficient lives in.
 """
 
 from fractions import Fraction
@@ -92,6 +94,9 @@ class PrimeFieldElement:
 
     def __bool__(self):
         return self.value != 0
+
+    def __str__(self):
+        return str(self.value)
 
     def __repr__(self):
         return "%d mod %d" % (self.value, self.p)
@@ -283,10 +288,36 @@ INF = ExtendedRational.infinity()
 ZERO = ExtendedRational(0)
 
 
-def ext_add(a, b):
-    return _coerce(a) + _coerce(b)
-
-
 def ext_min(a, b):
     a, b = _coerce(a), _coerce(b)
     return a if a <= b else b
+
+
+def echelon(rows):
+    """Reduced row echelon form of a matrix over Q or F_p, zero rows dropped.
+
+    Pivots are taken column by column from the first nonzero row, and every
+    pivot row is scaled to a leading one. Callers print kernel bases from
+    these rows, so that order is part of the output. Entries must be field
+    elements (Fraction, not int), so that ``1 / pivot`` stays exact.
+    """
+    work = [list(r) for r in rows]
+    cols = len(work[0]) if work else 0
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, len(work)):
+            if work[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = 1 / work[rank][col]
+        work[rank] = [x * inv for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                c = work[r][col]
+                work[r] = [a - c * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return work[:rank]

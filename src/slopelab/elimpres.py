@@ -6,7 +6,7 @@ the local-ring invariants of the samuel module.
 """
 
 from .arith import INF, ExtendedRational, SlopelabError, ext_min, is_prime
-from .groebner import leading, normal_form, order_key
+from .groebner import monic, normal_form, order_key
 from .samuel import kernel_lambda, kernel_lambda_at_prime, samuel_slope
 
 SATURATION_CAP = 512
@@ -83,13 +83,6 @@ class PointSpec:
         return "<prime (%s)>" % ", ".join(self.variables)
 
 
-def _monic_scale(f):
-    _, c = leading(f, order_key("grevlex"))
-    if hasattr(c, "p"):
-        return f.scale(c.inverse())
-    return f.scale(1 / c)
-
-
 class ReesAlgebra:
     """Finitely many weighted generators f_i W^{n_i} over a polynomial ring.
 
@@ -105,7 +98,7 @@ class ReesAlgebra:
                 raise ValueError("zero generator")
             if n < 1:
                 raise ValueError("weights must be positive")
-            f = _monic_scale(f)
+            f = monic(f, order_key("grevlex"))
             key = f.canonical_string()
             if key not in seen or seen[key][1] < n:
                 seen[key] = (f, n)
@@ -163,7 +156,7 @@ def diff_saturate_once(algebra):
                 g = f.hasse_derivative(v, b)
                 if g.is_zero():
                     continue
-                g = _monic_scale(g)
+                g = monic(g, order_key("grevlex"))
                 entry = (g, n - b)
                 known = any(g == h and m >= n - b for h, m in work)
                 if not known:
@@ -252,11 +245,7 @@ def build_p_presentation(g, split, p):
     top = g.coefficients_in(z).get(n)
     if top is None or not top.is_constant():
         raise NotMonic("leading coefficient in %s is not a scalar" % z)
-    scalar = top.constant_term()
-    if hasattr(scalar, "p"):
-        g = g.scale(scalar.inverse())
-    elif scalar != 1:
-        g = g.scale(1 / scalar)
+    g = g.scale(1 / top.constant_term())
     q, ell = n, 0
     while q % p == 0:
         q //= p
@@ -270,8 +259,7 @@ def build_p_presentation(g, split, p):
     h = g
     if r:
         h = g.hasse_derivative(z, r)
-        inv = ring.field.from_int(n_prime).inverse()
-        h = h.scale(inv)
+        h = h.scale(1 / ring.field.from_int(n_prime))
     return PPresentation(split, [Fiber(ring, split, z, h, p)], p)
 
 
@@ -313,8 +301,7 @@ def elimination_algebra(presentation):
 class SlopeReport:
     def __init__(self, value, case, elimination_order, coefficient_orders,
                  degenerate=False, hord=None, transcript=(),
-                 approximate_elimination=True, dominance_ok=True,
-                 presentation=None):
+                 approximate_elimination=True, presentation=None):
         self.value = value
         self.case = case
         self.elimination_order = elimination_order
@@ -323,7 +310,6 @@ class SlopeReport:
         self.hord = hord
         self.transcript = list(transcript)
         self.approximate_elimination = approximate_elimination
-        self.dominance_ok = dominance_ok
         self.presentation = presentation
 
     def __repr__(self):
@@ -380,17 +366,11 @@ def slope(presentation, at=None):
                 raise PointNotSingular(
                     "coefficient order %s at weight %d is below 1" % (v, j))
 
-    dominance_ok = all(
-        per[j] >= elim
-        for per in coefficient_orders.values()
-        for j in per if j < max(per))
-
     if value.is_infinite:
         return SlopeReport(value, None, elim, coefficient_orders,
                            degenerate=True,
                            approximate_elimination=(
                                presentation.approximate_elimination),
-                           dominance_ok=dominance_ok,
                            presentation=presentation)
 
     if elim <= top_term:
@@ -408,7 +388,6 @@ def slope(presentation, at=None):
     return SlopeReport(value, case, elim, coefficient_orders,
                        approximate_elimination=(
                            presentation.approximate_elimination),
-                       dominance_ok=dominance_ok,
                        presentation=presentation)
 
 
@@ -461,10 +440,6 @@ def clean(presentation, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
         "lower bound" % (max_rounds, best.value), best)
 
 
-def hironaka_order(presentation, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
-    return clean(presentation, at, max_rounds).hord
-
-
 def tschirnhausen_ord(g, split, at=None):
     """Order of a monic fiber polynomial away from the bad characteristic:
     kill the subleading coefficient by a linear shift, then take the least
@@ -485,9 +460,8 @@ def tschirnhausen_ord(g, split, at=None):
         raise NotMonic("polynomial is not monic in %s" % z)
     a1 = g.coefficients_in(z).get(m - 1, ring.zero())
     if not a1.is_zero():
-        inv_m = (ring.field.from_int(m).inverse() if ring.char
-                 else ring.field.from_int(m) ** -1)
-        shift = a1.scale(inv_m).scale(ring.field.from_int(-1))
+        shift = a1.scale(1 / ring.field.from_int(m)).scale(
+            ring.field.from_int(-1))
         g = g.translate(z, shift)
     coeffs = g.coefficients_in(z)
     best = INF
@@ -586,15 +560,3 @@ def cross_check_theorems(local_ring, g, split, at=None, max_n=8,
     return CheckReport(True, passed, "extremal", hord, ord_d, lb,
                        certified or slope_result.exact, case)
 
-
-def rescale_fiber(g, split, unit):
-    """Substitute z -> unit * z and renormalize to a monic polynomial."""
-    ring = split.ring
-    z = split.fiber[0]
-    n = g.degree_of_var(z)
-    u = ring.field.from_int(unit)
-    out = ring.zero()
-    for exp, coeff in g.coefficients_in(z).items():
-        term = coeff * ring.var(z, exp)
-        out = out + term.scale(u ** exp)
-    return out.scale(u.inverse() ** n if hasattr(u, "p") else u ** (-n))

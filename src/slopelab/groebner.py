@@ -129,7 +129,7 @@ def buchberger(ideal, order="grevlex", budget=None):
         budget = DEFAULT_PAIR_BUDGET
     key = order_key(order)
     ring = ideal.ring
-    basis = [_monic(g, key) for g in ideal.generators]
+    basis = [monic(g, key) for g in ideal.generators]
     if not basis:
         return GroebnerBasis(ring, order, ())
 
@@ -149,7 +149,7 @@ def buchberger(ideal, order="grevlex", budget=None):
         rem = normal_form(spoly, basis, order)
         if rem.is_zero():
             continue
-        basis.append(_monic(rem, key))
+        basis.append(monic(rem, key))
         new = len(basis) - 1
         fresh = [(k, new) for k in range(new)]
         enqueued += len(fresh)
@@ -177,15 +177,14 @@ def buchberger(ideal, order="grevlex", budget=None):
     reduced = []
     for idx, g in enumerate(keep):
         others = keep[:idx] + keep[idx + 1:]
-        reduced.append(_monic(normal_form(g, others, order), key))
+        reduced.append(monic(normal_form(g, others, order), key))
     reduced.sort(key=lambda g: key(leading(g, key)[0]))
     return GroebnerBasis(ring, order, reduced)
 
 
-def _monic(f, key):
+def monic(f, key):
+    """Scale f so that its leading coefficient under the key is one."""
     _, lc = leading(f, key)
-    if hasattr(lc, "p"):
-        return f.scale(lc.inverse())
     return f.scale(1 / lc)
 
 

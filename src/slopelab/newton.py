@@ -8,9 +8,10 @@ closure membership is a system of facet inequalities.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from .arith import INF, ExtendedRational, SlopelabError
+from .arith import INF, ExtendedRational, SlopelabError, echelon
 from .groebner import NotMonomial, ideal_power
 
 DIMENSION_CAP = 4
@@ -109,27 +110,6 @@ def _cross(directions, n):
     return tuple(w)
 
 
-def _rank(rows):
-    rows = [[Fraction(x) for x in r] for r in rows if any(r)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] / rows[rank][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def build_polyhedron(ideal):
     """Enumerate the facets of conv(generator exponents) + orthant.
 
@@ -168,7 +148,7 @@ def build_polyhedron(ideal):
                     continue
                 g = 0
                 for x in w:
-                    g = _gcd(g, x)
+                    g = math.gcd(g, x)
                 candidates.add(tuple(x // g for x in w))
 
     facets = set()
@@ -181,17 +161,9 @@ def build_polyhedron(ideal):
         base = tight[0]
         rows = [[a - b for a, b in zip(g, base)] for g in tight[1:]]
         rows += [list(u) for u, wi in zip(units, w) if wi == 0]
-        rows = [r for r in rows if any(r)]
-        if (_rank(rows) if rows else 0) == n - 1:
+        if len(echelon([[Fraction(x) for x in r] for r in rows])) == n - 1:
             facets.add((w, thr))
     return NewtonPolyhedron(ideal.ring, facets)
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def nubar_monomial(ideal_or_polyhedron, f):

@@ -379,7 +379,7 @@ class Polynomial:
             body = "*".join(
                 name if e == 1 else "%s^%d" % (name, e)
                 for name, e in zip(self.ring.variables, m.exps) if e)
-            cs = _coeff_string(c)
+            cs = str(c)
             if body:
                 if cs == "1":
                     text = body
@@ -400,12 +400,6 @@ class Polynomial:
 
     def __repr__(self):
         return self.canonical_string()
-
-
-def _coeff_string(c):
-    if hasattr(c, "p"):  # prime field residue
-        return str(c.value)
-    return str(c)
 
 
 class VariableSplit:

@@ -11,7 +11,7 @@ ideal.
 
 import itertools
 
-from .arith import INF, ExtendedRational, SlopelabError, ext_min
+from .arith import INF, ExtendedRational, SlopelabError, echelon, ext_min
 from .groebner import (
     IdealPresentation,
     buchberger,
@@ -29,10 +29,6 @@ LIMIT_N_DEFAULT = 20
 
 
 class CertificateRejected(SlopelabError):
-    pass
-
-
-class InexactNubar(SlopelabError):
     pass
 
 
@@ -79,7 +75,7 @@ class LocalRingPresentation:
 
     def embedding_dimension(self):
         rows = _linear_part_rows(self.relations.generators, self.ring)
-        rank = len(_echelon(rows, self.ring.field))
+        rank = len(echelon(rows))
         return len(self.ring.variables) - rank
 
     def dimension(self):
@@ -136,7 +132,7 @@ class _PowerCache:
         return self._bases[j]
 
 
-def nu(presentation, f, ideal=None, cap=NU_CAP_DEFAULT, _cache=None):
+def nu(presentation, f, ideal=None, cap=NU_CAP_DEFAULT):
     """Adic order of f in the local ring: sup of j with f in ideal^j.
 
     Exact up to the cap; returns at_least=True when f survives that deep.
@@ -146,13 +142,7 @@ def nu(presentation, f, ideal=None, cap=NU_CAP_DEFAULT, _cache=None):
         ideal = presentation.maximal_ideal()
     if presentation.is_zero_element(f):
         return NuValue(INF)
-    cache = _cache or _PowerCache(presentation, ideal)
-    j = 1
-    while j <= cap:
-        if not cache.basis(j).contains(f):
-            return NuValue(ExtendedRational(j - 1))
-        j += 1
-    return NuValue(ExtendedRational(cap), at_least=True)
+    return _nu_from(f, cap, _PowerCache(presentation, ideal), floor=1)
 
 
 class ValuationCertificate:
@@ -263,7 +253,7 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
                                samples=samples)
         # superadditivity lets the membership search start where the
         # previous power left off
-        value = _nu_from(presentation, power, ideal, cap, cache, floor)
+        value = _nu_from(power, cap, cache, floor)
         samples.append((n, value.value))
         if base_order is None:
             base_order = value.value
@@ -277,7 +267,14 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
     return NubarResult(best, "lower-bound", certificate=None, samples=samples)
 
 
-def _nu_from(presentation, f, ideal, cap, cache, floor):
+def _nu_from(f, cap, cache, floor):
+    """Order of a nonzero f, searching upward from a known lower bound.
+
+    Every floor the callers pass is proven (f lies in ideal^floor), so a
+    floor above the cap already certifies 'at least cap'.
+    """
+    if floor > cap:
+        return NuValue(ExtendedRational(cap), at_least=True)
     j = max(1, floor)
     if j > 1 and not cache.basis(j).contains(f):
         # the hint overshot (can happen only on bad floors); restart low
@@ -287,16 +284,6 @@ def _nu_from(presentation, f, ideal, cap, cache, floor):
             return NuValue(ExtendedRational(j - 1))
         j += 1
     return NuValue(ExtendedRational(cap), at_least=True)
-
-
-def graded_piece_member(presentation, f, b, strict=False, **kwargs):
-    """Does f sit in the piece of asymptotic order b (or beyond)?"""
-    result = nubar(presentation, f, **kwargs)
-    if result.status != "exact":
-        raise InexactNubar(
-            "only a lower bound %s is available" % result.value)
-    b = ExtendedRational(b) if not isinstance(b, ExtendedRational) else b
-    return result.value > b if strict else result.value >= b
 
 
 class KernelReport:
@@ -322,33 +309,6 @@ def _linear_part_rows(polys, ring):
                 row[mono.exps.index(1)] = c
         rows.append(row)
     return rows
-
-
-def _echelon(rows, field):
-    work = [list(r) for r in rows]
-    out = []
-    cols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = (work[rank][col].inverse() if hasattr(work[rank][col], "p")
-               else 1 / work[rank][col])
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                c = work[r][col]
-                work[r] = [a - c * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-    for r in range(rank):
-        out.append(work[r])
-    return out
 
 
 def _row_to_linear(ring, row):
@@ -420,7 +380,7 @@ def kernel_lambda(presentation, method=None):
             ell = _row_to_linear(ring, [ring.field.from_int(v) for v in vec])
             if radical_member(ell, init):
                 found.append([ring.field.from_int(v) for v in vec])
-        rows = _echelon(found, ring.field)
+        rows = echelon(found)
         basis = [_row_to_linear(ring, r) for r in rows]
         return KernelReport(basis, t, classify(len(basis)), "enumeration-Fp")
 
@@ -513,8 +473,8 @@ def validate_lambda_sequence(presentation, kernel, candidate):
             raise NotALambdaSequence(
                 "element %s does not vanish at the origin" % gamma)
     rows = _linear_part_rows(candidate, ring)
-    want = _echelon(_linear_part_rows(kernel.basis, ring), ring.field)
-    got = _echelon(rows, ring.field)
+    want = echelon(_linear_part_rows(kernel.basis, ring))
+    got = echelon(rows)
     if want != got:
         raise NotALambdaSequence(
             "linear parts do not span the kernel")
@@ -522,13 +482,14 @@ def validate_lambda_sequence(presentation, kernel, candidate):
 
 def _complement_variables(presentation, kernel):
     ring = presentation.ring
-    rows = _echelon(_linear_part_rows(kernel.basis, ring), ring.field)
+    rows = echelon(_linear_part_rows(kernel.basis, ring))
     complement = []
     for i, name in enumerate(ring.variables):
         unit = [ring.field.zero] * len(ring.variables)
         unit[i] = ring.field.one
-        if len(_echelon(rows + [unit], ring.field)) > len(rows):
-            rows = _echelon(rows + [unit], ring.field)
+        grown = echelon(rows + [unit])
+        if len(grown) > len(rows):
+            rows = grown
             complement.append(name)
     return complement
 
@@ -616,23 +577,6 @@ def samuel_slope(presentation, candidates=(), certificate=None,
 
     exact = bound.is_infinite  # an infinite lower bound is already the sup
     return SlopeResult(bound, exact, witness, "extremal")
-
-
-def check_reduction_by_d(presentation, kappa):
-    """Do the initial forms of kappa cut the graded cone down to dimension 0?"""
-    ring = presentation.ring
-    d = presentation.dimension()
-    kappa = list(kappa)
-    if len(kappa) != d:
-        raise ValueError("expected %d elements, got %d" % (d, len(kappa)))
-    gens = list(presentation.initial_ideal().generators)
-    gens += [k.initial_form() for k in kappa if not k.is_zero()]
-    total = IdealPresentation(ring, gens)
-    gb = buchberger(total)
-    lead = IdealPresentation(
-        ring, [Polynomial(ring, {m: ring.field.one})
-               for m in gb.leading_monomials()])
-    return monomial_dimension(lead) == 0
 
 
 def kernel_lambda_at_prime(presentation, prime_vars):

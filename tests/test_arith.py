@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopelab.arith import (
     INF,
@@ -8,7 +11,7 @@ from slopelab.arith import (
     PrimeField,
     PrimeFieldElement,
     RationalField,
-    ext_add,
+    echelon,
     ext_min,
     is_prime,
 )
@@ -76,11 +79,11 @@ def test_extended_rational_basics():
 def test_infinity_is_absorbing_and_maximal():
     values = [ExtendedRational(Fraction(n, d)) for n in range(5) for d in (1, 2, 3)]
     for v in values:
-        assert ext_add(v, INF) == INF
-        assert ext_add(INF, v) == INF
+        assert v + INF == INF
+        assert INF + v == INF
         assert v < INF and INF > v
         assert ext_min(v, INF) == v
-    assert ext_add(INF, INF) == INF
+    assert INF + INF == INF
     assert ext_min(INF, INF) == INF
     assert not (INF < INF)
     assert INF == ExtendedRational.infinity()
@@ -105,3 +108,39 @@ def test_serialization_round_trip():
     assert ExtendedRational.parse("4/6").serialize() == "2/3"
     assert ExtendedRational(Fraction(3, 2)).serialize() == "3/2"
     assert INF.serialize() == "inf"
+
+
+def _fractions(rows):
+    return [[Fraction(x) for x in r] for r in rows]
+
+
+def test_echelon_over_q_is_pinned():
+    # the third row is the sum of the first two
+    assert echelon(_fractions([[2, 4, 6], [1, 1, 1], [3, 5, 7]])) \
+        == _fractions([[1, 0, -1], [0, 1, 2]])
+    # the pivot for column 0 comes from the first row that has one
+    assert echelon(_fractions([[0, 1], [1, 0]])) \
+        == _fractions([[1, 0], [0, 1]])
+    assert echelon([]) == []
+
+
+def test_echelon_over_f5_is_pinned():
+    F5 = PrimeField(5)
+
+    def elems(rows):
+        return [[F5.from_int(x) for x in r] for r in rows]
+
+    # 2*(2, 3, 1) = (4, 1, 2) mod 5, so the rank is one
+    assert echelon(elems([[2, 3, 1], [4, 1, 2]])) == elems([[1, 4, 3]])
+    assert echelon(elems([[0, 2, 1], [3, 0, 4]])) \
+        == elems([[1, 0, 3], [0, 1, 3]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+    min_size=1, max_size=4)))
+def test_echelon_rank_matches_sympy_and_stays_exact(rows):
+    out = echelon(_fractions(rows))
+    assert len(out) == sympy.Matrix(rows).rank()
+    assert all(type(x) is Fraction for r in out for x in r)

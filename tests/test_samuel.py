@@ -2,18 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from slopelab import samuel
 from slopelab.arith import INF, ExtendedRational
+from slopelab.groebner import ideal_power
 from slopelab.newton import MonomialValuation
 from slopelab.poly import Ring
 from slopelab.samuel import (
     CertificateRejected,
-    InexactNubar,
     LocalRingPresentation,
     NotALambdaSequence,
     NotApplicable,
     ValuationCertificate,
-    check_reduction_by_d,
-    graded_piece_member,
     kernel_lambda,
     kernel_lambda_at_prime,
     nu,
@@ -75,6 +74,25 @@ def test_nubar_limit_route_reaches_the_same_value_from_below():
         assert v / n <= ExtendedRational(Fraction(3, 2))
 
 
+@pytest.mark.parametrize("text, samples", [
+    ("x^2", [(1, 3), (2, 6), (3, 6), (4, 6)]),
+    ("x*y", [(1, 2), (2, 5), (3, 6), (4, 6)]),
+])
+def test_nubar_limit_builds_no_basis_above_the_cap(monkeypatch, text,
+                                                   samples):
+    exponents = []
+
+    def recording_power(ideal, j):
+        exponents.append(j)
+        return ideal_power(ideal, j)
+
+    monkeypatch.setattr(samuel, "ideal_power", recording_power)
+    ring, A = cusp_ring()
+    result = nubar(A, ring.parse(text), strategy="limit", max_n=4, cap=6)
+    assert result.samples == [(n, ExtendedRational(v)) for n, v in samples]
+    assert exponents and max(exponents) <= 6
+
+
 def test_certificate_rejected_when_claimed_ideal_value_is_wrong():
     ring, A = cusp_ring()
     w = MonomialValuation.from_dict(ring, {"x": 3, "y": 2})
@@ -99,18 +117,6 @@ def test_nubar_detects_nilpotents_exactly():
     result = nubar(A, ring.parse("x + y"), strategy="limit", max_n=4)
     assert result.status == "exact"
     assert result.value == INF
-
-
-def test_graded_piece_membership_and_inexactness_guard():
-    ring, A = cusp_ring()
-    w = MonomialValuation.from_dict(ring, {"x": 3, "y": 2})
-    cert = ValuationCertificate([(w, 2)])
-    assert graded_piece_member(A, ring.parse("x"), Fraction(3, 2),
-                               certificate=cert)
-    assert not graded_piece_member(A, ring.parse("x"), Fraction(3, 2),
-                                   strict=True, certificate=cert)
-    with pytest.raises(InexactNubar):
-        graded_piece_member(A, ring.parse("x"), 1, strategy="limit")
 
 
 def test_kernel_on_the_cusp_is_x_in_any_characteristic():
@@ -233,20 +239,6 @@ def test_user_candidates_feed_the_slope_search():
     result = samuel_slope(A, candidates=[[ring.parse("x + y^2")]],
                           max_n=6, search=False)
     assert result.lower_bound == ExtendedRational(Fraction(3, 2))
-
-
-def test_reduction_check_on_the_cusp():
-    ring, A = cusp_ring()
-    assert check_reduction_by_d(A, [ring.parse("y")])
-    assert not check_reduction_by_d(A, [ring.parse("x")])
-    with pytest.raises(ValueError):
-        check_reduction_by_d(A, [ring.parse("x"), ring.parse("y")])
-
-
-def test_reduction_check_on_the_node():
-    ring = Ring(("x", "y"))
-    A = LocalRingPresentation(ring, [ring.parse("x^2 - y^2")])
-    assert check_reduction_by_d(A, [ring.parse("y")])
 
 
 def test_kernel_at_a_coordinate_prime_whitney_shape():

@@ -1,0 +1,41 @@
+"""Only arith knows how a coefficient is inverted: every other module spells
+inversion ``1 / c`` and never names the prime-field element type."""
+
+import ast
+import pathlib
+
+import slopelab
+
+PACKAGE = pathlib.Path(slopelab.__file__).parent
+
+
+def field_dispatch(path):
+    """Lines of one module that branch on, or call into, the F_p element."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            if (isinstance(func, ast.Name) and func.id == "hasattr"
+                    and len(args) == 2 and isinstance(args[1], ast.Constant)
+                    and args[1].value == "p"):
+                hits.append((node.lineno, 'hasattr(..., "p")'))
+            if isinstance(func, ast.Attribute) and func.attr == "inverse":
+                hits.append((node.lineno, ".inverse()"))
+        named = (node.id if isinstance(node, ast.Name)
+                 else node.attr if isinstance(node, ast.Attribute)
+                 else node.name if isinstance(node, ast.alias) else None)
+        if named == "PrimeFieldElement":
+            hits.append((getattr(node, "lineno", 0), "PrimeFieldElement"))
+    return hits
+
+
+def test_the_scan_sees_arith_itself():
+    kinds = {kind for _, kind in field_dispatch(PACKAGE / "arith.py")}
+    assert kinds == {".inverse()", "PrimeFieldElement"}
+
+
+def test_no_module_but_arith_knows_the_field():
+    found = {path.name: field_dispatch(path)
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "arith.py"}
+    assert found and not any(found.values()), found
