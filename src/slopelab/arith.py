@@ -65,17 +65,23 @@ class PrimeFieldElement:
 
     __rmul__ = __mul__
 
-    def inverse(self):
+    def _inverse_value(self):
         if self.value == 0:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.p)
         # Fermat; p is small everywhere we run
-        return PrimeFieldElement(pow(self.value, self.p - 2, self.p), self.p)
+        return pow(self.value, self.p - 2, self.p)
+
+    def inverse(self):
+        return PrimeFieldElement(self._inverse_value(), self.p)
 
     def __truediv__(self, other):
         other = self._check(other)
-        return self * other.inverse()
+        return PrimeFieldElement(self.value * other._inverse_value(), self.p)
 
     def __rtruediv__(self, other):
+        if isinstance(other, int):
+            # ``1 / c`` builds only the quotient
+            return PrimeFieldElement(other * self._inverse_value(), self.p)
         return self._check(other) / self
 
     def __pow__(self, n):

@@ -211,6 +211,8 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
                      lower bound, and exact (infinite) when some power of
                      f dies in the ring.
     """
+    _check_choice("nubar strategy", strategy,
+                  ("auto", "monomial", "certificate", "limit"))
     if ideal is None:
         ideal = presentation.maximal_ideal()
     if strategy == "auto":
@@ -234,9 +236,6 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
         certificate.validate(presentation, ideal)
         return NubarResult(certificate.evaluate(f), "exact",
                            certificate="valuation-certificate")
-
-    if strategy != "limit":
-        raise ValueError("unknown nubar strategy %r" % (strategy,))
 
     cache = _cache or _PowerCache(presentation, ideal)
     best = ExtendedRational(0)
@@ -267,6 +266,12 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
     return NubarResult(best, "lower-bound", certificate=None, samples=samples)
 
 
+def _check_choice(kind, value, choices):
+    if value not in choices:
+        raise SlopelabError("unknown %s %r (choose %s or %s)" % (
+            kind, value, ", ".join(choices[:-1]), choices[-1]))
+
+
 def _nu_from(f, cap, cache, floor):
     """Order of a nonzero f, searching upward from a known lower bound.
 
@@ -276,9 +281,10 @@ def _nu_from(f, cap, cache, floor):
     if floor > cap:
         return NuValue(ExtendedRational(cap), at_least=True)
     j = max(1, floor)
-    if j > 1 and not cache.basis(j).contains(f):
-        # the hint overshot (can happen only on bad floors); restart low
-        j = 1
+    if j > 1:
+        # the guard is also the search's first step; if the hint overshot
+        # (can happen only on bad floors), restart low
+        j = j + 1 if cache.basis(j).contains(f) else 1
     while j <= cap:
         if not cache.basis(j).contains(f):
             return NuValue(ExtendedRational(j - 1))
@@ -324,9 +330,13 @@ def kernel_lambda(presentation, method=None):
 
     Exact routes: monomial initial ideal (radical by squarefree parts),
     principal initial ideal (is it a scalar times a power of a linear
-    form?), and exhaustive linear-form enumeration over a small prime
-    field. Anything else comes back labeled partial.
+    form?), and, over F_p in at most three variables, the null space of
+    the Frobenius-linear map a -> sum a_i NF(x_i^q). Anything else comes
+    back labeled partial.
     """
+    if method is not None:
+        _check_choice("kernel method", method,
+                      ("monomial", "factorization", "frobenius", "partial"))
     ring = presentation.ring
     init = presentation.initial_ideal()
     t = presentation.excess()
@@ -340,7 +350,7 @@ def kernel_lambda(presentation, method=None):
         elif len(init.generators) == 1:
             method = "factorization"
         elif ring.char and len(ring.variables) <= 3:
-            method = "enumeration"
+            method = "frobenius"
         else:
             method = "partial"
 
@@ -363,37 +373,65 @@ def kernel_lambda(presentation, method=None):
         basis = [ell] if ell is not None else []
         return KernelReport(basis, t, classify(len(basis)), "factorization")
 
-    if method == "enumeration":
-        p = ring.char
-        n = len(ring.variables)
-        if not p or n > 3:
-            raise UnknownKernel(
-                "enumeration needs a prime field and at most 3 variables")
-        found = []
-        for vec in itertools.product(range(p), repeat=n):
-            if all(v == 0 for v in vec):
-                continue
-            # one representative per scalar line
-            first = next(v for v in vec if v)
-            if first != 1:
-                continue
-            ell = _row_to_linear(ring, [ring.field.from_int(v) for v in vec])
-            if radical_member(ell, init):
-                found.append([ring.field.from_int(v) for v in vec])
-        rows = echelon(found)
-        basis = [_row_to_linear(ring, r) for r in rows]
-        return KernelReport(basis, t, classify(len(basis)), "enumeration-Fp")
+    if method == "frobenius":
+        if not ring.char or len(ring.variables) > 3:
+            raise UnknownKernel("the Frobenius route needs a prime field "
+                                "and at most 3 variables")
+        basis = [_row_to_linear(ring, row) for row in _frobenius_kernel(init)]
+        return KernelReport(basis, t, classify(len(basis)), "frobenius-Fp")
 
-    if method == "partial":
-        found = []
-        for name in ring.variables:
-            if radical_member(ring.var(name), init):
-                found.append(ring.var(name))
-        r = len(found)
-        classification = "extremal" if r == t else "unknown"
-        return KernelReport(found, t, classification, "partial")
+    found = []
+    for name in ring.variables:
+        if radical_member(ring.var(name), init):
+            found.append(ring.var(name))
+    classification = "extremal" if len(found) == t else "unknown"
+    return KernelReport(found, t, classification, "partial")
 
-    raise ValueError("unknown kernel method %r" % (method,))
+
+def _frobenius_kernel(init):
+    """Reduced echelon basis of the linear forms in the radical of an
+    ideal over F_p, as coefficient rows.
+
+    For q = p^e, (sum a_i x_i)^q = sum a_i x_i^q, so a linear form is in
+    the radical exactly when sum a_i NF(x_i^q) = 0, once q reaches a
+    Nullstellensatz exponent; Kollar's max(d, 3)^n, for generators of
+    degree at most d, is one.
+    """
+    ring = init.ring
+    p, n = ring.char, len(ring.variables)
+    d = max((g.degree() for g in init.generators), default=1)
+    q = p
+    while q < max(d, 3) ** n:
+        q *= p
+    gb = buchberger(init)
+    forms = [_power_normal_form(gb, ring.var(name), q)
+             for name in ring.variables]
+    columns = list(dict.fromkeys(m for h in forms for m in h.terms))
+    zero, one = ring.field.zero, ring.field.one
+    rows = [[h.terms.get(m, zero) for m in columns]
+            + [one if k == i else zero for k in range(n)]
+            for i, h in enumerate(forms)]
+    # the normal-form columns come first, so the echelon rows whose
+    # normal-form part vanishes have their pivots among the unit columns
+    # and already form the reduced echelon basis of the null space
+    return [row[-n:] for row in echelon(rows) if not any(row[:-n])]
+
+
+def _power_normal_form(gb, h, q):
+    """NF(h^q) by square-and-multiply, reducing after every product.
+
+    Reducing h^q in one go can walk every monomial of its degree that
+    lies above the normal form; the reduced factors stay as small as the
+    quotient's graded pieces.
+    """
+    out = gb.ring.one()
+    while q:
+        if q & 1:
+            out = gb.normal_form(out * h)
+        q >>= 1
+        if q:
+            h = gb.normal_form(h * h)
+    return out
 
 
 def _power_of_linear_form(g):

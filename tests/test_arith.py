@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopelab import arith
 from slopelab.arith import (
     INF,
     ExtendedRational,
@@ -54,6 +55,24 @@ def test_prime_field_misc():
         a + PrimeFieldElement(1, 3)
     with pytest.raises(ZeroDivisionError):
         PrimeFieldElement(0, 5).inverse()
+
+
+def test_unit_over_element_builds_one_element(monkeypatch):
+    calls = []
+
+    def counting_is_prime(p):
+        calls.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(arith, "is_prime", counting_is_prime)
+    for v in range(1, 7):
+        c = PrimeFieldElement(v, 7)
+        calls.clear()
+        quotient = 1 / c
+        assert calls == [7]
+        assert quotient == c.inverse()
+    with pytest.raises(ZeroDivisionError):
+        1 / PrimeFieldElement(0, 7)
 
 
 def test_field_handles():

@@ -194,6 +194,35 @@ class TestKernelCommand:
         assert report["t"] == 1
 
 
+class TestUnknownChoices:
+    @pytest.mark.parametrize("method", ["bogus", "enumeration"])
+    def test_unknown_kernel_method(self, tmp_path, capsys, method):
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["x", "y"], "char": 3},
+            "local_ring": {"relations": ["x^2 - y^2"]},
+            "kernel": {"method": method},
+        })
+        code, out, err = run(["kernel", job, "--json"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: unknown kernel method %r (choose monomial, "
+                       "factorization, frobenius or partial)\n" % method)
+
+    def test_unknown_nubar_strategy(self, tmp_path, capsys):
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["x", "y"], "char": 0},
+            "local_ring": {"relations": ["x^2 - y^3"]},
+            "nubar": {"f": "x", "strategy": "bogus"},
+        })
+        code, out, err = run(["nubar", job, "--json"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: unknown nubar strategy 'bogus' (choose auto, "
+                       "monomial, certificate or limit)\n")
+
+
 class TestSamuelSlopeCommand:
     def test_infinite_bound_is_exact(self, tmp_path, capsys):
         job = write_job(tmp_path, {

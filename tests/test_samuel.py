@@ -1,10 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopelab import samuel
-from slopelab.arith import INF, ExtendedRational
-from slopelab.groebner import ideal_power
+from slopelab.arith import INF, ExtendedRational, echelon
+from slopelab.groebner import GroebnerBasis, ideal_power, radical_member
 from slopelab.newton import MonomialValuation
 from slopelab.poly import Ring
 from slopelab.samuel import (
@@ -93,6 +96,28 @@ def test_nubar_limit_builds_no_basis_above_the_cap(monkeypatch, text,
     assert exponents and max(exponents) <= 6
 
 
+def test_nubar_limit_tests_each_power_basis_once_per_sample(monkeypatch):
+    tested = []
+    contains = GroebnerBasis.contains
+
+    def recording_contains(self, f):
+        tested.append((self, f.canonical_string()))
+        return contains(self, f)
+
+    monkeypatch.setattr(GroebnerBasis, "contains", recording_contains)
+    ring, A = cusp_ring()
+    result = nubar(A, ring.parse("x"), strategy="limit", max_n=4)
+    assert result.samples == [(1, ExtendedRational(1)),
+                              (2, ExtendedRational(3)),
+                              (3, ExtendedRational(4)),
+                              (4, ExtendedRational(6))]
+    # four zero tests and ten power-basis memberships; a floor that is
+    # tested once as the overshoot guard is not tested again
+    assert len(tested) == 14
+    # the bases stay referenced in tested, so their ids are not reused
+    assert len({(id(gb), f) for gb, f in tested}) == len(tested)
+
+
 def test_certificate_rejected_when_claimed_ideal_value_is_wrong():
     ring, A = cusp_ring()
     w = MonomialValuation.from_dict(ring, {"x": 3, "y": 2})
@@ -152,10 +177,97 @@ def test_enumeration_route_agrees_with_factorization_on_small_fields():
         ring = Ring(("x", "y"), char=char)
         A = LocalRingPresentation(ring, [ring.parse(relation)])
         via_fact = kernel_lambda(A, method="factorization")
-        via_enum = kernel_lambda(A, method="enumeration")
+        via_enum = kernel_lambda(A, method="frobenius")
         assert via_fact.r == via_enum.r
         assert sorted(g.canonical_string() for g in via_fact.basis) \
             == sorted(g.canonical_string() for g in via_enum.basis)
+
+
+def _enumerated_kernel(A):
+    """Reference route: radical membership of every normalized F_p-line,
+    then the echelon basis of the lines found."""
+    ring = A.ring
+    init = A.initial_ideal()
+
+    def linear(row):
+        ell = ring.zero()
+        for name, c in zip(ring.variables, row):
+            ell = ell + ring.var(name).scale(c)
+        return ell
+
+    found = []
+    for vec in itertools.product(range(ring.char), repeat=len(ring.variables)):
+        if next((v for v in vec if v), None) != 1:
+            continue
+        row = [ring.field.from_int(v) for v in vec]
+        if radical_member(linear(row), init):
+            found.append(row)
+    return [linear(row).canonical_string() for row in echelon(found)]
+
+
+@pytest.mark.parametrize("char, names, relations, basis", [
+    # powers of linear forms
+    (2, "xyz", ["x^2 + y^2", "x*z"], ["x + y"]),
+    (3, "xyz", ["x^3 + y^3", "z^2"], ["x + y", "z"]),
+    (5, "xyz", ["(x + 2*y)^2", "y*z^2"], ["x + 2*y"]),
+    (7, "xy", ["(x + 3*y)^3", "x^2*y + 3*x*y^2"], ["x + 3*y"]),
+    (3, "xyz", ["(x + y)^2", "(x + y)*z", "z^3"], ["x + y", "z"]),
+    # non-extremal and empty kernels
+    (7, "xyz", ["x^2 - y^2", "x*z"], []),
+    (3, "xyz", ["x^2 + y*z", "x*y"], ["x"]),
+    (2, "xyz", ["x^2 + x*y + y^2", "z^2"], ["z"]),
+    (5, "xy", ["x^2 + y^2", "x*y"], ["x", "y"]),
+    (2, "xyz", ["x^2 + x*y", "y^2 + y*z", "x*z"], ["x"]),
+])
+def test_frobenius_route_matches_line_enumeration(char, names, relations,
+                                                  basis):
+    ring = Ring(tuple(names), char=char)
+    A = LocalRingPresentation(ring, [ring.parse(r) for r in relations])
+    report = kernel_lambda(A, method="frobenius")
+    got = [g.canonical_string() for g in report.basis]
+    assert got == _enumerated_kernel(A) == basis
+    assert report.method == "frobenius-Fp"
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    char = draw(st.sampled_from([2, 3]))
+    names = draw(st.sampled_from(["xy", "xyz"]))
+    ring = Ring(tuple(names), char=char)
+    degree = draw(st.integers(2, 3)) if len(names) == 2 else 2
+    monomials = [e for e in itertools.product(range(degree + 1),
+                                              repeat=len(names))
+                 if sum(e) == degree]
+    forms = []
+    for _ in range(draw(st.integers(2, 3))):
+        coeffs = draw(st.lists(st.integers(0, char - 1),
+                               min_size=len(monomials),
+                               max_size=len(monomials)))
+        form = ring.zero()
+        for exps, c in zip(monomials, coeffs):
+            form = form + ring.monomial(exps, c)
+        forms.append(form)
+    return LocalRingPresentation(ring, forms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(homogeneous_ideals())
+def test_frobenius_route_matches_line_enumeration_on_random_forms(A):
+    report = kernel_lambda(A, method="frobenius")
+    assert [g.canonical_string() for g in report.basis] \
+        == _enumerated_kernel(A)
+
+
+def test_frobenius_route_at_a_large_prime():
+    # the squares template (x^2, y^2) under x -> x + y + z, y -> x + 2y + 5z
+    ring = Ring(("x", "y", "z"), char=101)
+    A = LocalRingPresentation(ring, [ring.parse("(x + y + z)^2"),
+                                     ring.parse("(x + 2*y + 5*z)^2")])
+    report = kernel_lambda(A)
+    assert report.method == "frobenius-Fp"
+    assert (report.r, report.t, report.classification) == (2, 2, "extremal")
+    assert [g.canonical_string() for g in report.basis] \
+        == ["x + 98*z", "y + 4*z"]
 
 
 def test_kernel_bound_by_excess():
