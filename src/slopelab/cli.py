@@ -20,11 +20,12 @@ from .arith import ExtendedRational, SlopelabError
 from .groebner import IdealPresentation
 from .newton import MonomialValuation
 from .poly import Ring, VariableSplit
-from .samuel import (LocalRingPresentation, ValuationCertificate,
-                     kernel_lambda, kernel_lambda_at_prime, nubar,
-                     samuel_slope)
-from .elimpres import (PointSpec, build_p_presentation, clean,
-                       cross_check_theorems, tschirnhausen_ord)
+from .samuel import (LIMIT_N_DEFAULT, LocalRingPresentation,
+                     ValuationCertificate, kernel_lambda,
+                     kernel_lambda_at_prime, nubar, samuel_slope)
+from .elimpres import (MAX_ROUNDS_DEFAULT, THEOREM_MAX_N_DEFAULT, PointSpec,
+                       build_p_presentation, clean, cross_check_theorems,
+                       tschirnhausen_ord)
 from . import corpus as corpus_module
 
 SCHEMA = "slopelab-job/1"
@@ -219,10 +220,27 @@ def _emit(args, report, lines):
             print(line)
 
 
-def _max_n(args, params, default):
-    if args.max_n is not None:
-        return args.max_n
-    return params.get("max_n", default)
+def _positive_int(text):
+    """argparse type for --max-n and --max-rounds."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        "expected a positive integer, got %r" % text)
+
+
+def _cap(args, params, section, key, default):
+    """A cap from the command line, else the job section, else default."""
+    value = getattr(args, key)
+    if value is not None:
+        return value
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise JobError("%s.%s must be a positive integer" % (section, key))
+    return value
 
 
 def cmd_nubar(args):
@@ -242,7 +260,8 @@ def cmd_nubar(args):
     presentation = job.local_ring()
     result = nubar(presentation, f, ideal=ideal, strategy=strategy,
                    certificate=certificate,
-                   max_n=_max_n(args, params, 20))
+                   max_n=_cap(args, params, "nubar", "max_n",
+                              LIMIT_N_DEFAULT))
     report = {"value": result.value.serialize(), "status": result.status}
     _emit(args, report,
           ["nubar = %s (%s)" % (report["value"], report["status"])])
@@ -300,8 +319,8 @@ def cmd_slope(args):
         degree = g.degree_of_var(split.fiber[0])
     except SlopelabError as exc:
         raise JobError("slope.g: %s" % exc)
-    max_rounds = args.max_rounds if args.max_rounds is not None \
-        else params.get("max_rounds", 16)
+    max_rounds = _cap(args, params, "slope", "max_rounds",
+                      MAX_ROUNDS_DEFAULT)
     if p and degree % p == 0:
         presentation = build_p_presentation(g, split, p)
         report = clean(presentation, at=at, max_rounds=max_rounds)
@@ -368,7 +387,8 @@ def _samuel_slope_report(job, args):
     result = samuel_slope(presentation,
                           candidates=job.candidates(),
                           certificate=certificate,
-                          max_n=_max_n(args, params, 20),
+                          max_n=_cap(args, params, "samuel_slope", "max_n",
+                                     LIMIT_N_DEFAULT),
                           search=params.get("search", True))
     report = {
         "bound": result.lower_bound.serialize(),
@@ -408,11 +428,12 @@ def cmd_check_theorems(args):
                        "not a hypersurface")
     split = job.split()
     at = job.point()
-    max_rounds = args.max_rounds if args.max_rounds is not None \
-        else params.get("max_rounds", 16)
-    report = cross_check_theorems(presentation, g, split, at=at,
-                                  max_n=_max_n(args, params, 8),
-                                  max_rounds=max_rounds)
+    report = cross_check_theorems(
+        presentation, g, split, at=at,
+        max_n=_cap(args, params, "check_theorems", "max_n",
+                   THEOREM_MAX_N_DEFAULT),
+        max_rounds=_cap(args, params, "check_theorems", "max_rounds",
+                        MAX_ROUNDS_DEFAULT))
     json_report = {"applicable": report.applicable,
                    "passed": report.passed,
                    "classification": report.classification}
@@ -455,8 +476,8 @@ def cmd_check_theorems(args):
 
 def cmd_corpus(args):
     filters = tuple(args.filter or ())
-    rows = corpus_module.run_corpus(filters=filters,
-                                    max_n=args.max_n or 20)
+    max_n = LIMIT_N_DEFAULT if args.max_n is None else args.max_n
+    rows = corpus_module.run_corpus(filters=filters, max_n=max_n)
     if not rows:
         print("no corpus rows match %s" % (", ".join(filters)),
               file=sys.stderr)
@@ -504,9 +525,9 @@ def build_parser():
                          help="print one line of canonical JSON")
         cmd.add_argument("--require-exact", action="store_true",
                          help="exit 2 unless the result is exact")
-        cmd.add_argument("--max-n", type=int, default=None,
+        cmd.add_argument("--max-n", type=_positive_int, default=None,
                          help="power cap for limit-based estimates")
-        cmd.add_argument("--max-rounds", type=int, default=None,
+        cmd.add_argument("--max-rounds", type=_positive_int, default=None,
                          help="cap on cleaning translation rounds")
         cmd.set_defaults(handler=handler)
         return cmd

@@ -23,8 +23,9 @@ from .groebner import IdealPresentation, ideal_power
 from .newton import (MonomialValuation, build_polyhedron, closure_member,
                      nubar_monomial)
 from .poly import Ring, VariableSplit
-from .samuel import (LocalRingPresentation, ValuationCertificate,
-                     kernel_lambda, kernel_lambda_at_prime, nu, nubar)
+from .samuel import (LIMIT_N_DEFAULT, LocalRingPresentation,
+                     ValuationCertificate, kernel_lambda,
+                     kernel_lambda_at_prime, nu, nubar)
 from .elimpres import (PointSpec, ReesAlgebra, build_p_presentation, clean,
                        cross_check_theorems, diff_saturate_once, slope)
 
@@ -258,9 +259,9 @@ def _kernel_string(member):
     return "%s r=%d t=%d" % (report.classification, report.r, report.t)
 
 
-def _theorem_string(member, max_n=8):
+def _theorem_string(member):
     report = cross_check_theorems(member.presentation, member.g,
-                                  member.split, at=member.point, max_n=max_n)
+                                  member.split, at=member.point)
     bits = ["pass" if report.passed else "FAIL", report.classification,
             "hord=%s" % report.hord.serialize(),
             "ord=%s" % report.ord_d.serialize()]
@@ -336,7 +337,7 @@ def _ppres_rows(member):
            lambda: run().elimination_order.serialize())
 
 
-def checks(max_n=20):
+def checks(max_n=LIMIT_N_DEFAULT):
     """All corpus rows as (name, thunk) pairs, in a fixed order.
 
     Thunks are lazy so that a filtered run only pays for the rows it
@@ -387,7 +388,7 @@ class CheckRow:
         return "<row %s %s>" % (self.name, "ok" if self.ok else "FAIL")
 
 
-def run_corpus(filters=(), max_n=20):
+def run_corpus(filters=(), max_n=LIMIT_N_DEFAULT):
     """Evaluate the corpus rows, optionally keeping only matching names.
 
     A row is kept when any filter string occurs in its name; with no

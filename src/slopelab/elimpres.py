@@ -6,11 +6,12 @@ the local-ring invariants of the samuel module.
 """
 
 from .arith import INF, ExtendedRational, SlopelabError, ext_min, is_prime
-from .groebner import monic, normal_form, order_key
+from .groebner import monic, normal_form
 from .samuel import kernel_lambda, kernel_lambda_at_prime, samuel_slope
 
 SATURATION_CAP = 512
 MAX_ROUNDS_DEFAULT = 16
+THEOREM_MAX_N_DEFAULT = 8
 
 
 class NotMonic(SlopelabError):
@@ -98,7 +99,7 @@ class ReesAlgebra:
                 raise ValueError("zero generator")
             if n < 1:
                 raise ValueError("weights must be positive")
-            f = monic(f, order_key("grevlex"))
+            f = monic(f)
             key = f.canonical_string()
             if key not in seen or seen[key][1] < n:
                 seen[key] = (f, n)
@@ -156,7 +157,7 @@ def diff_saturate_once(algebra):
                 g = f.hasse_derivative(v, b)
                 if g.is_zero():
                     continue
-                g = monic(g, order_key("grevlex"))
+                g = monic(g)
                 entry = (g, n - b)
                 known = any(g == h and m >= n - b for h, m in work)
                 if not known:
@@ -418,6 +419,8 @@ def clean(presentation, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
     """Iterate cleaning translations until a normal form (cases A, B1, B2,
     or nothing left at all) and stamp the final slope as the order of the
     presentation there."""
+    if max_rounds < 1:
+        raise SlopelabError("max_rounds must be a positive integer")
     at = at or PointSpec.origin()
     transcript = []
     best = None
@@ -495,7 +498,8 @@ class CheckReport:
             self.slope_value)
 
 
-def cross_check_theorems(local_ring, g, split, at=None, max_n=8,
+def cross_check_theorems(local_ring, g, split, at=None,
+                         max_n=THEOREM_MAX_N_DEFAULT,
                          max_rounds=MAX_ROUNDS_DEFAULT):
     """Confront the two structure statements with one germ.
 

@@ -2,15 +2,17 @@
 membership by the extra-variable trick, ideal powers, and the dimension of a
 monomial quotient.
 
-Everything here is exact and deterministic. There is no caching; callers that
-need repeated memberships against the same ideal should hold on to the
-GroebnerBasis object themselves.
+Everything here is exact and deterministic. The one term order is graded
+reverse lex (grevlex). Each basis element's leading term is fixed once, when
+the element is made monic, and a GroebnerBasis keeps it next to the
+polynomial; callers that need repeated memberships against the same ideal
+should hold on to the GroebnerBasis object themselves.
 """
 
 import itertools
 
 from .arith import SlopelabError
-from .poly import Monomial, Polynomial
+from .poly import Polynomial
 
 DEFAULT_PAIR_BUDGET = 50000
 
@@ -21,21 +23,6 @@ class BudgetExceeded(SlopelabError):
 
 class NotMonomial(SlopelabError):
     """An operation that needs monomial generators got something else."""
-
-
-def order_key(order):
-    if order == "grevlex":
-        def key(m):
-            return (m.degree(), tuple(-e for e in reversed(m.exps)))
-    elif order == "grlex":
-        def key(m):
-            return (m.degree(), m.exps)
-    elif order == "lex":
-        def key(m):
-            return m.exps
-    else:
-        raise ValueError("unknown term order %r" % (order,))
-    return key
 
 
 class IdealPresentation:
@@ -72,84 +59,97 @@ class IdealPresentation:
             g.canonical_string() for g in self.generators)
 
 
-def leading(f, key):
-    mono = max(f.terms, key=key)
+def _grevlex(m):
+    """Sort key of the one term order, graded reverse lex."""
+    return (m.degree(), tuple(-e for e in reversed(m.exps)))
+
+
+def leading(f):
+    mono = max(f.terms, key=_grevlex)
     return mono, f.terms[mono]
 
 
-def normal_form(f, basis, order="grevlex"):
-    """Remainder of f on division by the listed polynomials."""
-    key = order_key(order)
+def monic(f):
+    """Scale f so that its leading coefficient is one."""
+    return _monic_lead(f)[2]
+
+
+def _monic_lead(f):
+    # (leading monomial, leading coefficient, f made monic)
+    lm, lc = leading(f)
+    g = f.scale(1 / lc)
+    return lm, g.terms[lm], g
+
+
+def _reduce(f, leads):
     ring = f.ring
-    leads = [leading(g, key) + (g,) for g in basis if not g.is_zero()]
     remainder = ring.zero()
     work = f
     while not work.is_zero():
-        mono, coeff = leading(work, key)
-        hit = None
+        mono, coeff = leading(work)
         for lm, lc, g in leads:
             if lm.divides(mono):
-                hit = (lm, lc, g)
+                factor = Polynomial(ring, {mono.div(lm): coeff / lc})
+                work = work - factor * g
                 break
-        if hit is None:
+        else:
             head = Polynomial(ring, {mono: coeff})
             remainder = remainder + head
             work = work - head
-        else:
-            lm, lc, g = hit
-            factor = Polynomial(ring, {mono.div(lm): coeff / lc})
-            work = work - factor * g
     return remainder
 
 
+def normal_form(f, basis):
+    """Remainder of f on division by the listed polynomials."""
+    return _reduce(f, [leading(g) + (g,) for g in basis if not g.is_zero()])
+
+
 class GroebnerBasis:
-    def __init__(self, ring, order, polys):
+    """A reduced basis, kept as (leading monomial, coefficient, poly)."""
+
+    def __init__(self, ring, leads):
         self.ring = ring
-        self.order = order
-        self.polys = tuple(polys)
+        self.leads = tuple(leads)
+        self.polys = tuple(g for _, _, g in self.leads)
 
     def normal_form(self, f):
-        return normal_form(f, self.polys, self.order)
+        return _reduce(f, self.leads)
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
 
     def leading_monomials(self):
-        key = order_key(self.order)
-        return [leading(g, key)[0] for g in self.polys]
+        return [lm for lm, _, _ in self.leads]
 
     def __repr__(self):
-        return "<groebner %s: %s>" % (
-            self.order, "; ".join(g.canonical_string() for g in self.polys))
+        return "<groebner grevlex: %s>" % "; ".join(
+            g.canonical_string() for g in self.polys)
 
 
-def buchberger(ideal, order="grevlex", budget=None):
+def buchberger(ideal):
     """Reduced Groebner basis of the ideal, monic, sorted by leading term."""
-    if budget is None:
-        budget = DEFAULT_PAIR_BUDGET
-    key = order_key(order)
     ring = ideal.ring
-    basis = [monic(g, key) for g in ideal.generators]
+    basis = [_monic_lead(g) for g in ideal.generators]
     if not basis:
-        return GroebnerBasis(ring, order, ())
+        return GroebnerBasis(ring, ())
 
+    budget = DEFAULT_PAIR_BUDGET
     pairs = list(itertools.combinations(range(len(basis)), 2))
     enqueued = len(pairs)
     while pairs:
         i, j = pairs.pop(0)
-        fi, fj = basis[i], basis[j]
-        lmi, _ = leading(fi, key)
-        lmj, _ = leading(fj, key)
+        lmi, _, fi = basis[i]
+        lmj, _, fj = basis[j]
         # coprime leading terms never produce anything new
         if lmi.mul(lmj) == lmi.lcm(lmj):
             continue
         lcm = lmi.lcm(lmj)
         spoly = (Polynomial(ring, {lcm.div(lmi): ring.field.one}) * fi
                  - Polynomial(ring, {lcm.div(lmj): ring.field.one}) * fj)
-        rem = normal_form(spoly, basis, order)
+        rem = _reduce(spoly, basis)
         if rem.is_zero():
             continue
-        basis.append(monic(rem, key))
+        basis.append(_monic_lead(rem))
         new = len(basis) - 1
         fresh = [(k, new) for k in range(new)]
         enqueued += len(fresh)
@@ -161,41 +161,34 @@ def buchberger(ideal, order="grevlex", budget=None):
 
     # minimalize: drop members whose leading term another one divides
     keep = []
-    for idx, g in enumerate(basis):
-        lm, _ = leading(g, key)
+    for idx, entry in enumerate(basis):
+        lm = entry[0]
         dominated = False
-        for jdx, h in enumerate(basis):
+        for jdx, (lmh, _, _) in enumerate(basis):
             if idx == jdx:
                 continue
-            lmh, _ = leading(h, key)
             if lmh.divides(lm) and (lmh != lm or jdx < idx):
                 dominated = True
                 break
         if not dominated:
-            keep.append(g)
+            keep.append(entry)
     # tail-reduce each survivor against the others
     reduced = []
-    for idx, g in enumerate(keep):
+    for idx, (_, _, g) in enumerate(keep):
         others = keep[:idx] + keep[idx + 1:]
-        reduced.append(monic(normal_form(g, others, order), key))
-    reduced.sort(key=lambda g: key(leading(g, key)[0]))
-    return GroebnerBasis(ring, order, reduced)
+        reduced.append(_monic_lead(_reduce(g, others)))
+    reduced.sort(key=lambda entry: _grevlex(entry[0]))
+    return GroebnerBasis(ring, reduced)
 
 
-def monic(f, key):
-    """Scale f so that its leading coefficient under the key is one."""
-    _, lc = leading(f, key)
-    return f.scale(1 / lc)
-
-
-def ideal_member(f, ideal, order="grevlex", budget=None):
-    gb = buchberger(ideal, order, budget)
+def ideal_member(f, ideal):
+    gb = buchberger(ideal)
     if f.is_zero():
         return True
     return gb.contains(f)
 
 
-def radical_member(f, ideal, budget=None):
+def radical_member(f, ideal):
     """Membership in the radical via the 1 - t*f localization trick."""
     ring = ideal.ring
     if f.is_zero():
@@ -206,7 +199,7 @@ def radical_member(f, ideal, budget=None):
     big = ring.extend((fresh,))
     gens = [big.lift(g) for g in ideal.generators]
     gens.append(big.one() - big.var(fresh) * big.lift(f))
-    gb = buchberger(IdealPresentation(big, gens), "grevlex", budget)
+    gb = buchberger(IdealPresentation(big, gens))
     return gb.contains(big.one())
 
 

@@ -366,6 +366,63 @@ class TestValidationErrors:
         assert "budget" in err
 
 
+def cusp_char2_job(tmp_path, **sections):
+    return write_job(tmp_path, dict({
+        "schema": "slopelab-job/1",
+        "ring": {"vars": ["x", "y"], "char": 2},
+        "local_ring": {"relations": ["x^2 - y^3"]},
+        "split": {"base": ["y"], "fiber": ["x"]},
+    }, **sections), name="caps.json")
+
+
+def assert_one_error_line(code, out, err, name):
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "error:" in err and name in err
+
+
+class TestCaps:
+    """--max-n, --max-rounds and the job keys max_n, max_rounds take
+    positive integers only."""
+
+    @pytest.mark.parametrize("flag", ["--max-n", "--max-rounds"])
+    @pytest.mark.parametrize("value", ["0", "-3", "4.5", "four"])
+    def test_flag_must_be_a_positive_int(self, tmp_path, capsys, flag,
+                                         value):
+        jobs = [("nubar", cusp_certificate_job(tmp_path)),
+                ("slope", cusp_slope_job(tmp_path)),
+                ("corpus", None)]
+        for command, job in jobs:
+            argv = [command] + ([job] if job else []) + [flag, value]
+            code, out, err = run(argv, capsys)
+            assert_one_error_line(code, out, err, flag)
+
+    @pytest.mark.parametrize("section,key,extra", [
+        ("nubar", "max_n", {"f": "x", "strategy": "limit"}),
+        ("slope", "max_rounds", {"g": "x^2 + y^3"}),
+        ("samuel_slope", "max_n", {}),
+        ("check_theorems", "max_n", {}),
+        ("check_theorems", "max_rounds", {}),
+    ])
+    @pytest.mark.parametrize("value", [0, -2, "4", 4.0, True, None])
+    def test_job_key_must_be_a_positive_int(self, tmp_path, capsys,
+                                            section, key, extra, value):
+        params = dict(extra, **{key: value})
+        job = cusp_char2_job(tmp_path, **{section: params})
+        command = section.replace("_", "-")
+        code, out, err = run([command, job], capsys)
+        assert_one_error_line(code, out, err, "%s.%s" % (section, key))
+
+    def test_flag_overrides_a_bad_job_key(self, tmp_path, capsys):
+        job = cusp_char2_job(tmp_path, slope={"g": "x^2 + y^3",
+                                              "max_rounds": 0})
+        code, out, _ = run(["slope", job, "--max-rounds", "2", "--json"],
+                           capsys)
+        assert code == 0
+        assert json.loads(out)["Hord"] == "3/2"
+
+
 REPORT_KEYS = {
     "nubar": {"status", "value"},
     "slope": {"Hord", "approximate_elimination", "case", "elim_ord",

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from slopelab.arith import INF, ExtendedRational
+from slopelab.arith import INF, ExtendedRational, SlopelabError
 from slopelab.elimpres import (
     BadDegree,
     CharDividesDegree,
@@ -246,6 +246,16 @@ def test_clean_is_a_no_op_on_the_cusp():
     assert report.transcript == []
     assert report.hord == er(Fraction(3, 2))
     assert clean(pres).hord == er(Fraction(3, 2))
+
+
+def test_clean_needs_at_least_one_round():
+    ring = Ring(("z", "y"), char=2)
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    pres = build_p_presentation(ring.parse("z^2 - y^3"), split, 2)
+    for rounds in (0, -1):
+        with pytest.raises(SlopelabError, match="max_rounds"):
+            clean(pres, max_rounds=rounds)
+    assert clean(pres, max_rounds=1).hord == er(Fraction(3, 2))
 
 
 def test_tschirnhausen_examples():

@@ -1,10 +1,14 @@
 """Only arith knows how a coefficient is inverted: every other module spells
-inversion ``1 / c`` and never names the prime-field element type."""
+inversion ``1 / c`` and never names the prime-field element type. The
+Groebner layer has one term order and reads its pair budget from the
+module, so none of its entry points takes an order or a budget."""
 
 import ast
+import inspect
 import pathlib
 
 import slopelab
+from slopelab import groebner
 
 PACKAGE = pathlib.Path(slopelab.__file__).parent
 
@@ -39,3 +43,12 @@ def test_no_module_but_arith_knows_the_field():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "arith.py"}
     assert found and not any(found.values()), found
+
+
+def test_groebner_takes_no_order_or_budget():
+    assert not hasattr(groebner, "order_key")
+    for entry in (groebner.buchberger, groebner.normal_form,
+                  groebner.ideal_member, groebner.radical_member,
+                  groebner.GroebnerBasis):
+        params = set(inspect.signature(entry).parameters)
+        assert not params & {"order", "budget"}, entry
