@@ -7,7 +7,7 @@ Everything is exact rational or prime-field arithmetic; nothing floats.
 """
 
 from .arith import INF, ExtendedRational, SlopelabError
-from .poly import Monomial, Polynomial, Ring, VariableSplit
+from .poly import Polynomial, Ring, VariableSplit
 from .groebner import GroebnerBasis, IdealPresentation, buchberger, \
     ideal_member, radical_member
 from .newton import MonomialValuation, NewtonPolyhedron, build_polyhedron, \
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INF", "ExtendedRational", "SlopelabError",
-    "Monomial", "Polynomial", "Ring", "VariableSplit",
+    "Polynomial", "Ring", "VariableSplit",
     "GroebnerBasis", "IdealPresentation", "buchberger", "ideal_member",
     "radical_member",
     "MonomialValuation", "NewtonPolyhedron", "build_polyhedron",

@@ -10,6 +10,7 @@ should hold on to the GroebnerBasis object themselves.
 """
 
 import itertools
+from operator import add, sub
 
 from .arith import SlopelabError
 from .poly import Polynomial
@@ -48,7 +49,7 @@ class IdealPresentation:
         monos = [next(iter(g.terms)) for g in self.generators]
         keep = []
         for m in monos:
-            if any(other.divides(m) and other != m for other in monos):
+            if any(_divides(other, m) and other != m for other in monos):
                 continue
             if m not in keep:
                 keep.append(m)
@@ -61,7 +62,16 @@ class IdealPresentation:
 
 def _grevlex(m):
     """Sort key of the one term order, graded reverse lex."""
-    return (m.degree(), tuple(-e for e in reversed(m.exps)))
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _quotient(m, d):
+    """m / d for a monomial d that divides m."""
+    return tuple(map(sub, m, d))
 
 
 def leading(f):
@@ -88,8 +98,8 @@ def _reduce(f, leads):
     while not work.is_zero():
         mono, coeff = leading(work)
         for lm, lc, g in leads:
-            if lm.divides(mono):
-                factor = Polynomial(ring, {mono.div(lm): coeff / lc})
+            if _divides(lm, mono):
+                factor = Polynomial(ring, {_quotient(mono, lm): coeff / lc})
                 work = work - factor * g
                 break
         else:
@@ -140,12 +150,13 @@ def buchberger(ideal):
         i, j = pairs.pop(0)
         lmi, _, fi = basis[i]
         lmj, _, fj = basis[j]
+        lcm = tuple(map(max, lmi, lmj))
         # coprime leading terms never produce anything new
-        if lmi.mul(lmj) == lmi.lcm(lmj):
+        if lcm == tuple(map(add, lmi, lmj)):
             continue
-        lcm = lmi.lcm(lmj)
-        spoly = (Polynomial(ring, {lcm.div(lmi): ring.field.one}) * fi
-                 - Polynomial(ring, {lcm.div(lmj): ring.field.one}) * fj)
+        spoly = (
+            Polynomial(ring, {_quotient(lcm, lmi): ring.field.one}) * fi
+            - Polynomial(ring, {_quotient(lcm, lmj): ring.field.one}) * fj)
         rem = _reduce(spoly, basis)
         if rem.is_zero():
             continue
@@ -167,7 +178,7 @@ def buchberger(ideal):
         for jdx, (lmh, _, _) in enumerate(basis):
             if idx == jdx:
                 continue
-            if lmh.divides(lm) and (lmh != lm or jdx < idx):
+            if _divides(lmh, lm) and (lmh != lm or jdx < idx):
                 dominated = True
                 break
         if not dominated:
@@ -233,9 +244,9 @@ def monomial_dimension(ideal):
     """
     monos = ideal.monomial_generators()
     n = len(ideal.ring.variables)
-    if any(m.degree() == 0 for m in monos):
+    if any(sum(m) == 0 for m in monos):
         return -1
-    supports = [frozenset(i for i, e in enumerate(m.exps) if e) for m in monos]
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in monos]
     best = -1
     for size in range(n, -1, -1):
         for subset in itertools.combinations(range(n), size):

@@ -43,7 +43,7 @@ class MonomialValuation:
         return cls(ring, weights)
 
     def monomial_value(self, mono):
-        return sum(w * e for w, e in zip(self.weights, mono.exps))
+        return sum(w * e for w, e in zip(self.weights, mono))
 
     def value(self, f):
         """Min of the weight over the terms; infinity on the zero polynomial.
@@ -123,7 +123,7 @@ def build_polyhedron(ideal):
     if n > DIMENSION_CAP:
         raise DimensionCap("facet enumeration capped at %d variables"
                            % DIMENSION_CAP)
-    gens = [m.exps for m in ideal.monomial_generators()]
+    gens = ideal.monomial_generators()
     if not gens:
         raise NotMonomial("cannot build the polyhedron of the zero ideal")
 
@@ -179,7 +179,7 @@ def nubar_monomial(ideal_or_polyhedron, f):
         return INF
     best = INF
     for w, thr in P.facets:
-        num = min(sum(a * b for a, b in zip(w, m.exps)) for m in f.terms)
+        num = min(sum(a * b for a, b in zip(w, m)) for m in f.terms)
         v = ExtendedRational(Fraction(num, thr))
         if v < best:
             best = v
@@ -202,6 +202,6 @@ def closure_member(f, ideal, a=1, polyhedron=None):
         P = build_polyhedron(ideal_power(ideal, a))
     for w, thr in P.facets:
         for m in f.terms:
-            if sum(x * e for x, e in zip(w, m.exps)) < thr:
+            if sum(x * e for x, e in zip(w, m)) < thr:
                 return False
     return True

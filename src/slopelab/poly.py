@@ -2,13 +2,14 @@
 the package leans on: initial forms, divided-power (Hasse) derivatives,
 variable translations, and p-th power roots.
 
-Monomials are dense exponent tuples. Terms live in a dict keyed by Monomial.
-The canonical printing order is graded lex, descending, so serialized output
-is stable across runs.
+Monomials are plain tuples of ints, one exponent per ring variable, and
+terms live in a dict keyed by them. The canonical printing order is graded
+lex, descending, so serialized output is stable across runs.
 """
 
 import math
 import re
+from operator import add
 
 from .arith import SlopelabError, field_of_characteristic
 
@@ -21,48 +22,6 @@ class ZeroPolynomial(SlopelabError):
 
 class IllegalSubstitution(SlopelabError):
     """Raised when a translation would substitute a variable into itself."""
-
-
-class Monomial:
-    """Exponent vector of fixed length (one slot per ring variable)."""
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exps):
-        exps = tuple(int(e) for e in exps)
-        if any(e < 0 for e in exps):
-            raise ValueError("negative exponent in %r" % (exps,))
-        self.exps = exps
-
-    def degree(self):
-        return sum(self.exps)
-
-    def degree_in(self, indices):
-        return sum(self.exps[i] for i in indices)
-
-    def mul(self, other):
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def divides(self, other):
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def div(self, other):
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
-
-    def lcm(self, other):
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def grlex_key(self):
-        return (self.degree(), self.exps)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __repr__(self):
-        return "Monomial%r" % (self.exps,)
 
 
 class Ring:
@@ -97,19 +56,23 @@ class Ring:
         c = self.field.from_int(n) if isinstance(n, int) else n
         if not c:
             return self.zero()
-        unit = Monomial((0,) * len(self.variables))
-        return Polynomial(self, {unit: c})
+        return Polynomial(self, {(0,) * len(self.variables): c})
 
-    def var(self, name, exp=1):
+    def var(self, name):
         exps = [0] * len(self.variables)
-        exps[self.index(name)] = exp
-        return Polynomial(self, {Monomial(exps): self.field.one})
+        exps[self.index(name)] = 1
+        return Polynomial(self, {tuple(exps): self.field.one})
 
     def monomial(self, exps, coeff=1):
+        exps = tuple(exps)
+        if len(exps) != len(self.variables) or not all(
+                isinstance(e, int) and e >= 0 for e in exps):
+            raise ValueError("need one nonnegative int exponent per variable "
+                             "of %r, got %r" % (self.variables, exps))
         c = self.field.from_int(coeff) if isinstance(coeff, int) else coeff
         if not c:
             return self.zero()
-        return Polynomial(self, {Monomial(exps): c})
+        return Polynomial(self, {exps: c})
 
     def parse(self, text):
         return _parse(self, text)
@@ -124,9 +87,9 @@ class Ring:
         terms = {}
         for mono, c in poly.terms.items():
             exps = [0] * len(self.variables)
-            for i, e in enumerate(mono.exps):
+            for i, e in enumerate(mono):
                 exps[pos[i]] = e
-            terms[Monomial(exps)] = c
+            terms[tuple(exps)] = c
         return Polynomial(self, terms)
 
     def __eq__(self, other):
@@ -151,41 +114,41 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self):
-        return all(m.degree() == 0 for m in self.terms)
+        return all(sum(m) == 0 for m in self.terms)
 
     def is_monomial(self):
         return len(self.terms) == 1
 
     def constant_term(self):
-        unit = Monomial((0,) * len(self.ring.variables))
+        unit = (0,) * len(self.ring.variables)
         return self.terms.get(unit, self.ring.field.zero)
 
     def degree(self):
         if self.is_zero():
             raise ZeroPolynomial("degree of the zero polynomial")
-        return max(m.degree() for m in self.terms)
+        return max(sum(m) for m in self.terms)
 
     def min_degree(self):
         if self.is_zero():
             raise ZeroPolynomial("order of the zero polynomial")
-        return min(m.degree() for m in self.terms)
+        return min(sum(m) for m in self.terms)
 
     def min_degree_in(self, indices):
         """Smallest total degree of a term in the given variable slots."""
         if self.is_zero():
             raise ZeroPolynomial("order of the zero polynomial")
-        return min(m.degree_in(indices) for m in self.terms)
+        return min(sum(m[i] for i in indices) for m in self.terms)
 
     def degree_of_var(self, name):
         i = self.ring.index(name)
         if self.is_zero():
             raise ZeroPolynomial("degree of the zero polynomial")
-        return max(m.exps[i] for m in self.terms)
+        return max(m[i] for m in self.terms)
 
     def vars_used(self):
         used = set()
         for m in self.terms:
-            for i, e in enumerate(m.exps):
+            for i, e in enumerate(m):
                 if e:
                     used.add(i)
         return used
@@ -201,7 +164,8 @@ class Polynomial:
         other = self._same_ring(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, self.ring.field.zero) + c
+            s = terms.get(m)
+            s = c if s is None else s + c
             if s:
                 terms[m] = s
             else:
@@ -226,8 +190,9 @@ class Polynomial:
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
-                s = terms.get(m, self.ring.field.zero) + c1 * c2
+                m = tuple(map(add, m1, m2))
+                s = terms.get(m)
+                s = c1 * c2 if s is None else s + c1 * c2
                 if s:
                     terms[m] = s
                 else:
@@ -264,14 +229,14 @@ class Polynomial:
         """Homogeneous part of lowest total degree."""
         d = self.min_degree()
         return Polynomial(self.ring,
-                          {m: c for m, c in self.terms.items() if m.degree() == d})
+                          {m: c for m, c in self.terms.items() if sum(m) == d})
 
     def initial_form_in(self, indices):
         """Terms of lowest total degree in the given variable slots."""
         d = self.min_degree_in(indices)
         return Polynomial(self.ring,
                           {m: c for m, c in self.terms.items()
-                           if m.degree_in(indices) == d})
+                           if sum(m[i] for i in indices) == d})
 
     def hasse_derivative(self, name, b):
         """Divided-power derivative of order b in one variable.
@@ -287,16 +252,15 @@ class Polynomial:
         field = self.ring.field
         terms = {}
         for m, c in self.terms.items():
-            e = m.exps[i]
+            e = m[i]
             if e < b:
                 continue
             k = field.from_int(math.comb(e, b)) * c
             if not k:
                 continue
-            exps = list(m.exps)
-            exps[i] = e - b
-            mono = Monomial(exps)
-            s = terms.get(mono, field.zero) + k
+            mono = m[:i] + (e - b,) + m[i + 1:]
+            s = terms.get(mono)
+            s = k if s is None else s + k
             if s:
                 terms[mono] = s
             else:
@@ -321,15 +285,15 @@ class Polynomial:
 
         out = self.ring.zero()
         for m, c in self.terms.items():
-            e = m.exps[i]
-            rest = list(m.exps)
+            e = m[i]
+            rest = list(m)
             for j in range(e + 1):
                 k = field.from_int(math.comb(e, j)) * c
                 if not k:
                     continue
                 rest[i] = e - j
                 out = out + shift_power(j).scale(k) * Polynomial(
-                    self.ring, {Monomial(rest): field.one})
+                    self.ring, {tuple(rest): field.one})
         return out
 
     def coefficients_in(self, name):
@@ -341,11 +305,10 @@ class Polynomial:
         i = self.ring.index(name)
         out = {}
         for m, c in self.terms.items():
-            e = m.exps[i]
-            exps = list(m.exps)
-            exps[i] = 0
+            e = m[i]
             part = out.setdefault(e, self.ring.zero())
-            out[e] = part + Polynomial(self.ring, {Monomial(exps): c})
+            out[e] = part + Polynomial(self.ring,
+                                       {m[:i] + (0,) + m[i + 1:]: c})
         return out
 
     def pth_power_root(self, e=1):
@@ -362,14 +325,14 @@ class Polynomial:
         q = p ** e
         terms = {}
         for m, c in self.terms.items():
-            if any(x % q for x in m.exps):
+            if any(x % q for x in m):
                 return None
-            terms[Monomial(tuple(x // q for x in m.exps))] = c
+            terms[tuple(x // q for x in m)] = c
         return Polynomial(self.ring, terms)
 
     def canonical_terms(self):
         return sorted(self.terms.items(),
-                      key=lambda item: item[0].grlex_key(), reverse=True)
+                      key=lambda item: (sum(item[0]), item[0]), reverse=True)
 
     def canonical_string(self):
         if self.is_zero():
@@ -378,7 +341,7 @@ class Polynomial:
         for m, c in self.canonical_terms():
             body = "*".join(
                 name if e == 1 else "%s^%d" % (name, e)
-                for name, e in zip(self.ring.variables, m.exps) if e)
+                for name, e in zip(self.ring.variables, m) if e)
             cs = str(c)
             if body:
                 if cs == "1":

@@ -22,7 +22,7 @@ from .groebner import (
     radical_member,
 )
 from .newton import nubar_monomial
-from .poly import Monomial, Polynomial
+from .poly import Polynomial
 
 NU_CAP_DEFAULT = 24
 LIMIT_N_DEFAULT = 20
@@ -138,6 +138,7 @@ def nu(presentation, f, ideal=None, cap=NU_CAP_DEFAULT):
     Exact up to the cap; returns at_least=True when f survives that deep.
     The order is infinite exactly when f is zero in the ring.
     """
+    _check_cap("cap", cap)
     if ideal is None:
         ideal = presentation.maximal_ideal()
     if presentation.is_zero_element(f):
@@ -213,6 +214,8 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
     """
     _check_choice("nubar strategy", strategy,
                   ("auto", "monomial", "certificate", "limit"))
+    _check_cap("max_n", max_n)
+    _check_cap("cap", cap)
     if ideal is None:
         ideal = presentation.maximal_ideal()
     if strategy == "auto":
@@ -272,6 +275,11 @@ def _check_choice(kind, value, choices):
             kind, value, ", ".join(choices[:-1]), choices[-1]))
 
 
+def _check_cap(name, value):
+    if value < 1:
+        raise SlopelabError("%s must be a positive integer" % name)
+
+
 def _nu_from(f, cap, cache, floor):
     """Order of a nonzero f, searching upward from a known lower bound.
 
@@ -311,8 +319,8 @@ def _linear_part_rows(polys, ring):
     for g in polys:
         row = [ring.field.zero] * n
         for mono, c in g.terms.items():
-            if mono.degree() == 1:
-                row[mono.exps.index(1)] = c
+            if sum(mono) == 1:
+                row[mono.index(1)] = c
         rows.append(row)
     return rows
 
@@ -359,8 +367,7 @@ def kernel_lambda(presentation, method=None):
         basis = []
         for i, name in enumerate(ring.variables):
             for m in monos:
-                if m.exps[i] and all(e == 0 for k, e in enumerate(m.exps)
-                                     if k != i):
+                if m[i] and all(e == 0 for k, e in enumerate(m) if k != i):
                     basis.append(ring.var(name))
                     break
         return KernelReport(basis, t, classify(len(basis)), "monomial")
@@ -462,7 +469,7 @@ def _power_of_linear_form(g):
     for i in range(len(ring.variables)):
         exps = [0] * len(ring.variables)
         exps[i] = mm
-        c = h.terms.get(Monomial(exps))
+        c = h.terms.get(tuple(exps))
         if c:
             pivot = (i, c)
             break
@@ -478,7 +485,7 @@ def _power_of_linear_form(g):
         exps = [0] * len(ring.variables)
         exps[i] = mm - 1
         exps[j] = 1
-        cj = h.terms.get(Monomial(exps))
+        cj = h.terms.get(tuple(exps))
         if cj:
             coeffs[j] = cj / denom
     ell = _row_to_linear(ring, coeffs)
@@ -560,6 +567,7 @@ def samuel_slope(presentation, candidates=(), certificate=None,
     The extremal value is reported as a lower bound; sup attainment is
     never assumed here. The theorem cross-check can certify it exact.
     """
+    _check_cap("max_n", max_n)
     kernel = kernel_lambda(presentation)
     if kernel.t == 0:
         raise NotApplicable("the presented ring is regular: no slope")
@@ -637,7 +645,7 @@ def kernel_lambda_at_prime(presentation, prime_vars):
 
     emb = len(prime_vars)
     for mono in f.terms:
-        if mono.degree_in(prime_idx) == 1:
+        if sum(mono[i] for i in prime_idx) == 1:
             emb = len(prime_vars) - 1  # a linear-in-prime part drops one
             break
     dim_local = len(prime_vars) - 1
@@ -656,13 +664,13 @@ def kernel_lambda_at_prime(presentation, prime_vars):
             groups = {}
             shaped = True
             for mono, c in f_in.terms.items():
-                support = [i for i in prime_idx if mono.exps[i]]
-                if len(support) != 1 or mono.exps[support[0]] != q:
+                support = [i for i in prime_idx if mono[i]]
+                if len(support) != 1 or mono[support[0]] != q:
                     shaped = False
                     break
                 unit_part = tuple(
                     e if i not in prime_idx else 0
-                    for i, e in enumerate(mono.exps))
+                    for i, e in enumerate(mono))
                 if support[0] in groups:
                     shaped = False  # coefficient is not a single monomial
                     break

@@ -71,7 +71,7 @@ def test_facet_invariants():
     ]
     for I in corpus:
         P = build_polyhedron(I)
-        gens = [m.exps for m in I.monomial_generators()]
+        gens = list(I.monomial_generators())
         assert P.facets, "no facets for %r" % I
         for w, thr in P.facets:
             assert thr > 0
@@ -118,7 +118,7 @@ def test_closure_against_power_oracle():
     ]
     for ring, gens in cases:
         I = ideal(ring, gens)
-        gen_exps = [m.exps for m in I.monomial_generators()]
+        gen_exps = list(I.monomial_generators())
         n = len(ring.variables)
         polyhedra = {a: build_polyhedron(ideal_power(I, a)) for a in (1, 2, 3)}
         for exps in itertools.product(range(5), repeat=n):

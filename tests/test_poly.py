@@ -5,7 +5,6 @@ import pytest
 from slopelab.arith import SlopelabError
 from slopelab.poly import (
     IllegalSubstitution,
-    Monomial,
     Ring,
     VariableSplit,
     ZeroPolynomial,
@@ -216,12 +215,22 @@ def test_variable_split():
 
 
 def test_monomial_ops():
-    a = Monomial((2, 0, 1))
-    b = Monomial((1, 3, 0))
-    assert a.mul(b) == Monomial((3, 3, 1))
-    assert a.lcm(b) == Monomial((2, 3, 1))
-    assert not a.divides(b)
-    assert Monomial((1, 0, 0)).divides(a)
-    assert a.degree() == 3 and a.degree_in((0, 1)) == 2
+    R = Ring(("x", "y", "z"), 0)
+    a = R.monomial((2, 0, 1))
+    b = R.monomial([1, 3, 0])
+    assert a * b == R.monomial((3, 3, 1))
+    assert a.degree() == 3 and a.min_degree_in((0, 1)) == 2
+    assert R.monomial((0, 0, 0), 5) == R.constant(5)
     with pytest.raises(ValueError):
-        Monomial((-1, 0))
+        R.monomial((-1, 0, 0))
+    for wrong_length in [(1, 0), (1, 0, 2, 0), ()]:
+        with pytest.raises(ValueError):
+            R.monomial(wrong_length)
+
+
+def test_terms_are_keyed_by_plain_tuples():
+    R = Ring(("x", "y"), 0)
+    f = R.parse("x*y^2")
+    assert f.terms == {(1, 2): R.field.one}
+    assert all(type(m) is tuple for m in f.terms)
+    assert all(type(m) is tuple for m in (R.var("y") * f).terms)

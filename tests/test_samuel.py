@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopelab import samuel
-from slopelab.arith import INF, ExtendedRational, echelon
+from slopelab.arith import INF, ExtendedRational, SlopelabError, echelon
 from slopelab.groebner import GroebnerBasis, ideal_power, radical_member
 from slopelab.newton import MonomialValuation
 from slopelab.poly import Ring
@@ -116,6 +116,20 @@ def test_nubar_limit_tests_each_power_basis_once_per_sample(monkeypatch):
     assert len(tested) == 14
     # the bases stay referenced in tested, so their ids are not reused
     assert len({(id(gb), f) for gb, f in tested}) == len(tested)
+
+
+@pytest.mark.parametrize("call", [
+    lambda A, f: nu(A, f, cap=0),
+    lambda A, f: nubar(A, f, strategy="limit", max_n=0),
+    lambda A, f: nubar(A, f, strategy="limit", max_n=-3),
+    lambda A, f: nubar(A, f, strategy="limit", cap=0),
+    lambda A, f: samuel_slope(A, max_n=0),
+], ids=["nu-cap-0", "nubar-max_n-0", "nubar-max_n-neg", "nubar-cap-0",
+        "slope-max_n-0"])
+def test_caps_below_one_are_rejected(call):
+    ring, A = cusp_ring()
+    with pytest.raises(SlopelabError, match="must be a positive integer"):
+        call(A, ring.parse("x"))
 
 
 def test_certificate_rejected_when_claimed_ideal_value_is_wrong():

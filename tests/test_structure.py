@@ -1,7 +1,8 @@
 """Only arith knows how a coefficient is inverted: every other module spells
 inversion ``1 / c`` and never names the prime-field element type. The
 Groebner layer has one term order and reads its pair budget from the
-module, so none of its entry points takes an order or a budget."""
+module, so none of its entry points takes an order or a budget. Monomials
+are plain exponent tuples: no module wraps them in a class."""
 
 import ast
 import inspect
@@ -52,3 +53,23 @@ def test_groebner_takes_no_order_or_budget():
                   groebner.GroebnerBasis):
         params = set(inspect.signature(entry).parameters)
         assert not params & {"order", "budget"}, entry
+
+
+def monomial_wrappers(source):
+    """Lines of one module that define a Monomial class or read `.exps`."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "Monomial":
+            hits.append((node.lineno, "class Monomial"))
+        if isinstance(node, ast.Attribute) and node.attr == "exps":
+            hits.append((node.lineno, ".exps"))
+    return hits
+
+
+def test_monomials_are_not_wrapped():
+    sample = "class Monomial:\n    pass\n\nkey = m.exps\n"
+    assert monomial_wrappers(sample) == [(1, "class Monomial"), (4, ".exps")]
+    found = {path.name: monomial_wrappers(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found and not any(found.values()), found
+    assert not hasattr(slopelab, "Monomial")
