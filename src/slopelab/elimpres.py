@@ -210,7 +210,7 @@ class PPresentation:
     """Coordinate-separated presentation: one monic polynomial of degree
     p^ell per fiber variable, coefficients in the base variables only."""
 
-    def __init__(self, split, fibers, p, elimination_override=None):
+    def __init__(self, split, fibers, p):
         if not is_prime(p):
             raise ValueError("%r is not prime" % (p,))
         if split.ring.char != p:
@@ -221,11 +221,6 @@ class PPresentation:
         self.fibers = tuple(fibers)
         if not self.fibers:
             raise ValueError("need at least one fiber")
-        self.elimination_override = elimination_override
-
-    @property
-    def approximate_elimination(self):
-        return self.elimination_override is None
 
     def __repr__(self):
         parts = ["%s: %s" % (f.name, f.h.canonical_string())
@@ -269,11 +264,8 @@ def elimination_generators(presentation):
 
     Rule: the coefficient elements themselves below the top weight, plus
     all Hasse derivatives of coefficients taken in base variables. This is
-    an approximate generating set (exact on the worked examples); callers
-    with a better set can attach it as elimination_override.
+    an approximate generating set (exact on the worked examples).
     """
-    if presentation.elimination_override is not None:
-        return list(presentation.elimination_override)
     out = []
     for fiber in presentation.fibers:
         for j in range(1, fiber.q):
@@ -302,7 +294,7 @@ def elimination_algebra(presentation):
 class SlopeReport:
     def __init__(self, value, case, elimination_order, coefficient_orders,
                  degenerate=False, hord=None, transcript=(),
-                 approximate_elimination=True, presentation=None):
+                 presentation=None):
         self.value = value
         self.case = case
         self.elimination_order = elimination_order
@@ -310,7 +302,8 @@ class SlopeReport:
         self.degenerate = degenerate
         self.hord = hord
         self.transcript = list(transcript)
-        self.approximate_elimination = approximate_elimination
+        # elimination_generators follows an approximate rule
+        self.approximate_elimination = True
         self.presentation = presentation
 
     def __repr__(self):
@@ -369,10 +362,7 @@ def slope(presentation, at=None):
 
     if value.is_infinite:
         return SlopeReport(value, None, elim, coefficient_orders,
-                           degenerate=True,
-                           approximate_elimination=(
-                               presentation.approximate_elimination),
-                           presentation=presentation)
+                           degenerate=True, presentation=presentation)
 
     if elim <= top_term:
         case = "A"
@@ -387,8 +377,6 @@ def slope(presentation, at=None):
                 for f in attaining):
             case = "B3"
     return SlopeReport(value, case, elim, coefficient_orders,
-                       approximate_elimination=(
-                           presentation.approximate_elimination),
                        presentation=presentation)
 
 
@@ -411,8 +399,8 @@ def _apply_cleaning(presentation, at, report):
         new_fibers.append(Fiber(ring, presentation.split, fiber.name, h,
                                 presentation.p))
         shifts.append((fiber.name, shift))
-    return PPresentation(presentation.split, new_fibers, presentation.p,
-                         presentation.elimination_override), shifts
+    return PPresentation(presentation.split, new_fibers,
+                         presentation.p), shifts
 
 
 def clean(presentation, at=None, max_rounds=MAX_ROUNDS_DEFAULT):

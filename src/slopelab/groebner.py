@@ -5,8 +5,10 @@ monomial quotient.
 Everything here is exact and deterministic. The one term order is graded
 reverse lex (grevlex). Each basis element's leading term is fixed once, when
 the element is made monic, and a GroebnerBasis keeps it next to the
-polynomial; callers that need repeated memberships against the same ideal
-should hold on to the GroebnerBasis object themselves.
+polynomial. Callers that need repeated memberships against the same ideal
+hold on to the GroebnerBasis object: a presented local ring
+(samuel.LocalRingPresentation) keeps the bases of its relations, its
+initial ideal and each ideal power plus relations it has asked about.
 """
 
 import itertools

@@ -380,9 +380,6 @@ class VariableSplit:
         self.base = base
         self.fiber = fiber
 
-    def base_indices(self):
-        return tuple(self.ring.index(v) for v in self.base)
-
     def fiber_indices(self):
         return tuple(self.ring.index(v) for v in self.fiber)
 

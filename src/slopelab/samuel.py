@@ -15,7 +15,6 @@ from .arith import INF, ExtendedRational, SlopelabError, echelon, ext_min
 from .groebner import (
     IdealPresentation,
     buchberger,
-    ideal_member,
     ideal_power,
     ideal_sum,
     monomial_dimension,
@@ -26,6 +25,7 @@ from .poly import Polynomial
 
 NU_CAP_DEFAULT = 24
 LIMIT_N_DEFAULT = 20
+SHIFT_DEGREE = 2  # top degree of the slope search's shift monomials
 
 
 class CertificateRejected(SlopelabError):
@@ -45,7 +45,15 @@ class NotApplicable(SlopelabError):
 
 
 class LocalRingPresentation:
-    """Polynomial ring modulo relations, localized at the origin."""
+    """Polynomial ring modulo relations J, localized at the origin.
+
+    The presentation owns the Groebner bases its questions need and builds
+    each one once, on first use; they live as long as the instance. It
+    keeps the basis of J (zero tests), the basis of the initial ideal
+    (dimension and the Frobenius kernel) and, for each ideal and exponent
+    j asked for, the basis of ideal^j + J (the memberships behind nu and
+    nubar).
+    """
 
     def __init__(self, ring, relations=()):
         gens = list(relations)
@@ -55,13 +63,30 @@ class LocalRingPresentation:
                     "relation %s does not vanish at the origin" % g)
         self.ring = ring
         self.relations = IdealPresentation(ring, gens)
+        self._bases = {}
+
+    def _basis(self, key, ideal):
+        """The basis kept under key; ideal() presents it on first use."""
+        if key not in self._bases:
+            self._bases[key] = buchberger(ideal())
+        return self._bases[key]
 
     def maximal_ideal(self):
         return IdealPresentation(
             self.ring, [self.ring.var(v) for v in self.ring.variables])
 
     def is_zero_element(self, f):
-        return ideal_member(f, self.relations)
+        return f.is_zero() or \
+            self._basis("J", lambda: self.relations).contains(f)
+
+    def initial_basis(self):
+        return self._basis("in(J)", self.initial_ideal)
+
+    def power_basis(self, ideal, j):
+        """Groebner basis of ideal^j + J."""
+        return self._basis(
+            (ideal.generators, j),
+            lambda: ideal_sum(ideal_power(ideal, j), self.relations))
 
     def initial_ideal(self):
         """Initial forms of the presented generators.
@@ -80,14 +105,12 @@ class LocalRingPresentation:
 
     def dimension(self):
         """Krull dimension, through the initial ideal of the presentation."""
-        init = self.initial_ideal()
-        if not init.generators:
+        if not self.relations.generators:
             return len(self.ring.variables)
-        gb = buchberger(init)
         lead = IdealPresentation(
             self.ring,
             [Polynomial(self.ring, {m: self.ring.field.one})
-             for m in gb.leading_monomials()])
+             for m in self.initial_basis().leading_monomials()])
         return monomial_dimension(lead)
 
     def excess(self):
@@ -113,37 +136,17 @@ class NuValue:
         return "nu %s %s" % (tag, self.value)
 
 
-class _PowerCache:
-    """Groebner bases of ideal^j + relations, built on demand.
-
-    Local to one computation; nothing in the package keeps global state.
-    """
-
-    def __init__(self, presentation, ideal):
-        self.presentation = presentation
-        self.ideal = ideal
-        self._bases = {}
-
-    def basis(self, j):
-        if j not in self._bases:
-            total = ideal_sum(ideal_power(self.ideal, j),
-                              self.presentation.relations)
-            self._bases[j] = buchberger(total)
-        return self._bases[j]
-
-
-def nu(presentation, f, ideal=None, cap=NU_CAP_DEFAULT):
-    """Adic order of f in the local ring: sup of j with f in ideal^j.
+def nu(presentation, f, cap=NU_CAP_DEFAULT):
+    """Adic order of f in the local ring: sup of j with f in m^j.
 
     Exact up to the cap; returns at_least=True when f survives that deep.
     The order is infinite exactly when f is zero in the ring.
     """
     _check_cap("cap", cap)
-    if ideal is None:
-        ideal = presentation.maximal_ideal()
     if presentation.is_zero_element(f):
         return NuValue(INF)
-    return _nu_from(f, cap, _PowerCache(presentation, ideal), floor=1)
+    return _nu_from(presentation, presentation.maximal_ideal(), f, cap,
+                    floor=1)
 
 
 class ValuationCertificate:
@@ -200,14 +203,15 @@ class NubarResult:
 
 
 def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
-          max_n=LIMIT_N_DEFAULT, cap=NU_CAP_DEFAULT, _cache=None):
+          max_n=LIMIT_N_DEFAULT, cap=NU_CAP_DEFAULT):
     """Asymptotic order of f against an ideal of the local ring.
 
     Three routes:
       monomial    -- the Newton polyhedron formula; needs a monomial ideal
                      in a relation-free presentation; exact.
-      certificate -- min of v(f)/v(ideal) over supplied valuations; exact
-                     once the certificate validates.
+      certificate -- min of v(f)/v(ideal) over supplied valuations, or
+                     infinite when f is zero in the ring; exact once the
+                     certificate validates.
       limit       -- max over n <= max_n of nu(f^n)/n; always a valid
                      lower bound, and exact (infinite) when some power of
                      f dies in the ring.
@@ -237,10 +241,11 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
         if certificate is None:
             raise CertificateRejected("no certificate supplied")
         certificate.validate(presentation, ideal)
+        if presentation.is_zero_element(f):
+            return NubarResult(INF, "exact", certificate="zero-element")
         return NubarResult(certificate.evaluate(f), "exact",
                            certificate="valuation-certificate")
 
-    cache = _cache or _PowerCache(presentation, ideal)
     best = ExtendedRational(0)
     samples = []
     power = presentation.ring.one()
@@ -255,7 +260,7 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
                                samples=samples)
         # superadditivity lets the membership search start where the
         # previous power left off
-        value = _nu_from(power, cap, cache, floor)
+        value = _nu_from(presentation, ideal, power, cap, floor)
         samples.append((n, value.value))
         if base_order is None:
             base_order = value.value
@@ -280,8 +285,9 @@ def _check_cap(name, value):
         raise SlopelabError("%s must be a positive integer" % name)
 
 
-def _nu_from(f, cap, cache, floor):
-    """Order of a nonzero f, searching upward from a known lower bound.
+def _nu_from(presentation, ideal, f, cap, floor):
+    """Order of a nonzero f against ideal, searching upward from a known
+    lower bound.
 
     Every floor the callers pass is proven (f lies in ideal^floor), so a
     floor above the cap already certifies 'at least cap'.
@@ -292,9 +298,9 @@ def _nu_from(f, cap, cache, floor):
     if j > 1:
         # the guard is also the search's first step; if the hint overshot
         # (can happen only on bad floors), restart low
-        j = j + 1 if cache.basis(j).contains(f) else 1
+        j = j + 1 if presentation.power_basis(ideal, j).contains(f) else 1
     while j <= cap:
-        if not cache.basis(j).contains(f):
+        if not presentation.power_basis(ideal, j).contains(f):
             return NuValue(ExtendedRational(j - 1))
         j += 1
     return NuValue(ExtendedRational(cap), at_least=True)
@@ -384,7 +390,8 @@ def kernel_lambda(presentation, method=None):
         if not ring.char or len(ring.variables) > 3:
             raise UnknownKernel("the Frobenius route needs a prime field "
                                 "and at most 3 variables")
-        basis = [_row_to_linear(ring, row) for row in _frobenius_kernel(init)]
+        basis = [_row_to_linear(ring, row) for row in
+                 _frobenius_kernel(init, presentation.initial_basis())]
         return KernelReport(basis, t, classify(len(basis)), "frobenius-Fp")
 
     found = []
@@ -395,9 +402,9 @@ def kernel_lambda(presentation, method=None):
     return KernelReport(found, t, classification, "partial")
 
 
-def _frobenius_kernel(init):
+def _frobenius_kernel(init, gb):
     """Reduced echelon basis of the linear forms in the radical of an
-    ideal over F_p, as coefficient rows.
+    ideal over F_p, with Groebner basis gb, as coefficient rows.
 
     For q = p^e, (sum a_i x_i)^q = sum a_i x_i^q, so a linear form is in
     the radical exactly when sum a_i NF(x_i^q) = 0, once q reaches a
@@ -410,7 +417,6 @@ def _frobenius_kernel(init):
     q = p
     while q < max(d, 3) ** n:
         q *= p
-    gb = buchberger(init)
     forms = [_power_normal_form(gb, ring.var(name), q)
              for name in ring.variables]
     columns = list(dict.fromkeys(m for h in forms for m in h.terms))
@@ -539,9 +545,13 @@ def _complement_variables(presentation, kernel):
     return complement
 
 
-def _translation_shifts(presentation, kernel, max_coeff_deg=2):
+def _translation_shifts(presentation, kernel):
     """Shift polynomials for the automatic slope search: multiples of a
-    complement variable by monomials of positive degree up to the cap."""
+    complement variable by monomials of degree 1 up to SHIFT_DEGREE.
+
+    Every shift lies in m^2, so ell + shift keeps the linear part ell and
+    is a valid lambda-sequence element for the kernel direction ell.
+    """
     ring = presentation.ring
     complement = _complement_variables(presentation, kernel)
     units = [1, -1] if ring.char == 0 else list(range(1, ring.char))
@@ -549,9 +559,8 @@ def _translation_shifts(presentation, kernel, max_coeff_deg=2):
     n = len(ring.variables)
     for name in complement:
         base = ring.var(name)
-        for exps in itertools.product(range(max_coeff_deg + 1), repeat=n):
-            d = sum(exps)
-            if d < 1 or d > max_coeff_deg:
+        for exps in itertools.product(range(SHIFT_DEGREE + 1), repeat=n):
+            if not 1 <= sum(exps) <= SHIFT_DEGREE:
                 continue
             mono = ring.monomial(exps)
             for u in units:
@@ -576,29 +585,17 @@ def samuel_slope(presentation, candidates=(), certificate=None,
     if kernel.classification == "non-extremal":
         return SlopeResult(ExtendedRational(1), True, [], "non-extremal")
 
-    shared = _PowerCache(presentation, presentation.maximal_ideal())
-
     def assess(gamma):
         return nubar(presentation, gamma, certificate=certificate,
                      strategy="auto" if certificate else "limit",
-                     max_n=max_n, _cache=shared).value
+                     max_n=max_n).value
 
+    shifts = _translation_shifts(presentation, kernel) if search else []
     best_by_slot = []
     witness = []
     for ell in kernel.basis:
-        options = [ell]
-        if search:
-            options += [ell + s for s in _translation_shifts(presentation,
-                                                             kernel)]
         slot_best, slot_witness = None, None
-        for gamma in options:
-            try:
-                validate_lambda_sequence(
-                    presentation,
-                    KernelReport([ell], kernel.t, "extremal", kernel.method),
-                    [gamma])
-            except NotALambdaSequence:
-                continue
+        for gamma in [ell] + [ell + s for s in shifts]:
             value = assess(gamma)
             if slot_best is None or value > slot_best:
                 slot_best, slot_witness = value, gamma

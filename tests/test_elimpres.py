@@ -126,7 +126,7 @@ def test_elimination_generators_on_the_cusp():
     pres = build_p_presentation(ring.parse("z^2 - y^3"), split, 2)
     gens = elimination_generators(pres)
     assert [(f.canonical_string(), n) for f, n in gens] == [("y^2", 1)]
-    assert pres.approximate_elimination
+    assert slope(pres).approximate_elimination
 
 
 def test_elimination_generators_on_whitney():
@@ -147,17 +147,6 @@ def test_elimination_generators_empty_for_a_bare_power():
     split = VariableSplit(ring, base=("y",), fiber=("z",))
     pres = build_p_presentation(ring.parse("z^2"), split, 2)
     assert elimination_generators(pres) == []
-
-
-def test_elimination_override_channel():
-    ring = Ring(("z", "y"), char=2)
-    split = VariableSplit(ring, base=("y",), fiber=("z",))
-    pres = build_p_presentation(ring.parse("z^2 - y^3"), split, 2)
-    override = [(ring.parse("y"), 1)]
-    pres2 = PPresentation(split, pres.fibers, 2,
-                          elimination_override=override)
-    assert not pres2.approximate_elimination
-    assert elimination_generators(pres2) == override
 
 
 def test_slope_of_the_cusp_is_three_halves_case_b1():

@@ -207,7 +207,6 @@ def test_variable_split():
     R = Ring(("z", "y1", "y2"), 2)
     split = VariableSplit(R, base=("y1", "y2"), fiber=("z",))
     assert split.fiber_indices() == (0,)
-    assert split.base_indices() == (1, 2)
     with pytest.raises(ValueError):
         VariableSplit(R, base=("y1",), fiber=("z",))  # y2 uncovered
     with pytest.raises(ValueError):

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopelab import samuel
+from slopelab import corpus, samuel
 from slopelab.arith import INF, ExtendedRational, SlopelabError, echelon
-from slopelab.groebner import GroebnerBasis, ideal_power, radical_member
+from slopelab.groebner import (
+    GroebnerBasis,
+    buchberger,
+    ideal_power,
+    radical_member,
+)
 from slopelab.newton import MonomialValuation
 from slopelab.poly import Ring
 from slopelab.samuel import (
@@ -116,6 +121,48 @@ def test_nubar_limit_tests_each_power_basis_once_per_sample(monkeypatch):
     assert len(tested) == 14
     # the bases stay referenced in tested, so their ids are not reused
     assert len({(id(gb), f) for gb, f in tested}) == len(tested)
+
+
+def recorded_bases(monkeypatch):
+    """Generator strings of every ideal samuel asks Buchberger for."""
+    built = []
+
+    def recording_buchberger(ideal):
+        built.append(tuple(g.canonical_string() for g in ideal.generators))
+        return buchberger(ideal)
+
+    monkeypatch.setattr(samuel, "buchberger", recording_buchberger)
+    return built
+
+
+def test_a_presentation_builds_each_basis_once(monkeypatch):
+    built = recorded_bases(monkeypatch)
+    ring, A = cusp_ring()
+    x = ring.parse("x")
+    nu(A, x)
+    nu(A, x * x)
+    nubar(A, x, strategy="limit", max_n=4)
+    samuel_slope(A, max_n=3)
+    assert built.count(("-y^3 + x^2",)) == 1  # the relations J
+    assert built.count(("x^2",)) == 1  # the initial ideal
+    assert len(built) == len(set(built)), built
+
+
+def test_frobenius_kernel_builds_one_basis(monkeypatch):
+    built = recorded_bases(monkeypatch)
+    ring = Ring(("x", "y", "z"), char=5)
+    A = LocalRingPresentation(ring, [ring.parse("(x + 2*y)^2"),
+                                     ring.parse("y*z^2")])
+    report = kernel_lambda(A, method="frobenius")
+    assert [g.canonical_string() for g in report.basis] == ["x + 2*y"]
+    assert len(built) == 1
+
+
+def test_certificate_route_answers_inf_for_zero_in_the_ring():
+    cusp = corpus.local_ring_members()[0]
+    result = nubar(cusp.presentation, cusp.ring.parse("x^2 - y^3"),
+                   certificate=cusp.certificate)
+    assert result.value == INF and result.status == "exact"
 
 
 @pytest.mark.parametrize("call", [
@@ -346,6 +393,15 @@ def test_slope_not_applicable_for_a_regular_presentation():
     A = LocalRingPresentation(ring, [])
     with pytest.raises(NotApplicable):
         samuel_slope(A)
+
+
+@pytest.mark.parametrize("name", ["cusp-char0", "cusp-char2",
+                                  "node-char2"])
+def test_slope_search_shifts_lie_in_the_square_of_m(name):
+    member = next(m for m in corpus.local_ring_members() if m.name == name)
+    A = member.presentation
+    shifts = samuel._translation_shifts(A, kernel_lambda(A))
+    assert shifts and all(s.min_degree() >= 2 for s in shifts)
 
 
 def test_user_candidate_sequences_are_validated():

@@ -2,16 +2,20 @@
 inversion ``1 / c`` and never names the prime-field element type. The
 Groebner layer has one term order and reads its pair budget from the
 module, so none of its entry points takes an order or a budget. Monomials
-are plain exponent tuples: no module wraps them in a class."""
+are plain exponent tuples: no module wraps them in a class. A presented
+local ring owns its Groebner bases, so nu and nubar take no cache. Every
+name the benchmark's tracer patches still exists."""
 
 import ast
+import importlib
 import inspect
 import pathlib
 
 import slopelab
-from slopelab import groebner
+from slopelab import groebner, samuel
 
 PACKAGE = pathlib.Path(slopelab.__file__).parent
+TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
 
 def field_dispatch(path):
@@ -73,3 +77,28 @@ def test_monomials_are_not_wrapped():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert found and not any(found.values()), found
     assert not hasattr(slopelab, "Monomial")
+
+
+def test_the_presentation_owns_the_bases():
+    assert not hasattr(samuel, "_PowerCache")
+    assert list(inspect.signature(samuel.nu).parameters) == [
+        "presentation", "f", "cap"]
+    assert "_cache" not in inspect.signature(samuel.nubar).parameters
+
+
+def test_every_traced_name_resolves():
+    # run the tracer's source rather than importing it, so nothing is
+    # written next to it
+    tracing = {"__name__": "tracing"}
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), tracing)
+    names = [(mod, None, attr) for mod, attr, _ in tracing["FUNCTIONS"]]
+    names += [entry[:3] for entry in tracing["METHODS"]]
+    names += [entry[:3] for entry in tracing["COUNTED"]]
+    missing = []
+    for mod, cls, attr in names:
+        owner = importlib.import_module("slopelab." + mod)
+        if cls is not None:
+            owner = owner.__dict__.get(cls)
+        if attr not in getattr(owner, "__dict__", {}):
+            missing.append((mod, cls, attr))
+    assert names and not missing, missing
