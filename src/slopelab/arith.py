@@ -26,7 +26,12 @@ def is_prime(p):
 
 
 class PrimeFieldElement:
-    """A residue modulo a prime, with field arithmetic."""
+    """A residue modulo a prime, with field arithmetic.
+
+    The constructor checks that the modulus is prime. Arithmetic results
+    are built by _element, which does not check again: the modulus is an
+    operand's, checked when that operand was built.
+    """
 
     __slots__ = ("value", "p")
 
@@ -38,30 +43,30 @@ class PrimeFieldElement:
 
     def _check(self, other):
         if isinstance(other, int):
-            return PrimeFieldElement(other, self.p)
+            return _element(other, self.p)
         if not isinstance(other, PrimeFieldElement) or other.p != self.p:
             raise TypeError("mixed moduli: %r vs %r" % (self, other))
         return other
 
     def __add__(self, other):
         other = self._check(other)
-        return PrimeFieldElement(self.value + other.value, self.p)
+        return _element(self.value + other.value, self.p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PrimeFieldElement(-self.value, self.p)
+        return _element(-self.value, self.p)
 
     def __sub__(self, other):
         other = self._check(other)
-        return PrimeFieldElement(self.value - other.value, self.p)
+        return _element(self.value - other.value, self.p)
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __mul__(self, other):
         other = self._check(other)
-        return PrimeFieldElement(self.value * other.value, self.p)
+        return _element(self.value * other.value, self.p)
 
     __rmul__ = __mul__
 
@@ -72,22 +77,22 @@ class PrimeFieldElement:
         return pow(self.value, self.p - 2, self.p)
 
     def inverse(self):
-        return PrimeFieldElement(self._inverse_value(), self.p)
+        return _element(self._inverse_value(), self.p)
 
     def __truediv__(self, other):
         other = self._check(other)
-        return PrimeFieldElement(self.value * other._inverse_value(), self.p)
+        return _element(self.value * other._inverse_value(), self.p)
 
     def __rtruediv__(self, other):
         if isinstance(other, int):
             # ``1 / c`` builds only the quotient
-            return PrimeFieldElement(other * self._inverse_value(), self.p)
+            return _element(other * self._inverse_value(), self.p)
         return self._check(other) / self
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return PrimeFieldElement(pow(self.value, n, self.p), self.p)
+        return _element(pow(self.value, n, self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -106,6 +111,14 @@ class PrimeFieldElement:
 
     def __repr__(self):
         return "%d mod %d" % (self.value, self.p)
+
+
+def _element(value, p):
+    """An arithmetic result: p was checked when an operand was built."""
+    e = object.__new__(PrimeFieldElement)
+    e.value = value % p
+    e.p = p
+    return e
 
 
 class RationalField:

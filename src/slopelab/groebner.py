@@ -5,10 +5,14 @@ monomial quotient.
 Everything here is exact and deterministic. The one term order is graded
 reverse lex (grevlex). Each basis element's leading term is fixed once, when
 the element is made monic, and a GroebnerBasis keeps it next to the
-polynomial. Callers that need repeated memberships against the same ideal
-hold on to the GroebnerBasis object: a presented local ring
-(samuel.LocalRingPresentation) keeps the bases of its relations, its
-initial ideal and each ideal power plus relations it has asked about.
+polynomial. Division works on one dict of terms: each step subtracts a
+shifted multiple of a basis element from it in place, term by term, and
+S-polynomials are written into such a dict straight from the two shifted
+elements, so neither builds intermediate polynomials. Callers that need
+repeated memberships against the same ideal hold on to the GroebnerBasis
+object: a presented local ring (samuel.LocalRingPresentation) keeps the
+bases of its relations, its initial ideal and each ideal power plus
+relations it has asked about.
 """
 
 import itertools
@@ -93,27 +97,46 @@ def _monic_lead(f):
     return lm, g.terms[lm], g
 
 
-def _reduce(f, leads):
-    ring = f.ring
-    remainder = ring.zero()
-    work = f
-    while not work.is_zero():
-        mono, coeff = leading(work)
+def _add_shifted(work, factor, shift, g, lm):
+    """work += factor * x^shift * (g without its term at lm), in place."""
+    for m, c in g.terms.items():
+        if m == lm:
+            continue
+        m = tuple(map(add, m, shift))
+        t = factor * c
+        s = work.get(m)
+        s = t if s is None else s + t
+        if s:
+            work[m] = s
+        else:
+            del work[m]
+
+
+def _reduce(ring, work, leads):
+    """Divide the term dict work, in place, by the (lm, lc, g) entries.
+
+    Each step takes the largest work term and the first entry, in list
+    order, whose leading monomial divides it, and subtracts that multiple
+    of g term by term; the leading terms cancel, so g's is skipped. A term
+    no entry divides moves to the remainder.
+    """
+    remainder = {}
+    while work:
+        mono = max(work, key=_grevlex)
+        coeff = work.pop(mono)
         for lm, lc, g in leads:
             if _divides(lm, mono):
-                factor = Polynomial(ring, {_quotient(mono, lm): coeff / lc})
-                work = work - factor * g
+                _add_shifted(work, -(coeff / lc), _quotient(mono, lm), g, lm)
                 break
         else:
-            head = Polynomial(ring, {mono: coeff})
-            remainder = remainder + head
-            work = work - head
-    return remainder
+            remainder[mono] = coeff
+    return Polynomial._of(ring, remainder)
 
 
 def normal_form(f, basis):
     """Remainder of f on division by the listed polynomials."""
-    return _reduce(f, [leading(g) + (g,) for g in basis if not g.is_zero()])
+    return _reduce(f.ring, dict(f.terms),
+                   [leading(g) + (g,) for g in basis if not g.is_zero()])
 
 
 class GroebnerBasis:
@@ -125,7 +148,7 @@ class GroebnerBasis:
         self.polys = tuple(g for _, _, g in self.leads)
 
     def normal_form(self, f):
-        return _reduce(f, self.leads)
+        return _reduce(self.ring, dict(f.terms), self.leads)
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
@@ -136,6 +159,19 @@ class GroebnerBasis:
     def __repr__(self):
         return "<groebner grevlex: %s>" % "; ".join(
             g.canonical_string() for g in self.polys)
+
+
+def _spoly(lcm, entry_i, entry_j):
+    """Terms of (lcm/lmi)*fi - (lcm/lmj)*fj for monic basis entries.
+
+    Both shifted leading terms are lcm with coefficient one and cancel, so
+    neither is written.
+    """
+    (lmi, one, fi), (lmj, _, fj) = entry_i, entry_j
+    terms = {}
+    _add_shifted(terms, one, _quotient(lcm, lmi), fi, lmi)
+    _add_shifted(terms, -one, _quotient(lcm, lmj), fj, lmj)
+    return terms
 
 
 def buchberger(ideal):
@@ -150,16 +186,12 @@ def buchberger(ideal):
     enqueued = len(pairs)
     while pairs:
         i, j = pairs.pop(0)
-        lmi, _, fi = basis[i]
-        lmj, _, fj = basis[j]
+        lmi, lmj = basis[i][0], basis[j][0]
         lcm = tuple(map(max, lmi, lmj))
         # coprime leading terms never produce anything new
         if lcm == tuple(map(add, lmi, lmj)):
             continue
-        spoly = (
-            Polynomial(ring, {_quotient(lcm, lmi): ring.field.one}) * fi
-            - Polynomial(ring, {_quotient(lcm, lmj): ring.field.one}) * fj)
-        rem = _reduce(spoly, basis)
+        rem = _reduce(ring, _spoly(lcm, basis[i], basis[j]), basis)
         if rem.is_zero():
             continue
         basis.append(_monic_lead(rem))
@@ -189,7 +221,7 @@ def buchberger(ideal):
     reduced = []
     for idx, (_, _, g) in enumerate(keep):
         others = keep[:idx] + keep[idx + 1:]
-        reduced.append(_monic_lead(_reduce(g, others)))
+        reduced.append(_monic_lead(_reduce(ring, dict(g.terms), others)))
     reduced.sort(key=lambda entry: _grevlex(entry[0]))
     return GroebnerBasis(ring, reduced)
 

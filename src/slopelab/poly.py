@@ -110,6 +110,14 @@ class Polynomial:
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
 
+    @classmethod
+    def _of(cls, ring, terms):
+        """Wrap a term dict that has no zero coefficient, without a copy."""
+        poly = object.__new__(cls)
+        poly.ring = ring
+        poly.terms = terms
+        return poly
+
     def is_zero(self):
         return not self.terms
 
@@ -156,7 +164,8 @@ class Polynomial:
     def _same_ring(self, other):
         if isinstance(other, int):
             other = self.ring.constant(other)
-        if not isinstance(other, Polynomial) or other.ring != self.ring:
+        if not isinstance(other, Polynomial) or (
+                other.ring is not self.ring and other.ring != self.ring):
             raise TypeError("polynomials from different rings")
         return other
 
@@ -170,7 +179,7 @@ class Polynomial:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        return Polynomial(self.ring, terms)
+        return Polynomial._of(self.ring, terms)
 
     __radd__ = __add__
 
@@ -197,7 +206,7 @@ class Polynomial:
                     terms[m] = s
                 else:
                     terms.pop(m, None)
-        return Polynomial(self.ring, terms)
+        return Polynomial._of(self.ring, terms)
 
     __rmul__ = __mul__
 

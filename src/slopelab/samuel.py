@@ -92,7 +92,7 @@ class LocalRingPresentation:
         """Initial forms of the presented generators.
 
         This is the tangent cone relative to the presentation: exact when
-        the relations are principal or monomial, a subideal in general.
+        the relations are principal or homogeneous, a subideal in general.
         """
         return IdealPresentation(
             self.ring,
@@ -104,9 +104,20 @@ class LocalRingPresentation:
         return len(self.ring.variables) - rank
 
     def dimension(self):
-        """Krull dimension, through the initial ideal of the presentation."""
-        if not self.relations.generators:
+        """Krull dimension, through the initial ideal of the presentation.
+
+        The initial forms of the given relations span in(J) exactly when J
+        is principal or every relation is homogeneous; only then is the
+        answer exact, and otherwise this raises NotApplicable.
+        """
+        gens = self.relations.generators
+        if not gens:
             return len(self.ring.variables)
+        if len(gens) > 1 and any(g.min_degree() != g.degree() for g in gens):
+            raise NotApplicable(
+                "the dimension is computed only for a principal or "
+                "homogeneous presentation; (%s) is neither"
+                % ", ".join(g.canonical_string() for g in gens))
         lead = IdealPresentation(
             self.ring,
             [Polynomial(self.ring, {m: self.ring.field.one})

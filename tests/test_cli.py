@@ -194,6 +194,20 @@ class TestKernelCommand:
         assert report["t"] == 1
 
 
+    def test_presentation_without_exact_dimension(self, tmp_path, capsys):
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["x", "y"], "char": 0},
+            "local_ring": {"relations": ["x + y^2", "x"]},
+        })
+        code, out, err = run(["kernel", job, "--json"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: the dimension is computed only for a "
+                       "principal or homogeneous presentation; "
+                       "(y^2 + x, x) is neither\n")
+
+
 class TestUnknownChoices:
     @pytest.mark.parametrize("method", ["bogus", "enumeration"])
     def test_unknown_kernel_method(self, tmp_path, capsys, method):

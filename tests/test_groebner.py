@@ -1,10 +1,15 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slopelab import groebner
+from slopelab import arith, groebner
 from slopelab.groebner import (
     BudgetExceeded,
+    GroebnerBasis,
     IdealPresentation,
     NotMonomial,
     buchberger,
@@ -16,7 +21,7 @@ from slopelab.groebner import (
     normal_form,
     radical_member,
 )
-from slopelab.poly import Ring
+from slopelab.poly import Polynomial, Ring
 
 
 def monomials_up_to(ring, bound):
@@ -233,3 +238,126 @@ def test_contains_does_not_recompute_basis_leading_terms(monkeypatch):
     monkeypatch.setattr(groebner, "leading", counting_leading)
     assert gb.contains(R.parse("x^2*y*z"))
     assert len(calls) < len(gb.polys)
+
+
+def reference_normal_form(f, divisors):
+    """Division that rebuilds whole polynomials at every step.
+
+    Each step takes the grevlex-largest term of the work polynomial and the
+    first divisor, in list order, whose leading monomial divides it, and
+    subtracts the monomial multiple by polynomial arithmetic; a term no
+    divisor divides moves to the remainder.
+    """
+    ring = f.ring
+    leads = [leading(g) + (g,) for g in divisors if not g.is_zero()]
+    remainder = ring.zero()
+    work = f
+    while not work.is_zero():
+        mono, coeff = leading(work)
+        for lm, lc, g in leads:
+            if all(a <= b for a, b in zip(lm, mono)):
+                shift = tuple(b - a for a, b in zip(lm, mono))
+                work = work - Polynomial(ring, {shift: coeff / lc}) * g
+                break
+        else:
+            head = Polynomial(ring, {mono: coeff})
+            remainder = remainder + head
+            work = work - head
+    return remainder
+
+
+RINGS = [Ring(names, char) for char in (0, 5)
+         for names in (("x", "y"), ("x", "y", "z"))]
+
+
+@st.composite
+def polynomials(draw, ring, max_terms=4, max_degree=3):
+    f = ring.zero()
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = []
+        for _ in ring.variables:
+            exps.append(draw(st.integers(0, max_degree - sum(exps))))
+        f = f + ring.monomial(exps, draw(st.integers(-4, 4)))
+    return f
+
+
+@st.composite
+def division_problems(draw):
+    ring = draw(st.sampled_from(RINGS))
+    f = draw(polynomials(ring, max_terms=8, max_degree=6))
+    divisors = draw(st.lists(polynomials(ring).filter(
+        lambda g: not g.is_zero()), min_size=1, max_size=3))
+    return f, divisors
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_problems())
+def test_in_place_division_matches_the_polynomial_level_loop(problem):
+    f, divisors = problem
+    want = reference_normal_form(f, divisors)
+    entries = [leading(g) + (g,) for g in divisors]
+    for got in (normal_form(f, divisors),
+                GroebnerBasis(f.ring, entries).normal_form(f)):
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(got.terms.values())
+
+
+def sympy_reduced_basis(ideal):
+    """The reduced grevlex basis of sympy, monic, as package polynomials."""
+    ring = ideal.ring
+    gens = sympy.symbols(ring.variables)
+    exprs = [sympy.sympify(g.canonical_string().replace("^", "**"),
+                           locals=dict(zip(ring.variables, gens)))
+             for g in ideal.generators]
+    options = {"modulus": ring.char} if ring.char else {}
+    basis = sympy.groebner(exprs, *gens, order="grevlex", **options)
+    out = []
+    for p in basis.polys:
+        terms = {m: (ring.field.from_int(int(c)) if ring.char
+                     else Fraction(str(c))) for m, c in p.terms()}
+        lc = terms[p.LM(order="grevlex").exponents]
+        out.append(Polynomial(ring, {m: c / lc for m, c in terms.items()}))
+    return sorted(out, key=lambda g: groebner._grevlex(leading(g)[0]))
+
+
+@st.composite
+def small_ideals(draw):
+    char = draw(st.sampled_from([0, 2, 3, 5]))
+    names = draw(st.sampled_from([("x", "y"), ("x", "y", "z")]))
+    ring = Ring(names, char)
+    gens = draw(st.lists(polynomials(ring, max_terms=3).filter(
+        lambda g: not g.is_zero()), min_size=2, max_size=3))
+    return IdealPresentation(ring, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ideals())
+def test_buchberger_matches_sympy_reduced_basis(ideal):
+    assert list(buchberger(ideal).polys) == sympy_reduced_basis(ideal)
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_buchberger_multiplies_no_polynomials(monkeypatch, char):
+    R = Ring(("x", "y", "z"), char)
+    m = IdealPresentation(R, [R.var(v) for v in R.variables])
+    ideal = ideal_sum(ideal_power(m, 3),
+                      IdealPresentation(R, [R.parse("x^2 - y^3")]))
+    products, primality_tests = [], []
+    real_mul, real_is_prime = Polynomial.__mul__, arith.is_prime
+
+    def counting_mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    def counting_is_prime(p):
+        primality_tests.append(p)
+        return real_is_prime(p)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting_mul)
+    monkeypatch.setattr(arith, "is_prime", counting_is_prime)
+    gb = buchberger(ideal)
+    assert [g.canonical_string() for g in gb.polys] == [
+        "x^2", "z^3", "y*z^2", "x*z^2", "y^2*z", "x*y*z", "y^3", "x*y^2"]
+    assert products == []
+    assert primality_tests == []

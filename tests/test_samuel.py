@@ -362,6 +362,22 @@ def test_dimension_and_excess_of_fixtures():
     assert C.embedding_dimension() == 1
 
 
+def test_dimension_refuses_a_presentation_its_initial_forms_miss():
+    # k[x, y]/(x + y^2, x) = k[y]/(y^2): dimension 0 and excess 1, but the
+    # initial forms x, x span only (x), which reads dimension 1
+    ring = Ring(("x", "y"))
+    A = LocalRingPresentation(ring, [ring.parse("x + y^2"), ring.parse("x")])
+    for call in (A.dimension, A.excess, lambda: kernel_lambda(A),
+                 lambda: samuel_slope(A, max_n=4)):
+        with pytest.raises(NotApplicable, match="principal or homogeneous"):
+            call()
+    # several homogeneous relations, or one of any shape, stay exact
+    B = LocalRingPresentation(ring, [ring.parse("x^2"), ring.parse("x*y")])
+    assert B.dimension() == 1
+    C = LocalRingPresentation(ring, [ring.parse("x + y^2")])
+    assert C.dimension() == 1
+
+
 def test_slope_is_one_in_the_non_extremal_case():
     ring = Ring(("x", "y"), char=3)
     A = LocalRingPresentation(ring, [ring.parse("x^2 - y^2")])
