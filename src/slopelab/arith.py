@@ -29,8 +29,9 @@ class PrimeFieldElement:
     """A residue modulo a prime, with field arithmetic.
 
     The constructor checks that the modulus is prime. Arithmetic results
-    are built by _element, which does not check again: the modulus is an
-    operand's, checked when that operand was built.
+    and the elements a PrimeField hands out are built by _element, which
+    does not check again: the modulus is an operand's or the field's,
+    checked when that was built.
     """
 
     __slots__ = ("value", "p")
@@ -114,7 +115,8 @@ class PrimeFieldElement:
 
 
 def _element(value, p):
-    """An arithmetic result: p was checked when an operand was built."""
+    """An element whose modulus was already checked: an operand's, or the
+    field handle's."""
     e = object.__new__(PrimeFieldElement)
     e.value = value % p
     e.p = p
@@ -148,7 +150,11 @@ class RationalField:
 
 
 class PrimeField:
-    """Coefficient-field handle for F_p."""
+    """Coefficient-field handle for F_p.
+
+    The constructor checks that p is prime, so the elements it hands out
+    are built by _element, without a second check.
+    """
 
     def __init__(self, p):
         if not is_prime(p):
@@ -156,15 +162,15 @@ class PrimeField:
         self.char = p
 
     def from_int(self, n):
-        return PrimeFieldElement(n, self.char)
+        return _element(n, self.char)
 
     @property
     def zero(self):
-        return PrimeFieldElement(0, self.char)
+        return _element(0, self.char)
 
     @property
     def one(self):
-        return PrimeFieldElement(1, self.char)
+        return _element(1, self.char)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.char == other.char

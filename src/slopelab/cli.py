@@ -11,6 +11,7 @@ the result is only a bound or an approximation.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -448,8 +449,10 @@ def cmd_check_theorems(args):
         json_report["case"] = report.case
     if report.note:
         json_report["note"] = report.note
+    if report.inconclusive:
+        json_report["inconclusive"] = True
 
-    lines = ["verdict: %s" % ("pass" if report.passed else "FAIL")]
+    lines = ["verdict: %s" % report.verdict()]
     if not report.applicable:
         lines[0] += " (not applicable: %s)" % (report.note or
                                                report.classification)
@@ -465,7 +468,7 @@ def cmd_check_theorems(args):
         if report.note:
             lines.append("note: %s" % report.note)
     _emit(args, json_report, lines)
-    if not report.passed:
+    if report.verdict() == "FAIL":
         return 1
     if args.require_exact and report.applicable \
             and report.classification == "extremal" \
@@ -509,7 +512,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: parsing leaves no value in it, so
+    every main() call reuses it."""
     parser = _Parser(prog="slopelab",
                      description="Asymptotic order functions, Samuel "
                                  "slopes and Rees-algebra orders for "

@@ -465,8 +465,12 @@ def tschirnhausen_ord(g, split, at=None):
 
 
 class CheckReport:
+    """Outcome of cross_check_theorems. An inconclusive report has not
+    passed, and it is no contradiction either."""
+
     def __init__(self, applicable, passed, classification, hord, ord_d,
-                 slope_value, slope_certified, case, note=""):
+                 slope_value, slope_certified, case, note="",
+                 inconclusive=False):
         self.applicable = applicable
         self.passed = passed
         self.classification = classification
@@ -476,11 +480,15 @@ class CheckReport:
         self.slope_certified = slope_certified
         self.case = case
         self.note = note
+        self.inconclusive = inconclusive
+
+    def verdict(self):
+        if self.passed:
+            return "pass"
+        return "inconclusive" if self.inconclusive else "FAIL"
 
     def __repr__(self):
-        verdict = "pass" if self.passed else "FAIL"
-        if not self.applicable:
-            verdict = "n/a"
+        verdict = self.verdict() if self.applicable else "n/a"
         return "<check %s: %s hord=%s ord=%s slope=%s>" % (
             verdict, self.classification, self.hord, self.ord_d,
             self.slope_value)
@@ -495,6 +503,8 @@ def cross_check_theorems(local_ring, g, split, at=None,
     1 too when the point is closed); extremal points must satisfy
     hord = min(slope of the local ring, elimination-algebra order), which
     pins the slope exactly whenever hord falls below the elimination order.
+    A slope known only as a lower bound below hord <= elimination order
+    contradicts neither: that check is inconclusive, not failed.
     """
     at = at or PointSpec.origin()
     ring = split.ring
@@ -549,6 +559,8 @@ def cross_check_theorems(local_ring, g, split, at=None,
     lb = slope_result.lower_bound
     passed = ext_min(lb, ord_d) == hord
     certified = passed and hord < ord_d
+    inconclusive = not slope_result.exact and lb < hord <= ord_d
     return CheckReport(True, passed, "extremal", hord, ord_d, lb,
-                       certified or slope_result.exact, case)
+                       certified or slope_result.exact, case,
+                       inconclusive=inconclusive)
 

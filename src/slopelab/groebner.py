@@ -5,17 +5,25 @@ monomial quotient.
 Everything here is exact and deterministic. The one term order is graded
 reverse lex (grevlex). Each basis element's leading term is fixed once, when
 the element is made monic, and a GroebnerBasis keeps it next to the
-polynomial. Division works on one dict of terms: each step subtracts a
-shifted multiple of a basis element from it in place, term by term, and
-S-polynomials are written into such a dict straight from the two shifted
-elements, so neither builds intermediate polynomials. Callers that need
-repeated memberships against the same ideal hold on to the GroebnerBasis
-object: a presented local ring (samuel.LocalRingPresentation) keeps the
-bases of its relations, its initial ideal and each ideal power plus
-relations it has asked about.
+polynomial. Division works on one dict of terms: each step takes the
+largest term off a heap in grevlex order and subtracts a shifted multiple
+of a basis element from the dict in place, term by term, and S-polynomials
+are written into such a dict straight from the two shifted elements, so
+neither builds intermediate polynomials. Buchberger skips a pair whose
+leading terms are coprime and a pair of two monomials, whose S-polynomial
+is zero. A power of a monomial ideal is built by adding exponent tuples,
+with no polynomial products.
+
+An IdealPresentation hashes once and compares by its ring and generator
+tuple, so it can key a dict cheaply. Callers that need repeated
+memberships against the same ideal hold on to the GroebnerBasis object: a
+presented local ring (samuel.LocalRingPresentation) keeps the bases of its
+relations, its initial ideal and each ideal power plus relations it has
+asked about, keyed by (ideal, exponent).
 """
 
 import itertools
+from heapq import heapify, heappop, heappush
 from operator import add, sub
 
 from .arith import SlopelabError
@@ -33,17 +41,32 @@ class NotMonomial(SlopelabError):
 
 
 class IdealPresentation:
-    """An ideal given by a finite generator list (zeros dropped)."""
+    """An ideal given by a finite generator list (zeros and repeats dropped).
+
+    Two presentations are equal when their rings and generator tuples are;
+    the hash is computed once, on first use.
+    """
 
     def __init__(self, ring, generators):
-        gens = []
+        gens = {}
         for g in generators:
-            if g.ring != ring:
+            if g.ring is not ring and g.ring != ring:
                 raise TypeError("generator from the wrong ring: %r" % g)
-            if not g.is_zero() and g not in gens:
-                gens.append(g)
+            if not g.is_zero():
+                gens.setdefault(g)
         self.ring = ring
         self.generators = tuple(gens)
+        self._hash = None
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, IdealPresentation) and self.ring == other.ring
+            and self.generators == other.generators)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.ring, self.generators))
+        return self._hash
 
     def is_monomial_ideal(self):
         return all(g.is_monomial() for g in self.generators)
@@ -97,15 +120,29 @@ def _monic_lead(f):
     return lm, g.terms[lm], g
 
 
-def _add_shifted(work, factor, shift, g, lm):
-    """work += factor * x^shift * (g without its term at lm), in place."""
+def _heap_key(m):
+    """Heap entry of the monomial m, smallest for the grevlex-largest:
+    higher degree first, then the smaller reversed exponent tuple."""
+    return (-sum(m), m[::-1], m)
+
+
+def _add_shifted(work, factor, shift, g, lm, heap=None):
+    """work += factor * x^shift * (g without its term at lm), in place.
+
+    A term new to work is pushed onto heap when one is given.
+    """
     for m, c in g.terms.items():
         if m == lm:
             continue
         m = tuple(map(add, m, shift))
         t = factor * c
         s = work.get(m)
-        s = t if s is None else s + t
+        if s is None:
+            work[m] = t
+            if heap is not None:
+                heappush(heap, _heap_key(m))
+            continue
+        s = s + t
         if s:
             work[m] = s
         else:
@@ -118,15 +155,22 @@ def _reduce(ring, work, leads):
     Each step takes the largest work term and the first entry, in list
     order, whose leading monomial divides it, and subtracts that multiple
     of g term by term; the leading terms cancel, so g's is skipped. A term
-    no entry divides moves to the remainder.
+    no entry divides moves to the remainder. The largest term comes off a
+    heap built once from work; each term is pushed when it appears, and
+    an entry whose term has cancelled since is skipped when popped.
     """
+    heap = [_heap_key(m) for m in work]
+    heapify(heap)
     remainder = {}
-    while work:
-        mono = max(work, key=_grevlex)
-        coeff = work.pop(mono)
+    while heap:
+        mono = heappop(heap)[2]
+        coeff = work.pop(mono, None)
+        if coeff is None:
+            continue
         for lm, lc, g in leads:
             if _divides(lm, mono):
-                _add_shifted(work, -(coeff / lc), _quotient(mono, lm), g, lm)
+                _add_shifted(work, -(coeff / lc), _quotient(mono, lm), g, lm,
+                             heap)
                 break
         else:
             remainder[mono] = coeff
@@ -186,10 +230,12 @@ def buchberger(ideal):
     enqueued = len(pairs)
     while pairs:
         i, j = pairs.pop(0)
-        lmi, lmj = basis[i][0], basis[j][0]
+        (lmi, _, fi), (lmj, _, fj) = basis[i], basis[j]
         lcm = tuple(map(max, lmi, lmj))
-        # coprime leading terms never produce anything new
-        if lcm == tuple(map(add, lmi, lmj)):
+        # coprime leading terms never produce anything new, and the
+        # S-polynomial of two monomials is zero
+        if lcm == tuple(map(add, lmi, lmj)) or (
+                len(fi.terms) == 1 and len(fj.terms) == 1):
             continue
         rem = _reduce(ring, _spoly(lcm, basis[i], basis[j]), basis)
         if rem.is_zero():
@@ -249,18 +295,34 @@ def radical_member(f, ideal):
 
 
 def ideal_power(ideal, m):
-    """The m-fold product, presented by all m-fold generator products."""
+    """The m-fold product, presented by all m-fold generator products.
+
+    The products come in combinations_with_replacement order. For a
+    monomial ideal each one is the sum of its factors' exponent tuples
+    with the product of their coefficients, so no polynomial is
+    multiplied.
+    """
     if m < 0:
         raise ValueError("ideal power needs m >= 0")
     ring = ideal.ring
     if m == 0:
         return IdealPresentation(ring, [ring.one()])
+    gens = ideal.generators
     prods = []
-    for combo in itertools.combinations_with_replacement(ideal.generators, m):
-        g = ring.one()
-        for factor in combo:
-            g = g * factor
-        prods.append(g)
+    if ideal.is_monomial_ideal():
+        terms = [next(iter(g.terms.items())) for g in gens]
+        for combo in itertools.combinations_with_replacement(terms, m):
+            mono, coeff = combo[0]
+            for e, c in combo[1:]:
+                mono = tuple(map(add, mono, e))
+                coeff = coeff * c
+            prods.append(Polynomial._of(ring, {mono: coeff}))
+    else:
+        for combo in itertools.combinations_with_replacement(gens, m):
+            g = ring.one()
+            for factor in combo:
+                g = g * factor
+            prods.append(g)
     return IdealPresentation(ring, prods)
 
 

@@ -52,7 +52,8 @@ class LocalRingPresentation:
     keeps the basis of J (zero tests), the basis of the initial ideal
     (dimension and the Frobenius kernel) and, for each ideal and exponent
     j asked for, the basis of ideal^j + J (the memberships behind nu and
-    nubar).
+    nubar), keyed by (ideal, j). The maximal ideal is built once, so its
+    hash is computed once.
     """
 
     def __init__(self, ring, relations=()):
@@ -63,6 +64,8 @@ class LocalRingPresentation:
                     "relation %s does not vanish at the origin" % g)
         self.ring = ring
         self.relations = IdealPresentation(ring, gens)
+        self._maximal = IdealPresentation(
+            ring, [ring.var(v) for v in ring.variables])
         self._bases = {}
 
     def _basis(self, key, ideal):
@@ -72,8 +75,7 @@ class LocalRingPresentation:
         return self._bases[key]
 
     def maximal_ideal(self):
-        return IdealPresentation(
-            self.ring, [self.ring.var(v) for v in self.ring.variables])
+        return self._maximal
 
     def is_zero_element(self, f):
         return f.is_zero() or \
@@ -85,7 +87,7 @@ class LocalRingPresentation:
     def power_basis(self, ideal, j):
         """Groebner basis of ideal^j + J."""
         return self._basis(
-            (ideal.generators, j),
+            (ideal, j),
             lambda: ideal_sum(ideal_power(ideal, j), self.relations))
 
     def initial_ideal(self):

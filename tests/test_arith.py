@@ -77,6 +77,26 @@ def test_unit_over_element_builds_one_element(monkeypatch):
         1 / PrimeFieldElement(0, 7)
 
 
+def test_field_handle_elements_skip_the_primality_check(monkeypatch):
+    F7 = PrimeField(7)
+    calls = []
+
+    def counting_is_prime(p):
+        calls.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(arith, "is_prime", counting_is_prime)
+    # the handle checked 7 when it was built
+    made = [F7.from_int(v) for v in range(-8, 9)] + [F7.zero, F7.one]
+    assert calls == []
+    assert made[:3] == [PrimeFieldElement(v, 7) for v in (-8, -7, -6)]
+    assert F7.from_int(9).value == 2 and F7.zero.value == 0 \
+        and F7.one.value == 1
+    with pytest.raises(ValueError):
+        PrimeField(9)
+    assert calls == [7, 7, 7, 9]
+
+
 def test_field_handles():
     Q = RationalField()
     assert Q.from_int(3) == Fraction(3)

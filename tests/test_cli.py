@@ -5,6 +5,7 @@ import json
 import pytest
 
 from slopelab import cli, corpus, groebner
+from slopelab.samuel import LIMIT_N_DEFAULT, nubar
 
 
 def write_job(tmp_path, data, name="job.json"):
@@ -293,6 +294,30 @@ class TestCheckTheoremsCommand:
         assert report["slope"] == "3/2"
         assert report["slope_certified"] is True
 
+    def test_slope_bound_below_hord_is_inconclusive(self, tmp_path, capsys):
+        # over F_11 the default max_n = 8 stops short of the 11th power,
+        # so the slope is only known to be >= 1 < hord = 13/11 <= ord
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["y", "z"], "char": 11},
+            "local_ring": {"relations": ["z^11 + y^13"]},
+            "split": {"base": ["y"], "fiber": ["z"]},
+        })
+        code, out, _ = run(["check-theorems", job], capsys)
+        assert code == 0
+        assert out.splitlines()[:4] == [
+            "verdict: inconclusive", "classification = extremal",
+            "hord = 13/11, elimination order = 6/5",
+            "slope = 1 (lower bound)"]
+        code, out, _ = run(["check-theorems", job, "--json"], capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "applicable": True, "case": "B1", "classification": "extremal",
+            "hord": "13/11", "inconclusive": True, "ord": "6/5",
+            "passed": False, "slope": "1", "slope_certified": False}
+        code, _, _ = run(["check-theorems", job, "--require-exact"], capsys)
+        assert code == 2
+
     def test_smooth_point_not_applicable(self, tmp_path, capsys):
         job = write_job(tmp_path, {
             "schema": "slopelab-job/1",
@@ -305,6 +330,23 @@ class TestCheckTheoremsCommand:
         report = json.loads(out)
         assert report["applicable"] is False
         assert report["passed"] is True
+
+
+class TestParser:
+    def test_built_once_and_carries_no_value_between_calls(
+            self, tmp_path, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        caps = []
+
+        def recording_nubar(presentation, f, **kwargs):
+            caps.append(kwargs["max_n"])
+            return nubar(presentation, f, **kwargs)
+
+        monkeypatch.setattr(cli, "nubar", recording_nubar)
+        job = monomial_nubar_job(tmp_path)
+        assert run(["nubar", job, "--max-n", "3"], capsys)[0] == 0
+        assert run(["nubar", job], capsys)[0] == 0
+        assert caps == [3, LIMIT_N_DEFAULT]
 
 
 class TestValidationErrors:
@@ -444,7 +486,7 @@ REPORT_KEYS = {
     "kernel": {"basis", "classification", "method", "r", "t"},
     "samuel-slope": {"bound", "classification", "exact", "witness"},
     "check-theorems": {"applicable", "case", "classification", "hord",
-                       "note", "ord", "passed", "slope",
+                       "inconclusive", "note", "ord", "passed", "slope",
                        "slope_certified"},
 }
 

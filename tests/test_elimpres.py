@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from slopelab import elimpres
 from slopelab.arith import INF, ExtendedRational, SlopelabError
 from slopelab.elimpres import (
     BadDegree,
@@ -23,7 +24,7 @@ from slopelab.elimpres import (
     tschirnhausen_ord,
 )
 from slopelab.poly import Ring, VariableSplit
-from slopelab.samuel import LocalRingPresentation
+from slopelab.samuel import LocalRingPresentation, SlopeResult
 
 
 def er(x):
@@ -370,6 +371,38 @@ def test_cross_check_plane_pair_in_three_variables():
         assert report.hord == er(1)
         if char == 2:
             assert report.case == "A"
+
+
+def f11_germ():
+    ring = Ring(("z", "y"), char=11)
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    g = ring.parse("z^11 + y^13")
+    return LocalRingPresentation(ring, [g]), g, split
+
+
+def test_cross_check_slope_bound_below_hord_is_inconclusive():
+    # max_n = 8 < p: the slope is only known to be >= 1, below hord
+    A, g, split = f11_germ()
+    report = cross_check_theorems(A, g, split)
+    assert report.classification == "extremal"
+    assert report.hord == er(Fraction(13, 11))
+    assert report.ord_d == er(Fraction(6, 5))
+    assert report.slope_value == er(1) and not report.slope_certified
+    assert not report.passed and report.inconclusive
+    assert report.verdict() == "inconclusive"
+
+
+def test_cross_check_exact_slope_below_hord_fails(monkeypatch):
+    # an exact slope below hord <= ord contradicts hord = min(slope, ord)
+    A, g, split = f11_germ()
+
+    def exact_slope(local_ring, max_n):
+        return SlopeResult(er(1), True, (), "extremal")
+
+    monkeypatch.setattr(elimpres, "samuel_slope", exact_slope)
+    report = cross_check_theorems(A, g, split)
+    assert not report.passed and not report.inconclusive
+    assert report.verdict() == "FAIL"
 
 
 def test_cross_check_rejects_mismatched_inputs():

@@ -361,3 +361,96 @@ def test_buchberger_multiplies_no_polynomials(monkeypatch, char):
         "x^2", "z^3", "y*z^2", "x*z^2", "y^2*z", "x*y*z", "y^3", "x*y^2"]
     assert products == []
     assert primality_tests == []
+
+
+def product_route_power(ideal, m):
+    """The generators of ideal^m by polynomial products, in
+    combinations_with_replacement order, repeats dropped by a linear scan."""
+    ring = ideal.ring
+    prods = []
+    for combo in itertools.combinations_with_replacement(ideal.generators, m):
+        g = ring.one()
+        for factor in combo:
+            g = g * factor
+        if g not in prods:
+            prods.append(g)
+    return tuple(prods)
+
+
+@st.composite
+def monomial_ideals(draw):
+    ring = draw(st.sampled_from(RINGS))
+    gens = [ring.monomial([draw(st.integers(0, 3)) for _ in ring.variables],
+                          draw(st.sampled_from([1, 1, 2, -3])))
+            for _ in range(draw(st.integers(0, 4)))]
+    return IdealPresentation(ring, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_ideals(), st.integers(0, 4))
+def test_monomial_power_matches_the_product_route(ideal, m):
+    got = ideal_power(ideal, m).generators
+    want = product_route_power(ideal, m)
+    assert got == want
+    assert [list(g.terms.items()) for g in got] == \
+        [list(g.terms.items()) for g in want]
+
+
+def test_monomial_power_multiplies_no_polynomials(monkeypatch):
+    R = Ring(("x", "y", "z"), 0)
+    m = IdealPresentation(R, [R.var(v) for v in R.variables])
+    products = []
+    real_mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting_mul)
+    power = ideal_power(m, 6)
+    assert products == []
+    assert len(power.generators) == 28
+    assert [g.canonical_string() for g in power.generators[:3]] == [
+        "x^6", "x^5*y", "x^5*z"]
+
+
+def test_buchberger_forms_no_s_polynomial_of_two_monomials(monkeypatch):
+    R = Ring(("x", "y", "z"), 0)
+    m = IdealPresentation(R, [R.var(v) for v in R.variables])
+    ideal = ideal_sum(ideal_power(m, 5),
+                      IdealPresentation(R, [R.parse("x^2 - y^3")]))
+    pairs = []
+    real_spoly = groebner._spoly
+
+    def recording_spoly(lcm, entry_i, entry_j):
+        pairs.append((entry_i[2], entry_j[2]))
+        return real_spoly(lcm, entry_i, entry_j)
+
+    monkeypatch.setattr(groebner, "_spoly", recording_spoly)
+    gb = buchberger(ideal)
+    assert pairs  # the binomial still meets the monomials
+    assert not any(f.is_monomial() and g.is_monomial() for f, g in pairs)
+    assert list(gb.polys) == sympy_reduced_basis(ideal)
+
+
+def test_ideal_presentations_hash_once_and_compare_by_generators(
+        monkeypatch):
+    R = Ring(("x", "y"), 0)
+    A = IdealPresentation(R, [R.parse("x^2"), R.parse("x*y")])
+    B = IdealPresentation(R, [R.parse("x^2"), R.parse("x*y"), R.parse("x^2")])
+    C = IdealPresentation(R, [R.parse("x*y"), R.parse("x^2")])
+    assert A == B and hash(A) == hash(B)
+    assert A != C
+    assert A != IdealPresentation(Ring(("x", "y"), 5), [])
+    hashes = []
+    real_hash = Polynomial.__hash__
+
+    def counting_hash(self):
+        hashes.append(self)
+        return real_hash(self)
+
+    monkeypatch.setattr(Polynomial, "__hash__", counting_hash)
+    bases = {(A, 2): "basis"}
+    assert bases[(B, 2)] == "basis" and (C, 2) not in bases
+    assert tuple(hashes) == C.generators  # C is hashed for the first time

@@ -14,7 +14,7 @@ from slopelab.groebner import (
     radical_member,
 )
 from slopelab.newton import MonomialValuation
-from slopelab.poly import Ring
+from slopelab.poly import Polynomial, Ring
 from slopelab.samuel import (
     CertificateRejected,
     LocalRingPresentation,
@@ -121,6 +121,23 @@ def test_nubar_limit_tests_each_power_basis_once_per_sample(monkeypatch):
     assert len(tested) == 14
     # the bases stay referenced in tested, so their ids are not reused
     assert len({(id(gb), f) for gb, f in tested}) == len(tested)
+
+
+def test_repeated_nu_hashes_no_polynomial(monkeypatch):
+    ring, A = cusp_ring()
+    f = ring.parse("x*y")
+    first = nu(A, f)
+    hashes = []
+    real_hash = Polynomial.__hash__
+
+    def counting_hash(self):
+        hashes.append(self)
+        return real_hash(self)
+
+    monkeypatch.setattr(Polynomial, "__hash__", counting_hash)
+    again = nu(A, f)
+    assert again.value == first.value == ExtendedRational(2)
+    assert hashes == []
 
 
 def recorded_bases(monkeypatch):

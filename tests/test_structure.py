@@ -3,8 +3,9 @@ inversion ``1 / c`` and never names the prime-field element type. The
 Groebner layer has one term order and reads its pair budget from the
 module, so none of its entry points takes an order or a budget. Monomials
 are plain exponent tuples: no module wraps them in a class. A presented
-local ring owns its Groebner bases, so nu and nubar take no cache. Every
-name the benchmark's tracer patches still exists."""
+local ring owns its Groebner bases, so nu and nubar take no cache. Division
+takes its largest term off a heap, never from a scan. Every name the
+benchmark's tracer patches still exists."""
 
 import ast
 import importlib
@@ -84,6 +85,19 @@ def test_the_presentation_owns_the_bases():
     assert list(inspect.signature(samuel.nu).parameters) == [
         "presentation", "f", "cap"]
     assert "_cache" not in inspect.signature(samuel.nubar).parameters
+
+
+def called_names(function):
+    """Names of the plain functions a function's body calls."""
+    tree = ast.parse(inspect.getsource(function))
+    return {node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_division_scans_for_no_largest_term():
+    assert "max" in called_names(groebner.leading)  # the scan sees a max
+    called = called_names(groebner._reduce)
+    assert "heappop" in called and "max" not in called
 
 
 def test_every_traced_name_resolves():
