@@ -9,9 +9,12 @@ polynomial. Division works on one dict of terms: each step takes the
 largest term off a heap in grevlex order and subtracts a shifted multiple
 of a basis element from the dict in place, term by term, and S-polynomials
 are written into such a dict straight from the two shifted elements, so
-neither builds intermediate polynomials. Buchberger skips a pair whose
-leading terms are coprime and a pair of two monomials, whose S-polynomial
-is zero. A power of a monomial ideal is built by adding exponent tuples,
+neither builds intermediate polynomials. Buchberger queues a pair only
+when at least one side is not a monomial, since the S-polynomial of two
+monomials is zero, both for the generators and for each element that
+joins the basis; it takes the queued pairs first in, first out, and skips
+one whose leading terms are coprime. The pair budget counts queued pairs
+only. A power of a monomial ideal is built by adding exponent tuples,
 with no polynomial products.
 
 An IdealPresentation hashes once and compares by its ring and generator
@@ -23,6 +26,7 @@ asked about, keyed by (ideal, exponent).
 """
 
 import itertools
+from collections import deque
 from heapq import heapify, heappop, heappush
 from operator import add, sub
 
@@ -226,23 +230,28 @@ def buchberger(ideal):
         return GroebnerBasis(ring, ())
 
     budget = DEFAULT_PAIR_BUDGET
-    pairs = list(itertools.combinations(range(len(basis)), 2))
+    # the S-polynomial of two monomials is zero, so a pair is queued only
+    # when one side is not a monomial
+    monomial = [len(g.terms) == 1 for _, _, g in basis]
+    pairs = deque((i, j)
+                  for i, j in itertools.combinations(range(len(basis)), 2)
+                  if not (monomial[i] and monomial[j]))
     enqueued = len(pairs)
     while pairs:
-        i, j = pairs.pop(0)
-        (lmi, _, fi), (lmj, _, fj) = basis[i], basis[j]
+        i, j = pairs.popleft()
+        lmi, lmj = basis[i][0], basis[j][0]
         lcm = tuple(map(max, lmi, lmj))
-        # coprime leading terms never produce anything new, and the
-        # S-polynomial of two monomials is zero
-        if lcm == tuple(map(add, lmi, lmj)) or (
-                len(fi.terms) == 1 and len(fj.terms) == 1):
+        # coprime leading terms never produce anything new
+        if lcm == tuple(map(add, lmi, lmj)):
             continue
         rem = _reduce(ring, _spoly(lcm, basis[i], basis[j]), basis)
         if rem.is_zero():
             continue
         basis.append(_monic_lead(rem))
         new = len(basis) - 1
-        fresh = [(k, new) for k in range(new)]
+        monomial.append(len(rem.terms) == 1)
+        fresh = [(k, new) for k in range(new)
+                 if not (monomial[k] and monomial[new])]
         enqueued += len(fresh)
         if enqueued > budget:
             raise BudgetExceeded(

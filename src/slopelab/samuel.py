@@ -228,6 +228,13 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
       limit       -- max over n <= max_n of nu(f^n)/n; always a valid
                      lower bound, and exact (infinite) when some power of
                      f dies in the ring.
+
+    The limit route tests f^n for zero at each n <= max_n. Over F_p, when
+    none of them is zero, it tests one more power, f^q for the least power
+    q of p above max_n: the power map fixes F_p, so f^q is f with every
+    exponent multiplied by q and needs no product. If f^q is zero the
+    answer is infinite (exact), with (q, inf) as the last sample; if not,
+    the lower bound and its samples stand as they were.
     """
     _check_choice("nubar strategy", strategy,
                   ("auto", "monomial", "certificate", "limit"))
@@ -284,7 +291,24 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
             ratio = value.value / n
             if ratio > best:
                 best = ratio
+    p = presentation.ring.char
+    if p:
+        q = p
+        while q <= max_n:
+            q *= p
+        if presentation.is_zero_element(_frobenius_power(f, q)):
+            samples.append((q, INF))
+            return NubarResult(INF, "exact", certificate="nilpotent-power",
+                               samples=samples)
     return NubarResult(best, "lower-bound", certificate=None, samples=samples)
+
+
+def _frobenius_power(f, q):
+    """f^q for a power q of the characteristic p: (a + b)^q = a^q + b^q,
+    and c^q = c on F_p, so each term keeps its coefficient and has its
+    exponents multiplied by q."""
+    return Polynomial._of(f.ring, {tuple(e * q for e in m): c
+                                   for m, c in f.terms.items()})
 
 
 def _check_choice(kind, value, choices):
@@ -304,6 +328,12 @@ def _nu_from(presentation, ideal, f, cap, floor):
 
     Every floor the callers pass is proven (f lies in ideal^floor), so a
     floor above the cap already certifies 'at least cap'.
+
+    Against the presentation's maximal ideal m, each membership test
+    f in m^j + J reads only the terms of f of degree < j. That is exact:
+    m^j lies in the ideal, and the normal form with respect to its
+    Groebner basis is linear and vanishes on the ideal, so
+    NF(f) = NF(trunc_{<j} f). Other ideals are tested on all of f.
     """
     if floor > cap:
         return NuValue(ExtendedRational(cap), at_least=True)
@@ -311,12 +341,22 @@ def _nu_from(presentation, ideal, f, cap, floor):
     if j > 1:
         # the guard is also the search's first step; if the hint overshot
         # (can happen only on bad floors), restart low
-        j = j + 1 if presentation.power_basis(ideal, j).contains(f) else 1
+        j = j + 1 if _in_power(presentation, ideal, f, j) else 1
     while j <= cap:
-        if not presentation.power_basis(ideal, j).contains(f):
+        if not _in_power(presentation, ideal, f, j):
             return NuValue(ExtendedRational(j - 1))
         j += 1
     return NuValue(ExtendedRational(cap), at_least=True)
+
+
+def _in_power(presentation, ideal, f, j):
+    """Whether f lies in ideal^j + J; for the maximal ideal, on the terms
+    of f of degree < j (see _nu_from)."""
+    basis = presentation.power_basis(ideal, j)
+    if ideal == presentation.maximal_ideal():
+        f = Polynomial._of(f.ring, {m: c for m, c in f.terms.items()
+                                    if sum(m) < j})
+    return basis.contains(f)
 
 
 class KernelReport:

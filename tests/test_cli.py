@@ -318,6 +318,25 @@ class TestCheckTheoremsCommand:
         code, _, _ = run(["check-theorems", job, "--require-exact"], capsys)
         assert code == 2
 
+    def test_shift_nilpotent_above_max_n_passes(self, tmp_path, capsys):
+        # z^11 + y^22 = (z + y^2)^11: the slope is infinite although the
+        # default max_n = 8 stops short of the 11th power
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["y", "z"], "char": 11},
+            "local_ring": {"relations": ["z^11 + y^22"]},
+            "split": {"base": ["y"], "fiber": ["z"]},
+        })
+        code, out, _ = run(["check-theorems", job], capsys)
+        assert code == 0
+        assert out.splitlines()[:4] == [
+            "verdict: pass", "classification = extremal",
+            "hord = inf, elimination order = inf",
+            "slope = inf (certified exact)"]
+        code, out, _ = run(["check-theorems", job, "--require-exact"],
+                           capsys)
+        assert code == 0
+
     def test_smooth_point_not_applicable(self, tmp_path, capsys):
         job = write_job(tmp_path, {
             "schema": "slopelab-job/1",

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopelab import arith, groebner
+from slopelab import arith, groebner, samuel
 from slopelab.groebner import (
     BudgetExceeded,
     GroebnerBasis,
@@ -22,6 +22,7 @@ from slopelab.groebner import (
     radical_member,
 )
 from slopelab.poly import Polynomial, Ring
+from slopelab.samuel import LocalRingPresentation
 
 
 def monomials_up_to(ring, bound):
@@ -432,6 +433,51 @@ def test_buchberger_forms_no_s_polynomial_of_two_monomials(monkeypatch):
     assert pairs  # the binomial still meets the monomials
     assert not any(f.is_monomial() and g.is_monomial() for f, g in pairs)
     assert list(gb.polys) == sympy_reduced_basis(ideal)
+
+
+def test_pair_budget_counts_only_queued_pairs(monkeypatch):
+    # 66 monomials and one binomial: 2,211 generator pairs, of which only
+    # the 66 with the binomial are queued
+    R = Ring(("x", "y", "z"), 0)
+    m = IdealPresentation(R, [R.var(v) for v in R.variables])
+    ideal = ideal_sum(ideal_power(m, 10),
+                      IdealPresentation(R, [R.parse("x^2 - y^3")]))
+    assert len(ideal.generators) == 67
+    monkeypatch.setattr(groebner, "DEFAULT_PAIR_BUDGET", 500)
+    assert list(buchberger(ideal).polys) == sympy_reduced_basis(ideal)
+
+
+@st.composite
+def truncation_problems(draw):
+    ring = draw(st.sampled_from(RINGS))
+    relations = [
+        Polynomial(ring, {m: c for m, c in g.terms.items() if sum(m)})
+        for g in draw(st.lists(polynomials(ring), min_size=1, max_size=2))]
+    f = draw(polynomials(ring, max_terms=8, max_degree=8))
+    return relations, f, draw(st.integers(1, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(truncation_problems())
+def test_maximal_ideal_memberships_read_f_below_degree_j(problem):
+    relations, f, j = problem
+    A = LocalRingPresentation(f.ring, relations)
+    m = A.maximal_ideal()
+    basis = A.power_basis(m, j)
+    tested = []
+    real_contains = GroebnerBasis.contains
+
+    def recording_contains(self, g):
+        tested.append(g)
+        return real_contains(self, g)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GroebnerBasis, "contains", recording_contains)
+        answer = samuel._in_power(A, m, f, j)
+    [g] = tested
+    assert all(sum(mono) < j for mono in g.terms)
+    assert basis.normal_form(g) == basis.normal_form(f)
+    assert answer == basis.contains(f)
 
 
 def test_ideal_presentations_hash_once_and_compare_by_generators(

@@ -222,6 +222,60 @@ def test_nubar_detects_nilpotents_exactly():
     assert result.value == INF
 
 
+def f11_square_shift():
+    # z^11 + y^22 = (z + y^2)^11 over F_11
+    ring = Ring(("y", "z"), char=11)
+    return ring, LocalRingPresentation(ring, [ring.parse("z^11 + y^22")])
+
+
+def test_nubar_limit_finds_a_nilpotent_above_max_n_over_fp():
+    ring, A = f11_square_shift()
+    result = nubar(A, ring.parse("z + y^2"), strategy="limit", max_n=8)
+    assert result.status == "exact" and result.value == INF
+    assert result.certificate == "nilpotent-power"
+    assert result.samples == [(n, ExtendedRational(n)) for n in range(1, 9)] \
+        + [(11, INF)]
+
+
+def test_nubar_limit_keeps_the_bound_of_a_non_nilpotent_over_fp():
+    ring, A = f11_square_shift()
+    result = nubar(A, ring.parse("z"), strategy="limit", max_n=8)
+    assert result.status == "lower-bound"
+    assert result.value == ExtendedRational(1)
+    assert result.samples == [(n, ExtendedRational(n)) for n in range(1, 9)]
+
+
+def test_slope_infinite_when_a_shift_dies_above_max_n():
+    ring, A = f11_square_shift()
+    result = samuel_slope(A, max_n=8)
+    assert result.lower_bound == INF and result.exact
+    assert [g.canonical_string() for g in result.witness] == ["y^2 + z"]
+
+
+def test_nu_in_three_variables_reaches_the_default_cap():
+    ring = Ring(("x", "y", "z"))
+    A = LocalRingPresentation(ring, [ring.parse("x^2 - y^3")])
+    value = nu(A, ring.parse("z^30"))
+    assert value.at_least and value.value == ExtendedRational(24)
+
+
+@st.composite
+def fp_polynomials(draw):
+    ring = Ring(("x", "y", "z"), draw(st.sampled_from([2, 3, 5])))
+    f = ring.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        exps = [draw(st.integers(0, 3)) for _ in ring.variables]
+        f = f + ring.monomial(exps, draw(st.integers(-4, 4)))
+    return f
+
+
+@settings(max_examples=100, deadline=None)
+@given(fp_polynomials(), st.integers(1, 2))
+def test_frobenius_power_scales_the_exponents(f, e):
+    q = f.ring.char ** e
+    assert samuel._frobenius_power(f, q) == f ** q
+
+
 def test_kernel_on_the_cusp_is_x_in_any_characteristic():
     for char in (0, 2):
         ring, A = cusp_ring(char)
