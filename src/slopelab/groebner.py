@@ -9,13 +9,23 @@ polynomial. Division works on one dict of terms: each step takes the
 largest term off a heap in grevlex order and subtracts a shifted multiple
 of a basis element from the dict in place, term by term, and S-polynomials
 are written into such a dict straight from the two shifted elements, so
-neither builds intermediate polynomials. Buchberger queues a pair only
-when at least one side is not a monomial, since the S-polynomial of two
-monomials is zero, both for the generators and for each element that
-joins the basis; it takes the queued pairs first in, first out, and skips
-one whose leading terms are coprime. The pair budget counts queued pairs
-only. A power of a monomial ideal is built by adding exponent tuples,
-with no polynomial products.
+neither builds intermediate polynomials. The degrees of the popped terms
+never rise, so each time the degree falls the division cuts the basis
+entries to those whose leading term has at most that degree, in list
+order: once f is cut below degree j, the degree-j leading terms of
+m^j + J are not tried again.
+
+Buchberger queues a pair only when at least one side is not a monomial,
+since the S-polynomial of two monomials is zero, both for the generators
+and for each element that joins the basis; it takes the queued pairs
+first in, first out, and skips one whose leading terms are coprime. The
+pair budget counts queued pairs only. Minimalizing keeps the first
+element for each leading term and tries only leading terms of lower
+degree as divisors; tail reduction passes over monomials, which are
+already reduced. A power of a monomial ideal is built by adding exponent
+tuples, with no polynomial products, and a coefficient one is never
+multiplied in; an element whose leading coefficient is one is kept, not
+rescaled, when it is made monic.
 
 An IdealPresentation hashes once and compares by its ring and generator
 tuple, so it can key a dict cheaply. Callers that need repeated
@@ -28,7 +38,7 @@ asked about, keyed by (ideal, exponent).
 import itertools
 from collections import deque
 from heapq import heapify, heappop, heappush
-from operator import add, sub
+from operator import add, le, sub
 
 from .arith import SlopelabError
 from .poly import Polynomial
@@ -99,7 +109,7 @@ def _grevlex(m):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _quotient(m, d):
@@ -118,8 +128,11 @@ def monic(f):
 
 
 def _monic_lead(f):
-    # (leading monomial, leading coefficient, f made monic)
+    # (leading monomial, leading coefficient, f made monic); a monic f is
+    # returned as it is
     lm, lc = leading(f)
+    if lc == 1:
+        return lm, lc, f
     g = f.scale(1 / lc)
     return lm, g.terms[lm], g
 
@@ -162,15 +175,25 @@ def _reduce(ring, work, leads):
     no entry divides moves to the remainder. The largest term comes off a
     heap built once from work; each term is pushed when it appears, and
     an entry whose term has cancelled since is skipped when popped.
+
+    Every term a step adds is below the term it reduces, so the popped
+    degrees never rise. Whenever the popped degree falls, the entries are
+    cut, in list order, to those whose leading monomial has at most that
+    degree; no other one can divide a term still to come, so the cut
+    changes no step.
     """
     heap = [_heap_key(m) for m in work]
     heapify(heap)
     remainder = {}
+    degree = None
     while heap:
-        mono = heappop(heap)[2]
+        key, _, mono = heappop(heap)
         coeff = work.pop(mono, None)
         if coeff is None:
             continue
+        if -key != degree:
+            degree = -key
+            leads = [entry for entry in leads if sum(entry[0]) <= degree]
         for lm, lc, g in leads:
             if _divides(lm, mono):
                 _add_shifted(work, -(coeff / lc), _quotient(mono, lm), g, lm,
@@ -259,22 +282,27 @@ def buchberger(ideal):
                 "really this large" % budget)
         pairs.extend(fresh)
 
-    # minimalize: drop members whose leading term another one divides
-    keep = []
-    for idx, entry in enumerate(basis):
-        lm = entry[0]
-        dominated = False
-        for jdx, (lmh, _, _) in enumerate(basis):
-            if idx == jdx:
-                continue
-            if _divides(lmh, lm) and (lmh != lm or jdx < idx):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(entry)
-    # tail-reduce each survivor against the others
+    # minimalize: keep the first member for each leading term, and drop
+    # one whose leading term a leading term of lower degree divides (a
+    # proper divisor always has lower degree); by transitivity the lower
+    # survivors are the only ones to try
+    firsts = {}
+    for entry in basis:
+        firsts.setdefault(entry[0], entry)
+    lower = []
+    for _, lms in itertools.groupby(sorted(firsts, key=sum), key=sum):
+        lower += [lm for lm in lms
+                  if not any(_divides(low, lm) for low in lower)]
+    minimal = set(lower)
+    keep = [entry for lm, entry in firsts.items() if lm in minimal]
+    # tail-reduce each survivor against the others; a monomial survivor is
+    # its leading term, which no other leading term divides, so it stays
     reduced = []
-    for idx, (_, _, g) in enumerate(keep):
+    for idx, entry in enumerate(keep):
+        g = entry[2]
+        if len(g.terms) == 1:
+            reduced.append(entry)
+            continue
         others = keep[:idx] + keep[idx + 1:]
         reduced.append(_monic_lead(_reduce(ring, dict(g.terms), others)))
     reduced.sort(key=lambda entry: _grevlex(entry[0]))
@@ -309,7 +337,7 @@ def ideal_power(ideal, m):
     The products come in combinations_with_replacement order. For a
     monomial ideal each one is the sum of its factors' exponent tuples
     with the product of their coefficients, so no polynomial is
-    multiplied.
+    multiplied, and a coefficient one is never multiplied in.
     """
     if m < 0:
         raise ValueError("ideal power needs m >= 0")
@@ -319,12 +347,16 @@ def ideal_power(ideal, m):
     gens = ideal.generators
     prods = []
     if ideal.is_monomial_ideal():
-        terms = [next(iter(g.terms.items())) for g in gens]
+        one = ring.field.one
+        # (exponents, coefficient or None when it is one)
+        terms = [(e, None if c == 1 else c)
+                 for g in gens for e, c in g.terms.items()]
         for combo in itertools.combinations_with_replacement(terms, m):
-            mono, coeff = combo[0]
-            for e, c in combo[1:]:
-                mono = tuple(map(add, mono, e))
-                coeff = coeff * c
+            coeff = one
+            for _, c in combo:
+                if c is not None:
+                    coeff = coeff * c
+            mono = tuple(map(sum, zip(*[e for e, _ in combo])))
             prods.append(Polynomial._of(ring, {mono: coeff}))
     else:
         for combo in itertools.combinations_with_replacement(gens, m):

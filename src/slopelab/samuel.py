@@ -333,7 +333,9 @@ def _nu_from(presentation, ideal, f, cap, floor):
     f in m^j + J reads only the terms of f of degree < j. That is exact:
     m^j lies in the ideal, and the normal form with respect to its
     Groebner basis is linear and vanishes on the ideal, so
-    NF(f) = NF(trunc_{<j} f). Other ideals are tested on all of f.
+    NF(f) = NF(trunc_{<j} f). When f has no term of degree < j it lies in
+    m^j, and the test answers yes without looking up or building the
+    basis of m^j + J. Other ideals are tested on all of f.
     """
     if floor > cap:
         return NuValue(ExtendedRational(cap), at_least=True)
@@ -351,12 +353,14 @@ def _nu_from(presentation, ideal, f, cap, floor):
 
 def _in_power(presentation, ideal, f, j):
     """Whether f lies in ideal^j + J; for the maximal ideal, on the terms
-    of f of degree < j (see _nu_from)."""
-    basis = presentation.power_basis(ideal, j)
+    of f of degree < j, and True with no basis when there is none (see
+    _nu_from)."""
     if ideal == presentation.maximal_ideal():
         f = Polynomial._of(f.ring, {m: c for m, c in f.terms.items()
                                     if sum(m) < j})
-    return basis.contains(f)
+        if not f.terms:
+            return True
+    return presentation.power_basis(ideal, j).contains(f)
 
 
 class KernelReport:

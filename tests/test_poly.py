@@ -5,6 +5,7 @@ import pytest
 from slopelab.arith import SlopelabError
 from slopelab.poly import (
     IllegalSubstitution,
+    Polynomial,
     Ring,
     VariableSplit,
     ZeroPolynomial,
@@ -233,3 +234,32 @@ def test_terms_are_keyed_by_plain_tuples():
     assert f.terms == {(1, 2): R.field.one}
     assert all(type(m) is tuple for m in f.terms)
     assert all(type(m) is tuple for m in (R.var("y") * f).terms)
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_power_is_the_repeated_product(char):
+    R = Ring(("x", "y", "z"), char)
+    for f in sample_polys(R, 4, seed=char) + [R.zero(), R.one()]:
+        product = R.one()
+        for n in range(10):
+            assert f ** n == product
+            product = product * f
+
+
+def test_power_squares_no_further_than_the_last_bit(monkeypatch):
+    R = Ring(("x", "y", "z"), 5)
+    f = R.parse("2*x^3 + y^2*z + 3*x*z + y^3")
+    want = f * f * f * f * f * f * f * f
+    products = []
+    real_mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    power = f ** 8
+    # three squarings and one product into the running result; squaring
+    # f^8 as well would be a fifth, and the largest
+    assert len(products) == 4
+    assert power == want

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopelab import corpus, samuel
+from slopelab import corpus, groebner, samuel
 from slopelab.arith import INF, ExtendedRational, SlopelabError, echelon
 from slopelab.groebner import (
     GroebnerBasis,
@@ -116,9 +116,10 @@ def test_nubar_limit_tests_each_power_basis_once_per_sample(monkeypatch):
                               (2, ExtendedRational(3)),
                               (3, ExtendedRational(4)),
                               (4, ExtendedRational(6))]
-    # four zero tests and ten power-basis memberships; a floor that is
-    # tested once as the overshoot guard is not tested again
-    assert len(tested) == 14
+    # four zero tests and eight power-basis memberships; a floor that is
+    # tested once as the overshoot guard is not tested again, and x in m^1
+    # and x^2 in m^2 need no basis, having no term below degree j
+    assert len(tested) == 12
     # the bases stay referenced in tested, so their ids are not reused
     assert len({(id(gb), f) for gb, f in tested}) == len(tested)
 
@@ -257,6 +258,35 @@ def test_nu_in_three_variables_reaches_the_default_cap():
     A = LocalRingPresentation(ring, [ring.parse("x^2 - y^3")])
     value = nu(A, ring.parse("z^30"))
     assert value.at_least and value.value == ExtendedRational(24)
+
+
+def test_nu_builds_the_large_power_bases_under_the_budget(monkeypatch):
+    # x^16 = y^24 in the ring, so nu(x^16) reaches the cap 24; x^16 has no
+    # term below degree j for j <= 16, so the bases of m^j + J built are
+    # those of j = 17..24 (the pair budget once broke from j = 18 on),
+    # besides the basis of J for the zero test
+    ring = Ring(("x", "y", "z"))
+    A = LocalRingPresentation(ring, [ring.parse("x^2 - y^3")])
+    built, divisibility_tests = [], []
+    real_buchberger, real_divides = samuel.buchberger, groebner._divides
+
+    def recording_buchberger(ideal):
+        built.append(ideal)
+        return real_buchberger(ideal)
+
+    def counting_divides(a, b):
+        divisibility_tests.append(None)
+        return real_divides(a, b)
+
+    monkeypatch.setattr(samuel, "buchberger", recording_buchberger)
+    monkeypatch.setattr(groebner, "_divides", counting_divides)
+    value = nu(A, ring.parse("x^16"))
+    assert value.at_least and value.value == ExtendedRational(24)
+    assert len(built) == 9
+    assert max(g.degree() for g in built[-1].generators) == 24
+    # a work gate, not a timing: 2,943,390 tests when every division step
+    # scanned the degree-j leading terms, about 150,000 without
+    assert len(divisibility_tests) <= 500000
 
 
 @st.composite
