@@ -1,38 +1,37 @@
 """Buchberger-based ideal arithmetic: normal forms, membership, radical
-membership by the extra-variable trick, ideal powers, and the dimension of a
-monomial quotient.
+membership by the extra-variable trick, ideal powers, the dimension of a
+monomial quotient, and standard bases in a local degree order.
 
-Everything here is exact and deterministic. The one term order is graded
-reverse lex (grevlex). Each basis element's leading term is fixed once, when
-the element is made monic, and a GroebnerBasis keeps it next to the
-polynomial. Division works on one dict of terms: each step takes the
-largest term off a heap in grevlex order and subtracts a shifted multiple
-of a basis element from the dict in place, term by term, and S-polynomials
-are written into such a dict straight from the two shifted elements, so
-neither builds intermediate polynomials. The degrees of the popped terms
-never rise, so each time the degree falls the division cuts the basis
-entries to those whose leading term has at most that degree, in list
-order: once f is cut below degree j, the degree-j leading terms of
-m^j + J are not tried again.
+Everything here is exact and deterministic. The public entry points work
+in graded reverse lex (grevlex), but for local_basis, which uses the one
+private local degree order: lowest degree first, grevlex among equal
+degrees. Each basis element's leading term is fixed once, when the element
+is made monic, and a GroebnerBasis keeps it next to the polynomial.
+Division works on one dict of terms: each step takes the leading term off
+a heap ordered by the order's key and subtracts a shifted multiple of a
+basis element from the dict in place, term by term, and S-polynomials are
+written into such a dict straight from the two shifted elements, so
+neither builds intermediate polynomials. Under a degree cap, which goes
+with the local order, terms of degree cap or more are dropped.
 
 Buchberger queues a pair only when at least one side is not a monomial,
 since the S-polynomial of two monomials is zero, both for the generators
 and for each element that joins the basis; it takes the queued pairs
-first in, first out, and skips one whose leading terms are coprime. The
-pair budget counts queued pairs only. Minimalizing keeps the first
-element for each leading term and tries only leading terms of lower
-degree as divisors; tail reduction passes over monomials, which are
-already reduced. A power of a monomial ideal is built by adding exponent
-tuples, with no polynomial products, and a coefficient one is never
-multiplied in; an element whose leading coefficient is one is kept, not
-rescaled, when it is made monic.
+first in, first out, and skips one whose leading terms are coprime or,
+under a cap, whose lcm has degree cap or more. The pair budget counts
+queued pairs only. Minimalizing keeps the first element for each leading
+term and tries only leading terms of lower degree as divisors; tail
+reduction passes over monomials, which are already reduced. A power of a
+monomial ideal is built by adding exponent tuples, with no polynomial
+products, and a coefficient one is never multiplied in; an element whose
+leading coefficient is one is kept, not rescaled, when it is made monic.
 
 An IdealPresentation hashes once and compares by its ring and generator
 tuple, so it can key a dict cheaply. Callers that need repeated
 memberships against the same ideal hold on to the GroebnerBasis object: a
 presented local ring (samuel.LocalRingPresentation) keeps the bases of its
-relations, its initial ideal and each ideal power plus relations it has
-asked about, keyed by (ideal, exponent).
+relations, its initial ideal, its local basis for each cap and each
+ideal power plus relations it has asked about.
 """
 
 import itertools
@@ -124,13 +123,14 @@ def leading(f):
 
 def monic(f):
     """Scale f so that its leading coefficient is one."""
-    return _monic_lead(f)[2]
+    return _monic_lead(f, _heap_key)[2]
 
 
-def _monic_lead(f):
-    # (leading monomial, leading coefficient, f made monic); a monic f is
-    # returned as it is
-    lm, lc = leading(f)
+def _monic_lead(f, key):
+    # (leading monomial, leading coefficient, f made monic) in the order of
+    # the heap key; a monic f is returned as it is
+    lm = min(f.terms, key=key)
+    lc = f.terms[lm]
     if lc == 1:
         return lm, lc, f
     g = f.scale(1 / lc)
@@ -143,21 +143,30 @@ def _heap_key(m):
     return (-sum(m), m[::-1], m)
 
 
-def _add_shifted(work, factor, shift, g, lm, heap=None):
-    """work += factor * x^shift * (g without its term at lm), in place.
+def _local_key(m):
+    """The same in the local degree order: lowest degree first."""
+    return (sum(m), m[::-1], m)
 
-    A term new to work is pushed onto heap when one is given.
+
+def _add_shifted(work, factor, shift, g, lm, heap=None, key=_heap_key,
+                 cap=None):
+    """work += factor * x^shift * (g without its term at lm), in place,
+    less the terms of degree cap or more.
+
+    A term new to work is pushed onto heap, under key, when one is given.
     """
     for m, c in g.terms.items():
         if m == lm:
             continue
         m = tuple(map(add, m, shift))
+        if cap is not None and sum(m) >= cap:
+            continue
         t = factor * c
         s = work.get(m)
         if s is None:
             work[m] = t
             if heap is not None:
-                heappush(heap, _heap_key(m))
+                heappush(heap, key(m))
             continue
         s = s + t
         if s:
@@ -166,38 +175,33 @@ def _add_shifted(work, factor, shift, g, lm, heap=None):
             del work[m]
 
 
-def _reduce(ring, work, leads):
+def _reduce(ring, work, leads, key=_heap_key, cap=None):
     """Divide the term dict work, in place, by the (lm, lc, g) entries.
 
-    Each step takes the largest work term and the first entry, in list
+    Each step takes the leading work term and the first entry, in list
     order, whose leading monomial divides it, and subtracts that multiple
     of g term by term; the leading terms cancel, so g's is skipped. A term
-    no entry divides moves to the remainder. The largest term comes off a
-    heap built once from work; each term is pushed when it appears, and
-    an entry whose term has cancelled since is skipped when popped.
-
-    Every term a step adds is below the term it reduces, so the popped
-    degrees never rise. Whenever the popped degree falls, the entries are
-    cut, in list order, to those whose leading monomial has at most that
-    degree; no other one can divide a term still to come, so the cut
-    changes no step.
+    no entry divides moves to the remainder. The leading term comes off a
+    heap built once from work under the order's key; each term is pushed
+    when it appears, and an entry whose term has cancelled since is
+    skipped when popped. A cap goes with the local key only: the first
+    popped term of degree cap or more ends the division, and what is left
+    of work, all of such degree, is dropped.
     """
-    heap = [_heap_key(m) for m in work]
+    heap = [key(m) for m in work]
     heapify(heap)
     remainder = {}
-    degree = None
     while heap:
-        key, _, mono = heappop(heap)
+        mono = heappop(heap)[-1]
+        if cap is not None and sum(mono) >= cap:
+            break
         coeff = work.pop(mono, None)
         if coeff is None:
             continue
-        if -key != degree:
-            degree = -key
-            leads = [entry for entry in leads if sum(entry[0]) <= degree]
         for lm, lc, g in leads:
             if _divides(lm, mono):
                 _add_shifted(work, -(coeff / lc), _quotient(mono, lm), g, lm,
-                             heap)
+                             heap, key, cap)
                 break
         else:
             remainder[mono] = coeff
@@ -211,15 +215,18 @@ def normal_form(f, basis):
 
 
 class GroebnerBasis:
-    """A reduced basis, kept as (leading monomial, coefficient, poly)."""
+    """A reduced basis, kept as (leading monomial, coefficient, poly);
+    division by it is grevlex unless local_basis made it."""
 
     def __init__(self, ring, leads):
         self.ring = ring
         self.leads = tuple(leads)
         self.polys = tuple(g for _, _, g in self.leads)
+        self._key, self._cap = _heap_key, None
 
     def normal_form(self, f):
-        return _reduce(self.ring, dict(f.terms), self.leads)
+        return _reduce(self.ring, dict(f.terms), self.leads, self._key,
+                       self._cap)
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
@@ -228,8 +235,9 @@ class GroebnerBasis:
         return [lm for lm, _, _ in self.leads]
 
     def __repr__(self):
-        return "<groebner grevlex: %s>" % "; ".join(
-            g.canonical_string() for g in self.polys)
+        order = "grevlex" if self._cap is None else "local < %d" % self._cap
+        return "<groebner %s: %s>" % (order, "; ".join(
+            g.canonical_string() for g in self.polys))
 
 
 def _spoly(lcm, entry_i, entry_j):
@@ -247,10 +255,21 @@ def _spoly(lcm, entry_i, entry_j):
 
 def buchberger(ideal):
     """Reduced Groebner basis of the ideal, monic, sorted by leading term."""
+    return _buchberger(ideal, _heap_key, None)
+
+
+def local_basis(ideal, cap):
+    """Reduced standard basis of ideal + m^cap in the local degree order,
+    m the ideal of the variables, with every term of degree cap or more
+    dropped; with the degree-j monomials it is one of ideal + m^j, j <= cap.
+    """
+    return _buchberger(ideal, _local_key, cap)
+
+
+def _buchberger(ideal, key, cap):
     ring = ideal.ring
-    basis = [_monic_lead(g) for g in ideal.generators]
-    if not basis:
-        return GroebnerBasis(ring, ())
+    basis = [_monic_lead(g, key) for g in ideal.generators
+             if cap is None or g.min_degree() < cap]
 
     budget = DEFAULT_PAIR_BUDGET
     # the S-polynomial of two monomials is zero, so a pair is queued only
@@ -264,13 +283,15 @@ def buchberger(ideal):
         i, j = pairs.popleft()
         lmi, lmj = basis[i][0], basis[j][0]
         lcm = tuple(map(max, lmi, lmj))
-        # coprime leading terms never produce anything new
-        if lcm == tuple(map(add, lmi, lmj)):
+        # coprime leading terms never produce anything new; in the local
+        # order no S-polynomial term has degree below the lcm's
+        if lcm == tuple(map(add, lmi, lmj)) or (
+                cap is not None and sum(lcm) >= cap):
             continue
-        rem = _reduce(ring, _spoly(lcm, basis[i], basis[j]), basis)
+        rem = _reduce(ring, _spoly(lcm, basis[i], basis[j]), basis, key, cap)
         if rem.is_zero():
             continue
-        basis.append(_monic_lead(rem))
+        basis.append(_monic_lead(rem, key))
         new = len(basis) - 1
         monomial.append(len(rem.terms) == 1)
         fresh = [(k, new) for k in range(new)
@@ -304,9 +325,12 @@ def buchberger(ideal):
             reduced.append(entry)
             continue
         others = keep[:idx] + keep[idx + 1:]
-        reduced.append(_monic_lead(_reduce(ring, dict(g.terms), others)))
-    reduced.sort(key=lambda entry: _grevlex(entry[0]))
-    return GroebnerBasis(ring, reduced)
+        reduced.append(_monic_lead(
+            _reduce(ring, dict(g.terms), others, key, cap), key))
+    reduced.sort(key=lambda entry: key(entry[0]), reverse=True)
+    gb = GroebnerBasis(ring, reduced)
+    gb._key, gb._cap = key, cap
+    return gb
 
 
 def ideal_member(f, ideal):

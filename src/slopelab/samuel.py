@@ -17,6 +17,7 @@ from .groebner import (
     buchberger,
     ideal_power,
     ideal_sum,
+    local_basis,
     monomial_dimension,
     radical_member,
 )
@@ -47,13 +48,13 @@ class NotApplicable(SlopelabError):
 class LocalRingPresentation:
     """Polynomial ring modulo relations J, localized at the origin.
 
-    The presentation owns the Groebner bases its questions need and builds
-    each one once, on first use; they live as long as the instance. It
-    keeps the basis of J (zero tests), the basis of the initial ideal
-    (dimension and the Frobenius kernel) and, for each ideal and exponent
-    j asked for, the basis of ideal^j + J (the memberships behind nu and
-    nubar), keyed by (ideal, j). The maximal ideal is built once, so its
-    hash is computed once.
+    The presentation owns the bases its questions need and builds each one
+    once, on first use; they live as long as the instance: the grevlex
+    bases of J (zero tests) and of the initial ideal (dimension and the
+    Frobenius kernel), the local basis of J + m^cap for each cap (nu, and
+    nubar against m), and the grevlex basis of ideal^j + J for each other
+    ideal and exponent j asked for (nubar against it). The maximal ideal is
+    built once, so its hash is computed once.
     """
 
     def __init__(self, ring, relations=()):
@@ -68,10 +69,10 @@ class LocalRingPresentation:
             ring, [ring.var(v) for v in ring.variables])
         self._bases = {}
 
-    def _basis(self, key, ideal):
-        """The basis kept under key; ideal() presents it on first use."""
+    def _basis(self, key, build):
+        """The basis kept under key; build() makes it on first use."""
         if key not in self._bases:
-            self._bases[key] = buchberger(ideal())
+            self._bases[key] = build()
         return self._bases[key]
 
     def maximal_ideal(self):
@@ -79,16 +80,16 @@ class LocalRingPresentation:
 
     def is_zero_element(self, f):
         return f.is_zero() or \
-            self._basis("J", lambda: self.relations).contains(f)
+            self._basis("J", lambda: buchberger(self.relations)).contains(f)
 
     def initial_basis(self):
-        return self._basis("in(J)", self.initial_ideal)
+        return self._basis("in(J)",
+                           lambda: buchberger(self.initial_ideal()))
 
     def power_basis(self, ideal, j):
         """Groebner basis of ideal^j + J."""
-        return self._basis(
-            (ideal, j),
-            lambda: ideal_sum(ideal_power(ideal, j), self.relations))
+        return self._basis((ideal, j), lambda: buchberger(
+            ideal_sum(ideal_power(ideal, j), self.relations)))
 
     def initial_ideal(self):
         """Initial forms of the presented generators.
@@ -153,13 +154,14 @@ def nu(presentation, f, cap=NU_CAP_DEFAULT):
     """Adic order of f in the local ring: sup of j with f in m^j.
 
     Exact up to the cap; returns at_least=True when f survives that deep.
-    The order is infinite exactly when f is zero in the ring.
+    The order is infinite when f lies in J in the polynomial ring. That
+    zero test is global: an f that is zero only in the localization, such
+    as x in k[x, y]/(x*y - x), where y - 1 is a unit, reads 'at least cap'.
     """
     _check_cap("cap", cap)
     if presentation.is_zero_element(f):
         return NuValue(INF)
-    return _nu_from(presentation, presentation.maximal_ideal(), f, cap,
-                    floor=1)
+    return _nu_from(presentation, presentation.maximal_ideal(), f, cap)
 
 
 class ValuationCertificate:
@@ -269,8 +271,6 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
     best = ExtendedRational(0)
     samples = []
     power = presentation.ring.one()
-    base_order = None
-    floor = 0
     for n in range(1, max_n + 1):
         power = power * f
         if presentation.is_zero_element(power):
@@ -278,16 +278,9 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
             samples.append((n, INF))
             return NubarResult(INF, "exact", certificate="nilpotent-power",
                                samples=samples)
-        # superadditivity lets the membership search start where the
-        # previous power left off
-        value = _nu_from(presentation, ideal, power, cap, floor)
+        value = _nu_from(presentation, ideal, power, cap)
         samples.append((n, value.value))
-        if base_order is None:
-            base_order = value.value
         if not value.value.is_infinite:
-            floor = int(value.value.as_fraction) \
-                + (int(base_order.as_fraction) if not base_order.is_infinite
-                   else 0)
             ratio = value.value / n
             if ratio > best:
                 best = ratio
@@ -322,45 +315,28 @@ def _check_cap(name, value):
         raise SlopelabError("%s must be a positive integer" % name)
 
 
-def _nu_from(presentation, ideal, f, cap, floor):
-    """Order of a nonzero f against ideal, searching upward from a known
-    lower bound.
+def _nu_from(presentation, ideal, f, cap):
+    """Order of a nonzero f against ideal: the largest j <= cap with f in
+    ideal^j + J, flagged 'at least cap' when that is the cap.
 
-    Every floor the callers pass is proven (f lies in ideal^floor), so a
-    floor above the cap already certifies 'at least cap'.
-
-    Against the presentation's maximal ideal m, each membership test
-    f in m^j + J reads only the terms of f of degree < j. That is exact:
-    m^j lies in the ideal, and the normal form with respect to its
-    Groebner basis is linear and vanishes on the ideal, so
-    NF(f) = NF(trunc_{<j} f). When f has no term of degree < j it lies in
-    m^j, and the test answers yes without looking up or building the
-    basis of m^j + J. Other ideals are tested on all of f.
+    Against the maximal ideal m it is one division. In the local degree
+    order, the standard basis of J + m^cap, together with the monomials of
+    degree j, is a standard basis of J + m^j for every j <= cap. So the
+    lowest degree left in the normal form of f modulo that basis is the
+    order, and when nothing is left, f lies in J + m^cap. Against any
+    other ideal each ideal^j + J is tested in turn.
     """
-    if floor > cap:
-        return NuValue(ExtendedRational(cap), at_least=True)
-    j = max(1, floor)
-    if j > 1:
-        # the guard is also the search's first step; if the hint overshot
-        # (can happen only on bad floors), restart low
-        j = j + 1 if _in_power(presentation, ideal, f, j) else 1
-    while j <= cap:
-        if not _in_power(presentation, ideal, f, j):
-            return NuValue(ExtendedRational(j - 1))
-        j += 1
-    return NuValue(ExtendedRational(cap), at_least=True)
-
-
-def _in_power(presentation, ideal, f, j):
-    """Whether f lies in ideal^j + J; for the maximal ideal, on the terms
-    of f of degree < j, and True with no basis when there is none (see
-    _nu_from)."""
     if ideal == presentation.maximal_ideal():
-        f = Polynomial._of(f.ring, {m: c for m, c in f.terms.items()
-                                    if sum(m) < j})
-        if not f.terms:
-            return True
-    return presentation.power_basis(ideal, j).contains(f)
+        rest = presentation._basis(
+            ("local", cap),
+            lambda: local_basis(presentation.relations, cap)).normal_form(f)
+        if rest.is_zero():
+            return NuValue(ExtendedRational(cap), at_least=True)
+        return NuValue(ExtendedRational(rest.min_degree()))
+    for j in range(1, cap + 1):
+        if not presentation.power_basis(ideal, j).contains(f):
+            return NuValue(ExtendedRational(j - 1))
+    return NuValue(ExtendedRational(cap), at_least=True)
 
 
 class KernelReport:

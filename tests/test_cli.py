@@ -5,7 +5,7 @@ import json
 import pytest
 
 from slopelab import cli, corpus, groebner
-from slopelab.samuel import LIMIT_N_DEFAULT, nubar
+from slopelab.samuel import LIMIT_N_DEFAULT, LocalRingPresentation, nubar
 
 
 def write_job(tmp_path, data, name="job.json"):
@@ -337,6 +337,28 @@ class TestCheckTheoremsCommand:
                            capsys)
         assert code == 0
 
+    def test_deep_orders_need_no_basis_of_a_power_of_m(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # nu(z^8) = 20 here: this took 16 s when nu built the basis of
+        # m^j + J for every j up to 21, and one local basis serves them all
+        def no_power_basis(presentation, ideal, j):
+            raise AssertionError("asked for a basis of an ideal^%d + J" % j)
+
+        monkeypatch.setattr(LocalRingPresentation, "power_basis",
+                            no_power_basis)
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["y1", "y2", "z"], "char": 2},
+            "local_ring": {"relations": ["z^2 + y1^3*y2^2*z + y1^4*y2"]},
+            "split": {"base": ["y1", "y2"], "fiber": ["z"]},
+        })
+        code, out, _ = run(["check-theorems", job, "--json"], capsys)
+        assert code == 0
+        assert out == (
+            '{"applicable":true,"case":"B1","classification":"extremal",'
+            '"hord":"5/2","ord":"4","passed":true,"slope":"5/2",'
+            '"slope_certified":true}\n')
+
     def test_smooth_point_not_applicable(self, tmp_path, capsys):
         job = write_job(tmp_path, {
             "schema": "slopelab-job/1",
@@ -430,11 +452,15 @@ class TestValidationErrors:
         monkeypatch.setattr(groebner, "DEFAULT_PAIR_BUDGET",
                             groebner.DEFAULT_PAIR_BUDGET)
         monkeypatch.setenv("SLOPELAB_BUDGET", "1")
+        # against an ideal other than m, the limit route builds the
+        # Buchberger bases of its powers plus the relations
         job = write_job(tmp_path, {
             "schema": "slopelab-job/1",
             "ring": {"vars": ["x", "y"], "char": 0},
             "local_ring": {"relations": ["x^2 - y^3"]},
-            "nubar": {"f": "x", "strategy": "limit", "max_n": 4},
+            "ideals": {"I": ["x^2", "y^2"]},
+            "nubar": {"f": "x", "ideal": "I", "strategy": "limit",
+                      "max_n": 4},
         })
         code, _, err = run(["nubar", job], capsys)
         assert code == 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slopelab import arith, groebner, samuel
@@ -17,6 +17,7 @@ from slopelab.groebner import (
     ideal_power,
     ideal_sum,
     leading,
+    local_basis,
     monomial_dimension,
     normal_form,
     radical_member,
@@ -447,6 +448,15 @@ def test_pair_budget_counts_only_queued_pairs(monkeypatch):
     assert list(buchberger(ideal).polys) == sympy_reduced_basis(ideal)
 
 
+def test_local_basis_counts_pairs_against_the_budget(monkeypatch):
+    R = Ring(("x", "y", "z"), 0)
+    ideal = IdealPresentation(R, [R.parse("x^2 - y^3"), R.parse("x*y - z^3")])
+    assert len(local_basis(ideal, 12).polys) == 3
+    monkeypatch.setattr(groebner, "DEFAULT_PAIR_BUDGET", 1)
+    with pytest.raises(BudgetExceeded):
+        local_basis(ideal, 12)
+
+
 @st.composite
 def maximal_power_ideals(draw):
     char = draw(st.sampled_from([0, 3]))
@@ -469,40 +479,53 @@ def test_buchberger_matches_sympy_on_maximal_powers_plus_relations(ideal):
 
 
 @st.composite
-def truncation_problems(draw):
-    ring = draw(st.sampled_from(RINGS))
+def order_problems(draw):
+    ring = Ring(draw(st.sampled_from([("x", "y"), ("x", "y", "z")])),
+                draw(st.sampled_from([0, 2, 3, 5])))
     relations = [
         Polynomial(ring, {m: c for m, c in g.terms.items() if sum(m)})
-        for g in draw(st.lists(polynomials(ring), min_size=1, max_size=2))]
-    f = draw(polynomials(ring, max_terms=8, max_degree=8))
-    return relations, f, draw(st.integers(1, 6))
+        for g in draw(st.lists(polynomials(ring, max_terms=3), max_size=3))]
+    # a combination of the relations plus a deep rest, so that f often
+    # lies deep in m^j + J
+    f = draw(polynomials(ring, max_terms=4, max_degree=8))
+    for g in relations:
+        f = f + draw(polynomials(ring)) * g
+    return LocalRingPresentation(ring, relations), f, draw(st.integers(1, 14))
 
 
-@settings(max_examples=100, deadline=None)
-@given(truncation_problems())
-def test_maximal_ideal_memberships_read_f_below_degree_j(problem):
-    relations, f, j = problem
-    A = LocalRingPresentation(f.ring, relations)
-    m = A.maximal_ideal()
-    basis = A.power_basis(m, j)
-    tested = []
-    real_contains = GroebnerBasis.contains
+def order_problem(names, relations, f, cap):
+    ring = Ring(names, 0)
+    return (LocalRingPresentation(ring, [ring.parse(g) for g in relations]),
+            ring.parse(f), cap)
 
-    def recording_contains(self, g):
-        tested.append(g)
-        return real_contains(self, g)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GroebnerBasis, "contains", recording_contains)
-        answer = samuel._in_power(A, m, f, j)
-    assert answer == basis.contains(f)
-    if all(sum(mono) >= j for mono in f.terms):
-        # f lies in m^j: the answer needs no normal form
-        assert tested == [] and answer
+@settings(max_examples=200, deadline=None)
+@given(order_problems())
+# f at the cap; an S-pair below the cap; an S-pair whose lcm is one
+# degree below the cap
+@example(order_problem(("x", "y"), [], "y", 1))
+@example(order_problem(("x", "y"), ["x^2 + y", "y^2 + y"], "y", 3))
+@example(order_problem(("x", "y", "z"), ["x^2 + x*y", "x^2*z + z^3"],
+                       "z^5 + x^2*y*z + y*z^3", 5))
+def test_nu_is_the_first_power_of_m_plus_j_that_misses_f(problem):
+    # the local division against grevlex bases of m^j + J; these shrink as
+    # j grows, so nu(f) = v < cap exactly when f lies in m^v + J and not in
+    # m^(v+1) + J, and nu(f) >= cap when f lies in m^cap + J
+    A, f, cap = problem
+    got = samuel.nu(A, f, cap)
+    if buchberger(A.relations).contains(f):
+        assert got.value == arith.INF
         return
-    [g] = tested
-    assert all(sum(mono) < j for mono in g.terms)
-    assert basis.normal_form(g) == basis.normal_form(f)
+    m = A.maximal_ideal()
+
+    def within(j):
+        return buchberger(
+            ideal_sum(ideal_power(m, j), A.relations)).contains(f)
+
+    assert not got.value.is_infinite
+    v = int(got.value.as_fraction)
+    assert v <= cap and got.at_least == (v == cap)
+    assert within(v) and (v == cap or not within(v + 1))
 
 
 def test_ideal_presentations_hash_once_and_compare_by_generators(

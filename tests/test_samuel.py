@@ -10,7 +10,7 @@ from slopelab.arith import INF, ExtendedRational, SlopelabError, echelon
 from slopelab.groebner import (
     GroebnerBasis,
     buchberger,
-    ideal_power,
+    local_basis,
     radical_member,
 )
 from slopelab.newton import MonomialValuation
@@ -82,46 +82,58 @@ def test_nubar_limit_route_reaches_the_same_value_from_below():
         assert v / n <= ExtendedRational(Fraction(3, 2))
 
 
+def recorded_local_bases(monkeypatch):
+    """Caps of the local bases samuel builds; it may build no basis of a
+    power of an ideal plus J."""
+    caps = []
+
+    def recording_local_basis(ideal, cap):
+        caps.append(cap)
+        return local_basis(ideal, cap)
+
+    def no_power(ideal, j):
+        raise AssertionError("asked for a basis of an ideal^%d + J" % j)
+
+    monkeypatch.setattr(samuel, "local_basis", recording_local_basis)
+    monkeypatch.setattr(samuel, "ideal_power", no_power)
+    return caps
+
+
 @pytest.mark.parametrize("text, samples", [
     ("x^2", [(1, 3), (2, 6), (3, 6), (4, 6)]),
     ("x*y", [(1, 2), (2, 5), (3, 6), (4, 6)]),
 ])
 def test_nubar_limit_builds_no_basis_above_the_cap(monkeypatch, text,
                                                    samples):
-    exponents = []
-
-    def recording_power(ideal, j):
-        exponents.append(j)
-        return ideal_power(ideal, j)
-
-    monkeypatch.setattr(samuel, "ideal_power", recording_power)
+    caps = recorded_local_bases(monkeypatch)
     ring, A = cusp_ring()
     result = nubar(A, ring.parse(text), strategy="limit", max_n=4, cap=6)
     assert result.samples == [(n, ExtendedRational(v)) for n, v in samples]
-    assert exponents and max(exponents) <= 6
+    # one basis, of J + m^6, serves every sample
+    assert caps == [6]
 
 
 def test_nubar_limit_tests_each_power_basis_once_per_sample(monkeypatch):
     tested = []
-    contains = GroebnerBasis.contains
+    normal_form = GroebnerBasis.normal_form
 
-    def recording_contains(self, f):
+    def recording_normal_form(self, f):
         tested.append((self, f.canonical_string()))
-        return contains(self, f)
+        return normal_form(self, f)
 
-    monkeypatch.setattr(GroebnerBasis, "contains", recording_contains)
+    monkeypatch.setattr(GroebnerBasis, "normal_form", recording_normal_form)
     ring, A = cusp_ring()
     result = nubar(A, ring.parse("x"), strategy="limit", max_n=4)
     assert result.samples == [(1, ExtendedRational(1)),
                               (2, ExtendedRational(3)),
                               (3, ExtendedRational(4)),
                               (4, ExtendedRational(6))]
-    # four zero tests and eight power-basis memberships; a floor that is
-    # tested once as the overshoot guard is not tested again, and x in m^1
-    # and x^2 in m^2 need no basis, having no term below degree j
-    assert len(tested) == 12
-    # the bases stay referenced in tested, so their ids are not reused
-    assert len({(id(gb), f) for gb, f in tested}) == len(tested)
+    # each power is divided once by the basis of J (the zero test) and
+    # once by the local basis (its order), and by nothing else
+    assert [f for _, f in tested] == [
+        f for f in ("x", "x^2", "x^3", "x^4") for _ in range(2)]
+    bases = [{gb for gb, _ in tested[k::2]} for k in (0, 1)]
+    assert [len(b) for b in bases] == [1, 1] and bases[0] != bases[1]
 
 
 def test_repeated_nu_hashes_no_polynomial(monkeypatch):
@@ -260,33 +272,28 @@ def test_nu_in_three_variables_reaches_the_default_cap():
     assert value.at_least and value.value == ExtendedRational(24)
 
 
-def test_nu_builds_the_large_power_bases_under_the_budget(monkeypatch):
-    # x^16 = y^24 in the ring, so nu(x^16) reaches the cap 24; x^16 has no
-    # term below degree j for j <= 16, so the bases of m^j + J built are
-    # those of j = 17..24 (the pair budget once broke from j = 18 on),
-    # besides the basis of J for the zero test
+def test_nu_of_a_deep_element_builds_one_local_basis(monkeypatch):
+    # x^16 = y^24 in the ring, so nu(x^16) reaches the cap 24
     ring = Ring(("x", "y", "z"))
     A = LocalRingPresentation(ring, [ring.parse("x^2 - y^3")])
-    built, divisibility_tests = [], []
-    real_buchberger, real_divides = samuel.buchberger, groebner._divides
-
-    def recording_buchberger(ideal):
-        built.append(ideal)
-        return real_buchberger(ideal)
+    caps = recorded_local_bases(monkeypatch)
+    built = recorded_bases(monkeypatch)
+    divisibility_tests = []
+    real_divides = groebner._divides
 
     def counting_divides(a, b):
         divisibility_tests.append(None)
         return real_divides(a, b)
 
-    monkeypatch.setattr(samuel, "buchberger", recording_buchberger)
     monkeypatch.setattr(groebner, "_divides", counting_divides)
     value = nu(A, ring.parse("x^16"))
     assert value.at_least and value.value == ExtendedRational(24)
-    assert len(built) == 9
-    assert max(g.degree() for g in built[-1].generators) == 24
-    # a work gate, not a timing: 2,943,390 tests when every division step
-    # scanned the degree-j leading terms, about 150,000 without
-    assert len(divisibility_tests) <= 500000
+    assert caps == [24]
+    assert built == [("-y^3 + x^2",)]  # J, for the zero test
+    # a work gate, not a timing: 2,943,390 tests when nu built and scanned
+    # the bases of m^j + J for j up to 24, 153,195 once their degree-j
+    # leading terms were cut, 9 by one local division
+    assert len(divisibility_tests) <= 1000
 
 
 @st.composite

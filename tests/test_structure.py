@@ -1,10 +1,12 @@
 """Only arith knows how a coefficient is inverted: every other module spells
 inversion ``1 / c`` and never names the prime-field element type. The
-Groebner layer has one term order and reads its pair budget from the
-module, so none of its entry points takes an order or a budget. Monomials
-are plain exponent tuples: no module wraps them in a class. A presented
-local ring owns its Groebner bases, so nu and nubar take no cache. Division
-takes its largest term off a heap, never from a scan. Every name the
+Groebner layer's entry points work in grevlex, but for local_basis, which
+alone uses the private local degree order, and the pair budget is read
+from the module, so none of them takes an order or a budget. Monomials are
+plain exponent tuples: no module wraps them in a class. A presented local
+ring owns its Groebner bases, so nu and nubar take no cache, and nu
+against m is one division, with no search over the powers of m. Division
+takes its leading term off a heap, never from a scan. Every name the
 benchmark's tracer patches still exists."""
 
 import ast
@@ -53,9 +55,9 @@ def test_no_module_but_arith_knows_the_field():
 
 def test_groebner_takes_no_order_or_budget():
     assert not hasattr(groebner, "order_key")
-    for entry in (groebner.buchberger, groebner.normal_form,
-                  groebner.ideal_member, groebner.radical_member,
-                  groebner.GroebnerBasis):
+    for entry in (groebner.buchberger, groebner.local_basis,
+                  groebner.normal_form, groebner.ideal_member,
+                  groebner.radical_member, groebner.GroebnerBasis):
         params = set(inspect.signature(entry).parameters)
         assert not params & {"order", "budget"}, entry
 
@@ -85,6 +87,11 @@ def test_the_presentation_owns_the_bases():
     assert list(inspect.signature(samuel.nu).parameters) == [
         "presentation", "f", "cap"]
     assert "_cache" not in inspect.signature(samuel.nubar).parameters
+
+
+def test_nu_searches_no_power_of_m():
+    assert not hasattr(samuel, "_in_power")
+    assert "floor" not in inspect.signature(samuel._nu_from).parameters
 
 
 def called_names(function):
