@@ -10,6 +10,7 @@ ideal.
 """
 
 import itertools
+from fractions import Fraction
 
 from .arith import INF, ExtendedRational, SlopelabError, echelon, ext_min
 from .groebner import (
@@ -50,10 +51,11 @@ class LocalRingPresentation:
 
     The presentation owns the bases its questions need and builds each one
     once, on first use; they live as long as the instance: the grevlex
-    bases of J (zero tests) and of the initial ideal (dimension and the
-    Frobenius kernel), the local basis of J + m^cap for each cap (nu, and
-    nubar against m), and the grevlex basis of ideal^j + J for each other
-    ideal and exponent j asked for (nubar against it). The maximal ideal is
+    bases of J (zero tests, and the residues of nubar against an ideal
+    other than m) and of the initial ideal (dimension and the Frobenius
+    kernel), the local basis of J + m^cap for each cap (nu, and nubar
+    against m), and the grevlex basis of ideal^j + J for each other ideal
+    and exponent j asked for (nubar against it). The maximal ideal is
     built once, so its hash is computed once.
     """
 
@@ -157,11 +159,17 @@ def nu(presentation, f, cap=NU_CAP_DEFAULT):
     The order is infinite when f lies in J in the polynomial ring. That
     zero test is global: an f that is zero only in the localization, such
     as x in k[x, y]/(x*y - x), where y - 1 is a unit, reads 'at least cap'.
+    Otherwise f is divided once, by the local basis of J + m^cap, and the
+    order is the lowest degree left (see _nu_from).
     """
     _check_cap("cap", cap)
     if presentation.is_zero_element(f):
         return NuValue(INF)
-    return _nu_from(presentation, presentation.maximal_ideal(), f, cap)
+    m = presentation.maximal_ideal()
+    order, at_least = _nu_from(
+        presentation, m, _order_basis(presentation, m, cap).normal_form(f),
+        cap)
+    return NuValue(ExtendedRational(order), at_least)
 
 
 class ValuationCertificate:
@@ -207,11 +215,19 @@ class ValuationCertificate:
 
 
 class NubarResult:
-    def __init__(self, value, status, certificate=None, samples=None):
+    """A nubar value, its status and the certificate that proves it.
+
+    The limit route also keeps its samples, (n, nu(f^n)) pairs, and in
+    capped the n whose sample is only 'at least' its value, the cap.
+    """
+
+    def __init__(self, value, status, certificate=None, samples=None,
+                 capped=()):
         self.value = value
         self.status = status  # "exact" or "lower-bound"
         self.certificate = certificate
         self.samples = samples or []
+        self.capped = tuple(capped)
 
     def __repr__(self):
         return "nubar %s (%s)" % (self.value, self.status)
@@ -226,17 +242,24 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
                      in a relation-free presentation; exact.
       certificate -- min of v(f)/v(ideal) over supplied valuations, or
                      infinite when f is zero in the ring; exact once the
-                     certificate validates.
+                     certificate validates. A value below the order of f
+                     against the ideal, a proven lower bound of nubar, is
+                     rejected.
       limit       -- max over n <= max_n of nu(f^n)/n; always a valid
                      lower bound, and exact (infinite) when some power of
                      f dies in the ring.
 
-    The limit route tests f^n for zero at each n <= max_n. Over F_p, when
-    none of them is zero, it tests one more power, f^q for the least power
-    q of p above max_n: the power map fixes F_p, so f^q is f with every
-    exponent multiplied by q and needs no product. If f^q is zero the
-    answer is infinite (exact), with (q, inf) as the last sample; if not,
-    the lower bound and its samples stand as they were.
+    The limit route never builds f^n. It carries one residue, r_n, the
+    normal form of r_(n-1)*f modulo the basis a sample's order is read
+    from (see _order_basis), which is that of f^n, and reads the sample
+    from it. A nonzero residue proves f^n nonzero, so the global zero test
+    runs only on a zero residue, and then on f^n. A sample that reaches
+    the cap is only 'at least' it; capped lists its n. Over F_p, when no
+    power is zero, it tests one more, f^q for the least power q of p above
+    max_n: the power map fixes F_p, so f^q is f with every exponent
+    multiplied by q and needs no product. If f^q is zero the answer is
+    infinite (exact), with (q, inf) as the last sample; if not, the lower
+    bound and its samples stand as they were.
     """
     _check_choice("nubar strategy", strategy,
                   ("auto", "monomial", "certificate", "limit"))
@@ -265,25 +288,36 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
         certificate.validate(presentation, ideal)
         if presentation.is_zero_element(f):
             return NubarResult(INF, "exact", certificate="zero-element")
-        return NubarResult(certificate.evaluate(f), "exact",
+        value = certificate.evaluate(f)
+        order, _ = _nu_from(
+            presentation, ideal,
+            _order_basis(presentation, ideal, cap).normal_form(f), cap)
+        if value < order:
+            # nubar(f) >= nu(f), so the certificate cannot be right
+            raise CertificateRejected(
+                "the certificate gives %s, below the order %d of %s"
+                % (value, order, f.canonical_string()))
+        return NubarResult(value, "exact",
                            certificate="valuation-certificate")
 
-    best = ExtendedRational(0)
-    samples = []
-    power = presentation.ring.one()
+    basis = _order_basis(presentation, ideal, cap)
+    best = Fraction(0)
+    samples, capped = [], []
+    rest = presentation.ring.one()
     for n in range(1, max_n + 1):
-        power = power * f
-        if presentation.is_zero_element(power):
+        rest = basis.normal_form(rest * f)
+        if rest.is_zero() and presentation.is_zero_element(f ** n):
             # f is nilpotent against the relations: the limit is infinite
             samples.append((n, INF))
             return NubarResult(INF, "exact", certificate="nilpotent-power",
-                               samples=samples)
-        value = _nu_from(presentation, ideal, power, cap)
-        samples.append((n, value.value))
-        if not value.value.is_infinite:
-            ratio = value.value / n
-            if ratio > best:
-                best = ratio
+                               samples=samples, capped=capped)
+        order, at_least = _nu_from(presentation, ideal, rest, cap)
+        samples.append((n, ExtendedRational(order)))
+        if at_least:
+            capped.append(n)
+        ratio = Fraction(order, n)
+        if ratio > best:
+            best = ratio
     p = presentation.ring.char
     if p:
         q = p
@@ -292,8 +326,9 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
         if presentation.is_zero_element(_frobenius_power(f, q)):
             samples.append((q, INF))
             return NubarResult(INF, "exact", certificate="nilpotent-power",
-                               samples=samples)
-    return NubarResult(best, "lower-bound", certificate=None, samples=samples)
+                               samples=samples, capped=capped)
+    return NubarResult(ExtendedRational(best), "lower-bound",
+                       samples=samples, capped=capped)
 
 
 def _frobenius_power(f, q):
@@ -315,28 +350,40 @@ def _check_cap(name, value):
         raise SlopelabError("%s must be a positive integer" % name)
 
 
-def _nu_from(presentation, ideal, f, cap):
-    """Order of a nonzero f against ideal: the largest j <= cap with f in
-    ideal^j + J, flagged 'at least cap' when that is the cap.
+def _order_basis(presentation, ideal, cap):
+    """The basis whose normal forms the order against ideal is read from.
 
-    Against the maximal ideal m it is one division. In the local degree
-    order, the standard basis of J + m^cap, together with the monomials of
-    degree j, is a standard basis of J + m^j for every j <= cap. So the
-    lowest degree left in the normal form of f modulo that basis is the
-    order, and when nothing is left, f lies in J + m^cap. Against any
-    other ideal each ideal^j + J is tested in turn.
+    Against the maximal ideal m it is the local basis of J + m^cap: in the
+    local degree order, it is, together with the monomials of degree j, a
+    standard basis of J + m^j for every j <= cap. Against any other ideal
+    it is the grevlex basis of J. Either way the normal form of g depends
+    only on g modulo that basis' ideal, so the order of a product can be
+    read from the product of normal forms.
     """
     if ideal == presentation.maximal_ideal():
-        rest = presentation._basis(
-            ("local", cap),
-            lambda: local_basis(presentation.relations, cap)).normal_form(f)
+        return presentation._basis(
+            ("local", cap), lambda: local_basis(presentation.relations, cap))
+    return presentation._basis("J", lambda: buchberger(presentation.relations))
+
+
+def _nu_from(presentation, ideal, rest, cap):
+    """Order against ideal of an element that is not zero in the ring,
+    given rest, its normal form modulo _order_basis(presentation, ideal,
+    cap): the largest j <= cap with the element in ideal^j + J, as
+    (j, at_least), flagged at_least when that is the cap.
+
+    Against m it is the lowest degree of rest, or the cap when nothing is
+    left, that is, when the element lies in J + m^cap. Against any other
+    ideal each ideal^j + J is tested on rest in turn.
+    """
+    if ideal == presentation.maximal_ideal():
         if rest.is_zero():
-            return NuValue(ExtendedRational(cap), at_least=True)
-        return NuValue(ExtendedRational(rest.min_degree()))
+            return cap, True
+        return rest.min_degree(), False
     for j in range(1, cap + 1):
-        if not presentation.power_basis(ideal, j).contains(f):
-            return NuValue(ExtendedRational(j - 1))
-    return NuValue(ExtendedRational(cap), at_least=True)
+        if not presentation.power_basis(ideal, j).contains(rest):
+            return j - 1, False
+    return cap, True
 
 
 class KernelReport:

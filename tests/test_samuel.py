@@ -2,13 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slopelab import corpus, groebner, samuel
 from slopelab.arith import INF, ExtendedRational, SlopelabError, echelon
 from slopelab.groebner import (
     GroebnerBasis,
+    IdealPresentation,
     buchberger,
     local_basis,
     radical_member,
@@ -113,27 +114,71 @@ def test_nubar_limit_builds_no_basis_above_the_cap(monkeypatch, text,
     assert caps == [6]
 
 
-def test_nubar_limit_tests_each_power_basis_once_per_sample(monkeypatch):
+def recorded_zero_tests(monkeypatch):
+    """Strings of the elements samuel tests for zero in the ring."""
     tested = []
+    is_zero_element = LocalRingPresentation.is_zero_element
+
+    def recording_is_zero_element(self, f):
+        tested.append(f.canonical_string())
+        return is_zero_element(self, f)
+
+    monkeypatch.setattr(LocalRingPresentation, "is_zero_element",
+                        recording_is_zero_element)
+    return tested
+
+
+def test_nubar_limit_tests_each_power_basis_once_per_sample(monkeypatch):
+    divided = []
     normal_form = GroebnerBasis.normal_form
 
     def recording_normal_form(self, f):
-        tested.append((self, f.canonical_string()))
+        divided.append((self, f.canonical_string()))
         return normal_form(self, f)
 
     monkeypatch.setattr(GroebnerBasis, "normal_form", recording_normal_form)
+    zero_tests = recorded_zero_tests(monkeypatch)
     ring, A = cusp_ring()
     result = nubar(A, ring.parse("x"), strategy="limit", max_n=4)
     assert result.samples == [(1, ExtendedRational(1)),
                               (2, ExtendedRational(3)),
                               (3, ExtendedRational(4)),
                               (4, ExtendedRational(6))]
-    # each power is divided once by the basis of J (the zero test) and
-    # once by the local basis (its order), and by nothing else
-    assert [f for _, f in tested] == [
-        f for f in ("x", "x^2", "x^3", "x^4") for _ in range(2)]
-    bases = [{gb for gb, _ in tested[k::2]} for k in (0, 1)]
-    assert [len(b) for b in bases] == [1, 1] and bases[0] != bases[1]
+    # each sample is one division of the last residue times x by the
+    # local basis of J + m^24, and no power is tested for zero: x^2 leaves
+    # y^3, and x * y^3 * x leaves y^6
+    assert [f for _, f in divided] == ["x", "x^2", "x*y^3", "x^2*y^3"]
+    assert {(gb._key, gb._cap) for gb, _ in divided} == {
+        (groebner._local_key, 24)}
+    assert zero_tests == []
+
+
+def test_nubar_limit_tests_one_power_for_zero_when_it_dies(monkeypatch):
+    zero_tests = recorded_zero_tests(monkeypatch)
+    ring, A = f11_square_shift()
+    f = ring.parse("z + y^2")
+    # every residue up to f^10 is nonzero, which proves the power nonzero;
+    # f^11 leaves nothing and is the one power tested
+    result = nubar(A, f, strategy="limit", max_n=12)
+    assert zero_tests == [(f ** 11).canonical_string()]
+    assert result.status == "exact" and result.value == INF
+    assert result.samples == [(n, ExtendedRational(n)) for n in range(1, 11)] \
+        + [(11, INF)]
+
+
+def test_nubar_limit_flags_the_samples_at_the_cap():
+    ring, A = cusp_ring()
+    x = ring.parse("x")
+    result = nubar(A, x, strategy="limit")
+    # nu(x^n) reaches the default cap 24 from n = 16 on
+    assert result.capped == (16, 17, 18, 19, 20)
+    assert result.samples[15:] == [(n, ExtendedRational(24))
+                                   for n in range(16, 21)]
+    deeper = nubar(A, x, strategy="limit", cap=40)
+    assert deeper.capped == ()
+    assert deeper.samples[15:] == [(n, ExtendedRational(v)) for n, v in
+                                   zip(range(16, 21), (24, 25, 27, 28, 30))]
+    assert result.value == deeper.value == ExtendedRational(Fraction(3, 2))
 
 
 def test_repeated_nu_hashes_no_polynomial(monkeypatch):
@@ -207,6 +252,16 @@ def test_caps_below_one_are_rejected(call):
     ring, A = cusp_ring()
     with pytest.raises(SlopelabError, match="must be a positive integer"):
         call(A, ring.parse("x"))
+
+
+def test_certificate_value_below_the_order_is_rejected():
+    # x^2 - y^3 + y^4 is y^4 in the ring: nu = 4, but the weight (3, 2)
+    # reads 6/2 = 3 off the representative, so nubar >= nu rejects it
+    cusp = corpus.local_ring_members()[0]
+    f = cusp.ring.parse("x^2 - y^3 + y^4")
+    assert nu(cusp.presentation, f).value == ExtendedRational(4)
+    with pytest.raises(CertificateRejected, match="below the order 4"):
+        nubar(cusp.presentation, f, certificate=cusp.certificate)
 
 
 def test_certificate_rejected_when_claimed_ideal_value_is_wrong():
@@ -294,6 +349,98 @@ def test_nu_of_a_deep_element_builds_one_local_basis(monkeypatch):
     # the bases of m^j + J for j up to 24, 153,195 once their degree-j
     # leading terms were cut, 9 by one local division
     assert len(divisibility_tests) <= 1000
+
+
+def whole_power_limit(A, f, ideal, max_n, cap):
+    """The limit route on whole powers f^n, each tested for zero and read
+    off by nu or by memberships in ideal^j + J: (samples, value, status,
+    capped)."""
+    best, samples, capped = ExtendedRational(0), [], []
+    power = A.ring.one()
+    for n in range(1, max_n + 1):
+        power = power * f
+        if A.is_zero_element(power):
+            return samples + [(n, INF)], INF, "exact", tuple(capped)
+        if ideal == A.maximal_ideal():
+            sample = nu(A, power, cap)
+            value, at_least = sample.value, sample.at_least
+        else:
+            j = next((j for j in range(1, cap + 1)
+                      if not A.power_basis(ideal, j).contains(power)),
+                     cap + 1) - 1
+            value, at_least = ExtendedRational(j), j == cap
+        samples.append((n, value))
+        if at_least:
+            capped.append(n)
+        best = max(best, value / n)
+    p = A.ring.char
+    if p:
+        q = p
+        while q <= max_n:
+            q *= p
+        if A.is_zero_element(f ** q):
+            return samples + [(q, INF)], INF, "exact", tuple(capped)
+    return samples, best, "lower-bound", tuple(capped)
+
+
+def limit_ideal(ring, kind):
+    """The maximal ideal, or the m-primary monomial ideal that has x^2 in
+    place of x."""
+    gens = [ring.var(v) for v in ring.variables]
+    if kind == "x^2":
+        gens[0] = gens[0] * gens[0]
+    return IdealPresentation(ring, gens)
+
+
+def limit_problem(char, names, relations, f, kind, max_n, cap):
+    ring = Ring(names, char)
+    A = LocalRingPresentation(ring, [ring.parse(g) for g in relations])
+    ideal = A.maximal_ideal() if kind == "m" else limit_ideal(ring, kind)
+    return A, ring.parse(f), ideal, max_n, cap
+
+
+@st.composite
+def limit_problems(draw):
+    ring = Ring(draw(st.sampled_from([("x", "y"), ("x", "y", "z")])),
+                draw(st.sampled_from([0, 2, 3, 5])))
+    exponents = st.lists(st.integers(0, 3), min_size=len(ring.variables),
+                         max_size=len(ring.variables)).filter(
+                             lambda e: 1 <= sum(e) <= 3)
+    coefficients = st.integers(-4, 4).filter(
+        lambda c: c % ring.char if ring.char else c)
+
+    def element():
+        # one to three terms of degree 1 to 3, so that it lies in m
+        g = ring.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            g = g + ring.monomial(draw(exponents), draw(coefficients))
+        return g
+
+    relations = [element() for _ in range(draw(st.integers(0, 2)))]
+    A = LocalRingPresentation(ring, relations)
+    kind = draw(st.sampled_from(["m", "x^2"]))
+    ideal = A.maximal_ideal() if kind == "m" else limit_ideal(ring, kind)
+    f = element()
+    assume(not f.is_zero())
+    return A, f, ideal, draw(st.integers(1, 6)), draw(st.integers(4, 14))
+
+
+@settings(max_examples=120, deadline=None)
+@given(limit_problems())
+# (z + y^2)^3 = z^3 + y^6 over F_3: nilpotent at n = 3, and, with max_n
+# below 3, at the Frobenius power 3; x^4 on the cusp reaches the cap 6
+@example(limit_problem(3, ("y", "z"), ["z^3 + y^6"], "z + y^2", "m", 4, 8))
+@example(limit_problem(3, ("y", "z"), ["z^3 + y^6"], "z + y^2", "x^2", 2, 8))
+@example(limit_problem(0, ("x", "y"), ["x^2 - y^3"], "x", "m", 5, 6))
+@example(limit_problem(0, ("x", "y"), ["x^2 - y^3"], "x", "x^2", 5, 6))
+def test_carried_residues_sample_like_whole_powers(problem):
+    A, f, ideal, max_n, cap = problem
+    result = nubar(A, f, ideal=ideal, strategy="limit", max_n=max_n, cap=cap)
+    samples, value, status, capped = whole_power_limit(A, f, ideal, max_n,
+                                                       cap)
+    assert result.samples == samples
+    assert (result.value, result.status) == (value, status)
+    assert result.capped == capped
 
 
 @st.composite
