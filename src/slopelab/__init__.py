@@ -9,7 +9,7 @@ Everything is exact rational or prime-field arithmetic; nothing floats.
 from .arith import INF, ExtendedRational, SlopelabError
 from .poly import Polynomial, Ring, VariableSplit
 from .groebner import GroebnerBasis, IdealPresentation, buchberger, \
-    ideal_member, radical_member
+    radical_member
 from .newton import MonomialValuation, NewtonPolyhedron, build_polyhedron, \
     closure_member, nubar_monomial
 from .samuel import (LocalRingPresentation, ValuationCertificate,
@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "INF", "ExtendedRational", "SlopelabError",
     "Polynomial", "Ring", "VariableSplit",
-    "GroebnerBasis", "IdealPresentation", "buchberger", "ideal_member",
-    "radical_member",
+    "GroebnerBasis", "IdealPresentation", "buchberger", "radical_member",
     "MonomialValuation", "NewtonPolyhedron", "build_polyhedron",
     "closure_member", "nubar_monomial",
     "LocalRingPresentation", "ValuationCertificate", "kernel_lambda",

@@ -564,6 +564,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 
+    saved = groebner.DEFAULT_PAIR_BUDGET
     budget = os.environ.get("SLOPELAB_BUDGET")
     if budget is not None:
         try:
@@ -578,12 +579,11 @@ def main(argv=None):
 
     try:
         return args.handler(args)
-    except JobError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except SlopelabError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    finally:
+        groebner.DEFAULT_PAIR_BUDGET = saved
 
 
 if __name__ == "__main__":

@@ -333,13 +333,6 @@ def _buchberger(ideal, key, cap):
     return gb
 
 
-def ideal_member(f, ideal):
-    gb = buchberger(ideal)
-    if f.is_zero():
-        return True
-    return gb.contains(f)
-
-
 def radical_member(f, ideal):
     """Membership in the radical via the 1 - t*f localization trick."""
     ring = ideal.ring

@@ -156,19 +156,19 @@ def nu(presentation, f, cap=NU_CAP_DEFAULT):
     """Adic order of f in the local ring: sup of j with f in m^j.
 
     Exact up to the cap; returns at_least=True when f survives that deep.
-    The order is infinite when f lies in J in the polynomial ring. That
-    zero test is global: an f that is zero only in the localization, such
-    as x in k[x, y]/(x*y - x), where y - 1 is a unit, reads 'at least cap'.
-    Otherwise f is divided once, by the local basis of J + m^cap, and the
-    order is the lowest degree left (see _nu_from).
+    It is the first sample of nubar's limit route against m (see _orders):
+    f is divided once, by the local basis of J + m^cap, and the order is
+    the lowest degree left. Only when nothing is left is f tested for
+    zero, and the order is infinite when f lies in J in the polynomial
+    ring. That zero test is global: an f that is zero only in the
+    localization, such as x in k[x, y]/(x*y - x), where y - 1 is a unit,
+    reads 'at least cap'.
     """
     _check_cap("cap", cap)
-    if presentation.is_zero_element(f):
+    order, at_least = next(
+        _orders(presentation, f, presentation.maximal_ideal(), cap))
+    if order is INF:
         return NuValue(INF)
-    m = presentation.maximal_ideal()
-    order, at_least = _nu_from(
-        presentation, m, _order_basis(presentation, m, cap).normal_form(f),
-        cap)
     return NuValue(ExtendedRational(order), at_least)
 
 
@@ -183,15 +183,15 @@ class ValuationCertificate:
     """
 
     def __init__(self, entries):
-        entries = list(entries)
+        entries = [(valuation, claimed if isinstance(claimed, ExtendedRational)
+                    else ExtendedRational(claimed))
+                   for valuation, claimed in entries]
         if not entries:
             raise CertificateRejected("empty certificate")
         self.entries = entries
 
     def validate(self, presentation, ideal):
         for valuation, claimed in self.entries:
-            claimed = ExtendedRational(claimed) \
-                if not isinstance(claimed, ExtendedRational) else claimed
             if claimed <= ExtendedRational(0) or claimed.is_infinite:
                 raise CertificateRejected(
                     "claimed ideal value %s is not positive and finite"
@@ -205,8 +205,6 @@ class ValuationCertificate:
     def evaluate(self, f):
         best = INF
         for valuation, claimed in self.entries:
-            claimed = ExtendedRational(claimed) \
-                if not isinstance(claimed, ExtendedRational) else claimed
             v = valuation.value(f)
             if v.is_infinite:
                 continue
@@ -244,22 +242,21 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
                      infinite when f is zero in the ring; exact once the
                      certificate validates. A value below the order of f
                      against the ideal, a proven lower bound of nubar, is
-                     rejected.
+                     rejected. The order and the zero test are the first
+                     sample of the limit route.
       limit       -- max over n <= max_n of nu(f^n)/n; always a valid
                      lower bound, and exact (infinite) when some power of
                      f dies in the ring.
 
-    The limit route never builds f^n. It carries one residue, r_n, the
-    normal form of r_(n-1)*f modulo the basis a sample's order is read
-    from (see _order_basis), which is that of f^n, and reads the sample
-    from it. A nonzero residue proves f^n nonzero, so the global zero test
-    runs only on a zero residue, and then on f^n. A sample that reaches
-    the cap is only 'at least' it; capped lists its n. Over F_p, when no
-    power is zero, it tests one more, f^q for the least power q of p above
-    max_n: the power map fixes F_p, so f^q is f with every exponent
-    multiplied by q and needs no product. If f^q is zero the answer is
-    infinite (exact), with (q, inf) as the last sample; if not, the lower
-    bound and its samples stand as they were.
+    The limit route reads its samples from _orders, which never builds
+    f^n: it carries one residue, r_n, the normal form of r_(n-1)*f, and
+    builds f^n only for the global zero test, which runs only on a zero
+    residue. A sample that reaches the cap is only 'at least' it; capped
+    lists its n. Over F_p, when no power is zero, it tests one more, f^q
+    for the least power q of p above max_n: the power map fixes F_p, so
+    f^q is f with every exponent multiplied by q and needs no product. If
+    f^q is zero the answer is infinite (exact), with (q, inf) as the last
+    sample; if not, the lower bound and its samples stand as they were.
     """
     _check_choice("nubar strategy", strategy,
                   ("auto", "monomial", "certificate", "limit"))
@@ -286,12 +283,10 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
         if certificate is None:
             raise CertificateRejected("no certificate supplied")
         certificate.validate(presentation, ideal)
-        if presentation.is_zero_element(f):
+        order, _ = next(_orders(presentation, f, ideal, cap))
+        if order is INF:
             return NubarResult(INF, "exact", certificate="zero-element")
         value = certificate.evaluate(f)
-        order, _ = _nu_from(
-            presentation, ideal,
-            _order_basis(presentation, ideal, cap).normal_form(f), cap)
         if value < order:
             # nubar(f) >= nu(f), so the certificate cannot be right
             raise CertificateRejected(
@@ -300,18 +295,15 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
         return NubarResult(value, "exact",
                            certificate="valuation-certificate")
 
-    basis = _order_basis(presentation, ideal, cap)
     best = Fraction(0)
     samples, capped = [], []
-    rest = presentation.ring.one()
-    for n in range(1, max_n + 1):
-        rest = basis.normal_form(rest * f)
-        if rest.is_zero() and presentation.is_zero_element(f ** n):
+    orders = itertools.islice(_orders(presentation, f, ideal, cap), max_n)
+    for n, (order, at_least) in enumerate(orders, 1):
+        if order is INF:
             # f is nilpotent against the relations: the limit is infinite
             samples.append((n, INF))
             return NubarResult(INF, "exact", certificate="nilpotent-power",
                                samples=samples, capped=capped)
-        order, at_least = _nu_from(presentation, ideal, rest, cap)
         samples.append((n, ExtendedRational(order)))
         if at_least:
             capped.append(n)
@@ -350,40 +342,47 @@ def _check_cap(name, value):
         raise SlopelabError("%s must be a positive integer" % name)
 
 
-def _order_basis(presentation, ideal, cap):
-    """The basis whose normal forms the order against ideal is read from.
+def _orders(presentation, f, ideal, cap):
+    """Orders against ideal of f, f^2, ... in turn, as (order, at_least):
+    the largest j <= cap with f^n in ideal^j + J, flagged at_least when
+    that is the cap, or (INF, False) for a power that is zero in the ring,
+    which ends the run.
 
+    Which basis divides, and how an order is read off, is decided once.
     Against the maximal ideal m it is the local basis of J + m^cap: in the
     local degree order, it is, together with the monomials of degree j, a
-    standard basis of J + m^j for every j <= cap. Against any other ideal
-    it is the grevlex basis of J. Either way the normal form of g depends
-    only on g modulo that basis' ideal, so the order of a product can be
-    read from the product of normal forms.
+    standard basis of J + m^j for every j <= cap, so the order is the
+    lowest degree left, or the cap when nothing is left. Against any other
+    ideal it is the grevlex basis of J, and each ideal^j + J is tested on
+    what is left in turn. Either way the normal form of g depends only on
+    g modulo that basis' ideal, so r_1 = NF(f) and r_n = NF(r_(n-1)*f) is
+    the normal form of f^n. A nonzero r_n proves f^n nonzero, so the
+    global zero test runs only when r_n is zero, and then on f^n.
     """
     if ideal == presentation.maximal_ideal():
-        return presentation._basis(
+        basis = presentation._basis(
             ("local", cap), lambda: local_basis(presentation.relations, cap))
-    return presentation._basis("J", lambda: buchberger(presentation.relations))
 
+        def order(rest):
+            if rest.is_zero():
+                return cap, True
+            return rest.min_degree(), False
+    else:
+        basis = presentation._basis(
+            "J", lambda: buchberger(presentation.relations))
 
-def _nu_from(presentation, ideal, rest, cap):
-    """Order against ideal of an element that is not zero in the ring,
-    given rest, its normal form modulo _order_basis(presentation, ideal,
-    cap): the largest j <= cap with the element in ideal^j + J, as
-    (j, at_least), flagged at_least when that is the cap.
-
-    Against m it is the lowest degree of rest, or the cap when nothing is
-    left, that is, when the element lies in J + m^cap. Against any other
-    ideal each ideal^j + J is tested on rest in turn.
-    """
-    if ideal == presentation.maximal_ideal():
-        if rest.is_zero():
+        def order(rest):
+            for j in range(1, cap + 1):
+                if not presentation.power_basis(ideal, j).contains(rest):
+                    return j - 1, False
             return cap, True
-        return rest.min_degree(), False
-    for j in range(1, cap + 1):
-        if not presentation.power_basis(ideal, j).contains(rest):
-            return j - 1, False
-    return cap, True
+    rest = basis.normal_form(f)
+    for n in itertools.count(1):
+        if rest.is_zero() and presentation.is_zero_element(f ** n):
+            yield INF, False
+            return
+        yield order(rest)
+        rest = basis.normal_form(rest * f)
 
 
 class KernelReport:

@@ -29,6 +29,18 @@ def monomial_nubar_job(tmp_path):
     }, name="nubar_job.json")
 
 
+def ideal_limit_job(tmp_path):
+    # against an ideal other than m, the limit route builds the Buchberger
+    # bases of its powers plus the relations
+    return write_job(tmp_path, {
+        "schema": "slopelab-job/1",
+        "ring": {"vars": ["x", "y"], "char": 0},
+        "local_ring": {"relations": ["x^2 - y^3"]},
+        "ideals": {"I": ["x^2", "y^2"]},
+        "nubar": {"f": "x", "ideal": "I", "strategy": "limit", "max_n": 4},
+    }, name="ideal_limit_job.json")
+
+
 def cusp_certificate_job(tmp_path):
     return write_job(tmp_path, {
         "schema": "slopelab-job/1",
@@ -452,19 +464,20 @@ class TestValidationErrors:
         monkeypatch.setattr(groebner, "DEFAULT_PAIR_BUDGET",
                             groebner.DEFAULT_PAIR_BUDGET)
         monkeypatch.setenv("SLOPELAB_BUDGET", "1")
-        # against an ideal other than m, the limit route builds the
-        # Buchberger bases of its powers plus the relations
-        job = write_job(tmp_path, {
-            "schema": "slopelab-job/1",
-            "ring": {"vars": ["x", "y"], "char": 0},
-            "local_ring": {"relations": ["x^2 - y^3"]},
-            "ideals": {"I": ["x^2", "y^2"]},
-            "nubar": {"f": "x", "ideal": "I", "strategy": "limit",
-                      "max_n": 4},
-        })
-        code, _, err = run(["nubar", job], capsys)
+        code, _, err = run(["nubar", ideal_limit_job(tmp_path)], capsys)
         assert code == 1
         assert "budget" in err
+
+    def test_budget_env_lasts_one_run(self, tmp_path, capsys, monkeypatch):
+        default = groebner.DEFAULT_PAIR_BUDGET
+        monkeypatch.setattr(groebner, "DEFAULT_PAIR_BUDGET", default)
+        job = ideal_limit_job(tmp_path)
+        monkeypatch.setenv("SLOPELAB_BUDGET", "1")
+        assert run(["nubar", job], capsys)[0] == 1
+        assert groebner.DEFAULT_PAIR_BUDGET == default
+        monkeypatch.delenv("SLOPELAB_BUDGET")
+        code, out, _ = run(["nubar", job], capsys)
+        assert code == 0 and out
 
 
 def cusp_char2_job(tmp_path, **sections):

@@ -13,7 +13,6 @@ from slopelab.groebner import (
     IdealPresentation,
     NotMonomial,
     buchberger,
-    ideal_member,
     ideal_power,
     ideal_sum,
     leading,
@@ -75,7 +74,7 @@ def test_reduced_basis_cusp_times_axis():
     gb = buchberger(I)
     got = [g.canonical_string() for g in gb.polys]
     assert got == ["x*y", "y^3 - x^2", "x^3"]
-    assert ideal_member(R.parse("y^4"), I)
+    assert gb.contains(R.parse("y^4"))
 
 
 def test_generators_reduce_to_zero():
@@ -111,8 +110,9 @@ def test_membership_against_span_oracle():
         probes += [R.parse("1"),
                    R.var(variables[0]) * I.generators[0] + I.generators[-1],
                    R.var(variables[0]) ** 2 + R.var(variables[1])]
+        gb = buchberger(I)
         for f in probes:
-            assert ideal_member(f, I) == span_member(f, I.generators), \
+            assert gb.contains(f) == span_member(f, I.generators), \
                 "mismatch on %s in %r" % (f, I)
 
 
@@ -120,15 +120,16 @@ def test_radical_membership():
     R = Ring(("x", "y"), 0)
     I = IdealPresentation(R, [R.parse("x^2")])
     assert radical_member(R.parse("x"), I)
-    assert not ideal_member(R.parse("x"), I)
+    assert not buchberger(I).contains(R.parse("x"))
     assert not radical_member(R.parse("y"), I)
     assert not radical_member(R.parse("x + y"), I)
 
     # f^k in I for some k <= 8 forces radical membership
     J = IdealPresentation(R, [R.parse("x^2 - y^3"), R.parse("y^4")])
     probes = [R.parse("y"), R.parse("x"), R.parse("x + y"), R.parse("x*y")]
+    gb = buchberger(J)
     for f in probes:
-        in_some_power = any(ideal_member(f ** k, J) for k in range(1, 9))
+        in_some_power = any(gb.contains(f ** k) for k in range(1, 9))
         if in_some_power:
             assert radical_member(f, J)
     assert radical_member(R.parse("x"), J)  # x^8 = (y^3+ (x^2-y^3))^4 ...
@@ -156,8 +157,9 @@ def test_ideal_power():
         prod = IdealPresentation(R, [
             g * h for g in ideal_power(I, a).generators
             for h in ideal_power(I, b).generators])
+        gb = buchberger(prod)
         for g in big.generators:
-            assert ideal_member(g, prod)
+            assert gb.contains(g)
 
 
 def test_ideal_sum_and_dedup():
@@ -221,7 +223,7 @@ def test_normal_form_properties():
     f = R.parse("x^4 + x*y + y")
     r = gb.normal_form(f)
     # remainder differs from f by a member and is fully reduced
-    assert ideal_member(f - r, I)
+    assert gb.contains(f - r)
     assert normal_form(r, gb.polys) == r
 
 

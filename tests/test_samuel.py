@@ -216,11 +216,31 @@ def test_a_presentation_builds_each_basis_once(monkeypatch):
     x = ring.parse("x")
     nu(A, x)
     nu(A, x * x)
+    nu(A, ring.parse("x^2 - y^3"))  # zero in the ring: tested against J
     nubar(A, x, strategy="limit", max_n=4)
     samuel_slope(A, max_n=3)
     assert built.count(("-y^3 + x^2",)) == 1  # the relations J
     assert built.count(("x^2",)) == 1  # the initial ideal
     assert len(built) == len(set(built)), built
+
+
+def test_nu_of_a_nonzero_element_builds_no_basis_of_j(monkeypatch):
+    built = recorded_bases(monkeypatch)
+    zero_tests = recorded_zero_tests(monkeypatch)
+    ring, A = cusp_ring()
+    # the local residue of x^2 is y^3, which proves x^2 nonzero
+    assert nu(A, ring.parse("x^2")).value == ExtendedRational(3)
+    assert built == [] and zero_tests == []
+
+
+def test_certificate_route_on_a_nonzero_element_tests_nothing_for_zero(
+        monkeypatch):
+    zero_tests = recorded_zero_tests(monkeypatch)
+    cusp = corpus.local_ring_members()[0]
+    result = nubar(cusp.presentation, cusp.ring.parse("x"),
+                   certificate=cusp.certificate)
+    assert result.value == ExtendedRational(Fraction(3, 2))
+    assert zero_tests == []
 
 
 def test_frobenius_kernel_builds_one_basis(monkeypatch):

@@ -56,8 +56,8 @@ def test_no_module_but_arith_knows_the_field():
 def test_groebner_takes_no_order_or_budget():
     assert not hasattr(groebner, "order_key")
     for entry in (groebner.buchberger, groebner.local_basis,
-                  groebner.normal_form, groebner.ideal_member,
-                  groebner.radical_member, groebner.GroebnerBasis):
+                  groebner.normal_form, groebner.radical_member,
+                  groebner.GroebnerBasis):
         params = set(inspect.signature(entry).parameters)
         assert not params & {"order", "budget"}, entry
 
@@ -91,7 +91,7 @@ def test_the_presentation_owns_the_bases():
 
 def test_nu_searches_no_power_of_m():
     assert not hasattr(samuel, "_in_power")
-    assert "floor" not in inspect.signature(samuel._nu_from).parameters
+    assert "floor" not in inspect.signature(samuel._orders).parameters
 
 
 def called_names(function):
