@@ -18,7 +18,7 @@ from slopelab.corpus import local_ring_members, whitney_members
 for m in local_ring_members() + whitney_members():
     if m.g is None:
         continue
-    report = cross_check_theorems(m.presentation, m.g, m.split, at=m.point)
+    report = cross_check_theorems(m.presentation, m.split, at=m.point)
     where = "origin" if m.point.kind == "origin" \
         else "prime (%s)" % ", ".join(m.point.variables)
     print("%s at the %s:" % (m.name, where))

@@ -13,11 +13,11 @@ from .groebner import GroebnerBasis, IdealPresentation, buchberger, \
 from .newton import MonomialValuation, NewtonPolyhedron, build_polyhedron, \
     closure_member, nubar_monomial
 from .samuel import (LocalRingPresentation, ValuationCertificate,
-                     kernel_lambda, kernel_lambda_at_prime, nu, nubar,
-                     samuel_slope)
+                     kernel_lambda, nu, nubar, samuel_slope)
 from .elimpres import (PointSpec, PPresentation, ReesAlgebra,
                        build_p_presentation, clean, cross_check_theorems,
-                       diff_saturate_once, slope, tschirnhausen_ord)
+                       diff_saturate_once, hord_report, slope,
+                       tschirnhausen_ord)
 
 __version__ = "0.1.0"
 
@@ -27,10 +27,10 @@ __all__ = [
     "GroebnerBasis", "IdealPresentation", "buchberger", "radical_member",
     "MonomialValuation", "NewtonPolyhedron", "build_polyhedron",
     "closure_member", "nubar_monomial",
-    "LocalRingPresentation", "ValuationCertificate", "kernel_lambda",
-    "kernel_lambda_at_prime", "nu", "nubar", "samuel_slope",
+    "LocalRingPresentation", "ValuationCertificate", "kernel_lambda", "nu",
+    "nubar", "samuel_slope",
     "PointSpec", "PPresentation", "ReesAlgebra", "build_p_presentation",
-    "clean", "cross_check_theorems", "diff_saturate_once", "slope",
-    "tschirnhausen_ord",
+    "clean", "cross_check_theorems", "diff_saturate_once", "hord_report",
+    "slope", "tschirnhausen_ord",
     "__version__",
 ]

@@ -22,11 +22,9 @@ from .groebner import IdealPresentation
 from .newton import MonomialValuation
 from .poly import Ring, VariableSplit
 from .samuel import (LIMIT_N_DEFAULT, LocalRingPresentation,
-                     ValuationCertificate, kernel_lambda,
-                     kernel_lambda_at_prime, nubar, samuel_slope)
+                     ValuationCertificate, kernel_lambda, nubar, samuel_slope)
 from .elimpres import (MAX_ROUNDS_DEFAULT, THEOREM_MAX_N_DEFAULT, PointSpec,
-                       build_p_presentation, clean, cross_check_theorems,
-                       tschirnhausen_ord)
+                       cross_check_theorems, hord_report)
 from . import corpus as corpus_module
 
 SCHEMA = "slopelab-job/1"
@@ -171,7 +169,7 @@ class Job:
             return VariableSplit(self.ring,
                                  tuple(section.get("base", ())),
                                  tuple(section.get("fiber", ())))
-        except (SlopelabError, ValueError, KeyError) as exc:
+        except (SlopelabError, ValueError, KeyError, TypeError) as exc:
             raise JobError("bad split: %s" % exc)
 
     def point(self):
@@ -287,7 +285,9 @@ def _slope_json(report):
 
 
 def _slope_lines(report):
-    lines = ["slope = %s" % report.value.serialize()]
+    lines = []
+    if report.value is not None:  # the Tschirnhausen route has no slope
+        lines.append("slope = %s" % report.value.serialize())
     if report.case is not None:
         lines.append("case = %s" % report.case)
     note = " (approximate generating rule)" \
@@ -309,36 +309,13 @@ def cmd_slope(args):
     params = job.section("slope")
     if "g" not in params:
         raise JobError("slope section needs an entry g")
-    g = job.poly(params["g"], "slope.g")
-    split = job.split()
-    at = job.point()
-    ring = job.ring
-    p = ring.char
-    if len(split.fiber) != 1:
-        raise JobError("slope expects exactly one fiber variable")
-    try:
-        degree = g.degree_of_var(split.fiber[0])
-    except SlopelabError as exc:
-        raise JobError("slope.g: %s" % exc)
-    max_rounds = _cap(args, params, "slope", "max_rounds",
-                      MAX_ROUNDS_DEFAULT)
-    if p and degree % p == 0:
-        presentation = build_p_presentation(g, split, p)
-        report = clean(presentation, at=at, max_rounds=max_rounds)
-        json_report = _slope_json(report)
-        lines = _slope_lines(report)
-        inexact = report.approximate_elimination
-    else:
-        value = tschirnhausen_ord(g, split, at=at)
-        json_report = {"Hord": value.serialize(),
-                       "elim_ord": value.serialize(),
-                       "case": "tschirnhausen",
-                       "approximate_elimination": False,
-                       "transcript": []}
-        lines = ["case = tschirnhausen",
-                 "elimination order = %s" % value.serialize(),
-                 "hord = %s" % value.serialize()]
-        inexact = False
+    report = hord_report(job.poly(params["g"], "slope.g"), job.split(),
+                         at=job.point(),
+                         max_rounds=_cap(args, params, "slope", "max_rounds",
+                                         MAX_ROUNDS_DEFAULT))
+    json_report = _slope_json(report)
+    lines = _slope_lines(report)
+    inexact = report.approximate_elimination
 
     if "samuel_slope" in job.data:
         code, samuel_report, samuel_lines = _samuel_slope_report(job, args)
@@ -354,12 +331,8 @@ def cmd_slope(args):
 def cmd_kernel(args):
     job = Job.load(args.job)
     params = job.section("kernel")
-    presentation = job.local_ring()
-    at = job.point()
-    if at.kind == "prime":
-        report = kernel_lambda_at_prime(presentation, at.variables)
-    else:
-        report = kernel_lambda(presentation, method=params.get("method"))
+    report = kernel_lambda(job.local_ring(), method=params.get("method"),
+                           prime=job.point().variables)
     json_report = {
         "classification": report.classification,
         "method": report.method,
@@ -418,19 +391,11 @@ def cmd_samuel_slope(args):
 def cmd_check_theorems(args):
     job = Job.load(args.job)
     params = job.section("check_theorems")
-    presentation = job.local_ring()
-    relations = presentation.relations.generators
     if "g" in params:
-        g = job.poly(params["g"], "check_theorems.g")
-    elif len(relations) == 1:
-        g = relations[0]
-    else:
-        raise JobError("check_theorems needs g when the local ring is "
-                       "not a hypersurface")
-    split = job.split()
-    at = job.point()
+        raise JobError("check_theorems takes no g: the germ is the "
+                       "local ring's one relation")
     report = cross_check_theorems(
-        presentation, g, split, at=at,
+        job.local_ring(), job.split(), at=job.point(),
         max_n=_cap(args, params, "check_theorems", "max_n",
                    THEOREM_MAX_N_DEFAULT),
         max_rounds=_cap(args, params, "check_theorems", "max_rounds",
@@ -512,6 +477,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+_CAP_HELP = {"--max-n": "power cap for limit-based estimates",
+             "--max-rounds": "cap on cleaning translation rounds"}
+
+
 @functools.cache
 def build_parser():
     """The one parser of the process: parsing leaves no value in it, so
@@ -523,34 +492,37 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
 
-    def add(name, handler, help_text, needs_job=True):
+    def add(name, handler, help_text, caps=(), needs_job=True):
+        """A subcommand with the flags it reads: a job command can require
+        an exact answer, and caps names its --max-n and --max-rounds."""
         cmd = sub.add_parser(name, help=help_text, description=help_text)
         if needs_job:
             cmd.add_argument("job", help="path to a JSON job file")
+            cmd.add_argument("--require-exact", action="store_true",
+                             help="exit 2 unless the result is exact")
         cmd.add_argument("--json", action="store_true",
                          help="print one line of canonical JSON")
-        cmd.add_argument("--require-exact", action="store_true",
-                         help="exit 2 unless the result is exact")
-        cmd.add_argument("--max-n", type=_positive_int, default=None,
-                         help="power cap for limit-based estimates")
-        cmd.add_argument("--max-rounds", type=_positive_int, default=None,
-                         help="cap on cleaning translation rounds")
+        for flag in caps:
+            cmd.add_argument(flag, type=_positive_int, default=None,
+                             help=_CAP_HELP[flag])
         cmd.set_defaults(handler=handler)
         return cmd
 
     add("nubar", cmd_nubar,
-        "asymptotic order of a polynomial against an ideal")
+        "asymptotic order of a polynomial against an ideal", ["--max-n"])
     add("slope", cmd_slope,
-        "slope, cleaning and order of a monic fiber polynomial")
+        "slope, cleaning and order of a monic fiber polynomial",
+        ["--max-n", "--max-rounds"])
     add("kernel", cmd_kernel,
         "degree-one nilpotents of the associated graded ring")
     add("samuel-slope", cmd_samuel_slope,
-        "Samuel slope of a presented local ring")
+        "Samuel slope of a presented local ring", ["--max-n"])
     add("check-theorems", cmd_check_theorems,
-        "confront the order and slope statements on one germ")
+        "confront the order and slope statements on one germ",
+        ["--max-n", "--max-rounds"])
     corpus_cmd = add("corpus", cmd_corpus,
                      "replay every built-in check and compare against "
-                     "the frozen table", needs_job=False)
+                     "the frozen table", ["--max-n"], needs_job=False)
     corpus_cmd.add_argument("--filter", action="append", default=None,
                             help="only run rows whose name contains this "
                                  "text (repeatable)")

@@ -24,8 +24,7 @@ from .newton import (MonomialValuation, build_polyhedron, closure_member,
                      nubar_monomial)
 from .poly import Ring, VariableSplit
 from .samuel import (LIMIT_N_DEFAULT, LocalRingPresentation,
-                     ValuationCertificate, kernel_lambda,
-                     kernel_lambda_at_prime, nu, nubar)
+                     ValuationCertificate, kernel_lambda, nu, nubar)
 from .elimpres import (PointSpec, ReesAlgebra, build_p_presentation, clean,
                        cross_check_theorems, diff_saturate_once, slope)
 
@@ -251,17 +250,13 @@ def power_scaling_mismatches(ideal, rmax=4, degree=3):
 
 
 def _kernel_string(member):
-    if member.point.kind == "origin":
-        report = kernel_lambda(member.presentation)
-    else:
-        report = kernel_lambda_at_prime(member.presentation,
-                                        member.point.variables)
+    report = kernel_lambda(member.presentation, prime=member.point.variables)
     return "%s r=%d t=%d" % (report.classification, report.r, report.t)
 
 
 def _theorem_string(member):
-    report = cross_check_theorems(member.presentation, member.g,
-                                  member.split, at=member.point)
+    report = cross_check_theorems(member.presentation, member.split,
+                                  at=member.point)
     bits = [report.verdict(), report.classification,
             "hord=%s" % report.hord.serialize(),
             "ord=%s" % report.ord_d.serialize()]

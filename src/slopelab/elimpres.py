@@ -7,7 +7,7 @@ the local-ring invariants of the samuel module.
 
 from .arith import INF, ExtendedRational, SlopelabError, ext_min, is_prime
 from .groebner import monic, normal_form
-from .samuel import kernel_lambda, kernel_lambda_at_prime, samuel_slope
+from .samuel import NotApplicable, kernel_lambda, samuel_slope
 
 SATURATION_CAP = 512
 MAX_ROUNDS_DEFAULT = 16
@@ -27,10 +27,6 @@ class CharDividesDegree(SlopelabError):
 
 
 class PointNotSingular(SlopelabError):
-    pass
-
-
-class InconsistentInputs(SlopelabError):
     pass
 
 
@@ -228,13 +224,19 @@ class PPresentation:
         return "<p-presentation %s>" % "; ".join(parts)
 
 
+def _fiber_variable(split):
+    """The one fiber variable of a hypersurface's split."""
+    if len(split.fiber) != 1:
+        raise SlopelabError("the split must have exactly one fiber "
+                            "variable, not %d" % len(split.fiber))
+    return split.fiber[0]
+
+
 def build_p_presentation(g, split, p):
     """Reduce a monic fiber polynomial of degree N'p^ell to one of degree
     p^ell by the scaled Hasse derivative of order (N'-1)p^ell."""
     ring = split.ring
-    if len(split.fiber) != 1:
-        raise ValueError("expected a single fiber variable")
-    z = split.fiber[0]
+    z = _fiber_variable(split)
     n = g.degree_of_var(z)
     if n == 0:
         raise BadDegree("polynomial has degree 0 in %s" % z)
@@ -302,9 +304,13 @@ class SlopeReport:
         self.degenerate = degenerate
         self.hord = hord
         self.transcript = list(transcript)
-        # elimination_generators follows an approximate rule
-        self.approximate_elimination = True
         self.presentation = presentation
+
+    @property
+    def approximate_elimination(self):
+        # elimination_generators follows an approximate rule, which the
+        # Tschirnhausen route does not use
+        return self.case != "tschirnhausen"
 
     def __repr__(self):
         return "<slope %s case %s elim %s hord %s>" % (
@@ -338,7 +344,7 @@ def slope(presentation, at=None):
     at = at or PointSpec.origin()
     ring = presentation.ring
     if not at.contains_all([f.name for f in presentation.fibers], ring):
-        raise ValueError("the point must contain every fiber variable")
+        raise NotApplicable("the point must contain every fiber variable")
 
     coefficient_orders = {}
     top_term = INF
@@ -437,9 +443,7 @@ def tschirnhausen_ord(g, split, at=None):
     coefficient order over weight."""
     at = at or PointSpec.origin()
     ring = split.ring
-    if len(split.fiber) != 1:
-        raise ValueError("expected a single fiber variable")
-    z = split.fiber[0]
+    z = _fiber_variable(split)
     m = g.degree_of_var(z)
     if m == 0:
         raise BadDegree("polynomial has degree 0 in %s" % z)
@@ -462,6 +466,22 @@ def tschirnhausen_ord(g, split, at=None):
             continue
         best = ext_min(best, at.order_of(a, ring) / i)
     return best
+
+
+def hord_report(g, split, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
+    """Order of a monic fiber polynomial at the point, as a SlopeReport.
+
+    When the characteristic divides the fiber degree, its p-presentation
+    is cleaned (see clean); otherwise the Tschirnhausen translation gives
+    the order, which is then both the elimination order and hord, under
+    the case "tschirnhausen", with no slope of a p-presentation.
+    """
+    z = _fiber_variable(split)
+    p = split.ring.char
+    if p and g.degree_of_var(z) % p == 0:
+        return clean(build_p_presentation(g, split, p), at, max_rounds)
+    value = tschirnhausen_ord(g, split, at)
+    return SlopeReport(None, "tschirnhausen", value, {}, hord=value)
 
 
 class CheckReport:
@@ -494,10 +514,11 @@ class CheckReport:
             self.slope_value)
 
 
-def cross_check_theorems(local_ring, g, split, at=None,
+def cross_check_theorems(local_ring, split, at=None,
                          max_n=THEOREM_MAX_N_DEFAULT,
                          max_rounds=MAX_ROUNDS_DEFAULT):
-    """Confront the two structure statements with one germ.
+    """Confront the two structure statements with one germ, the local
+    ring's one relation g, monic in the fiber variable of the split.
 
     Non-extremal points must come out with order 1 (and elimination order
     1 too when the point is closed); extremal points must satisfy
@@ -507,38 +528,24 @@ def cross_check_theorems(local_ring, g, split, at=None,
     contradicts neither: that check is inconclusive, not failed.
     """
     at = at or PointSpec.origin()
-    ring = split.ring
-    if len(local_ring.relations.generators) != 1 or \
-            local_ring.relations.generators[0] != g:
-        raise InconsistentInputs(
-            "the local ring must be presented by the fiber polynomial")
-    z = split.fiber[0]
+    relations = local_ring.relations.generators
+    if len(relations) != 1:
+        raise NotApplicable(
+            "the theorems are checked on a hypersurface; the local ring "
+            "has %d relations" % len(relations))
+    g = relations[0]
 
-    mult = at.order_of(g, ring)
-    if mult <= ExtendedRational(1):
+    if at.order_of(g, split.ring) <= ExtendedRational(1):
         return CheckReport(False, True, "smooth", None, None, None, False,
                            None, note="multiplicity 1: point not singular")
 
-    if at.kind == "origin":
-        kernel = kernel_lambda(local_ring)
-    else:
-        kernel = kernel_lambda_at_prime(local_ring, at.variables)
+    kernel = kernel_lambda(local_ring, prime=at.variables)
     if kernel.classification == "unknown":
         return CheckReport(False, True, "unknown", None, None, None, False,
                            None, note="kernel classification out of reach")
 
-    n = g.degree_of_var(z)
-    p = ring.char
-    if p and n % p == 0:
-        pres = build_p_presentation(g, split, p)
-        report = clean(pres, at, max_rounds)
-        hord = report.hord
-        ord_d = report.elimination_order
-        case = report.case
-    else:
-        ord_d = tschirnhausen_ord(g, split, at)
-        hord = ord_d
-        case = "tschirnhausen"
+    report = hord_report(g, split, at, max_rounds)
+    hord, ord_d, case = report.hord, report.elimination_order, report.case
 
     if kernel.classification == "non-extremal":
         passed = hord == ExtendedRational(1)

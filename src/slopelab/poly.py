@@ -216,15 +216,15 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = self.ring.one()
+        out = None  # the running product starts at the first set bit
         base = self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
-        return out
+        return self.ring.one() if out is None else out
 
     def __eq__(self, other):
         if isinstance(other, int):

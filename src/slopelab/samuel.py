@@ -183,8 +183,7 @@ class ValuationCertificate:
     """
 
     def __init__(self, entries):
-        entries = [(valuation, claimed if isinstance(claimed, ExtendedRational)
-                    else ExtendedRational(claimed))
+        entries = [(valuation, _claim(claimed))
                    for valuation, claimed in entries]
         if not entries:
             raise CertificateRejected("empty certificate")
@@ -210,6 +209,18 @@ class ValuationCertificate:
                 continue
             best = ext_min(best, v / claimed.as_fraction)
         return best
+
+
+def _claim(claimed):
+    """A claimed ideal value as an ExtendedRational; it lives on Q>=0, so
+    a negative claim is rejected here."""
+    if isinstance(claimed, ExtendedRational):
+        return claimed
+    try:
+        return ExtendedRational(claimed)
+    except ValueError:
+        raise CertificateRejected(
+            "claimed ideal value %s is not positive and finite" % claimed)
 
 
 class NubarResult:
@@ -418,18 +429,26 @@ def _row_to_linear(ring, row):
     return out
 
 
-def kernel_lambda(presentation, method=None):
-    """Degree-one nilpotents of the associated graded ring of the origin.
+def kernel_lambda(presentation, method=None, prime=()):
+    """Degree-one nilpotents of the associated graded ring of the origin,
+    or, when prime names some variables, of the coordinate prime they
+    span (see _kernel_at_prime; no method is chosen there).
 
-    Exact routes: monomial initial ideal (radical by squarefree parts),
-    principal initial ideal (is it a scalar times a power of a linear
-    form?), and, over F_p in at most three variables, the null space of
-    the Frobenius-linear map a -> sum a_i NF(x_i^q). Anything else comes
-    back labeled partial.
+    Exact routes at the origin: monomial initial ideal (radical by
+    squarefree parts), principal initial ideal (is it a scalar times a
+    power of a linear form?), and, over F_p in at most three variables,
+    the null space of the Frobenius-linear map a -> sum a_i NF(x_i^q).
+    Anything else comes back labeled partial.
     """
     if method is not None:
         _check_choice("kernel method", method,
                       ("monomial", "factorization", "frobenius", "partial"))
+    if prime:
+        if method is not None:
+            raise UnknownKernel("a kernel method is chosen only at the "
+                                "origin, not at the prime (%s)"
+                                % ", ".join(prime))
+        return _kernel_at_prime(presentation, prime)
     ring = presentation.ring
     init = presentation.initial_ideal()
     t = presentation.excess()
@@ -479,6 +498,48 @@ def kernel_lambda(presentation, method=None):
             found.append(ring.var(name))
     classification = "extremal" if len(found) == t else "unknown"
     return KernelReport(found, t, classification, "partial")
+
+
+def _kernel_at_prime(presentation, prime):
+    """Kernel at the coordinate prime P spanned by the variables prime,
+    hypersurface case; t is 0 when the relation has a term of degree 1
+    along P, and 1 otherwise.
+
+    Exact on the shape the non-closed points of the corpus show: over
+    F_p, the initial form along P has degree q = p^e and is a sum of unit
+    monomials times x_i^q over distinct prime variables x_i. The unit
+    monomials are invertible at P, so once their smallest common one is
+    divided out, the form is the q-th power of a linear form over the
+    residue field exactly when it has a q-th root, and that root spans
+    the kernel. Any other shape comes back labeled partial.
+    """
+    ring = presentation.ring
+    if len(presentation.relations.generators) != 1:
+        raise UnknownKernel("prime-point kernels only for hypersurfaces")
+    f = presentation.relations.generators[0]
+    idx = tuple(ring.index(v) for v in prime)
+    if f.min_degree_in(idx) < 1:
+        raise NotApplicable("the prime (%s) does not contain the relation %s"
+                            % (", ".join(prime), f.canonical_string()))
+    t = 0 if any(sum(m[i] for i in idx) == 1 for m in f.terms) else 1
+
+    init = f.initial_form_in(idx)
+    q = init.min_degree_in(idx)
+    p, e = ring.char, 0
+    while p and q % p ** (e + 1) == 0:
+        e += 1
+    supports = [tuple(i for i in idx if m[i]) for m in init.terms]
+    if not e or p ** e != q or any(len(s) != 1 for s in supports) \
+            or len(set(supports)) != len(supports):
+        return KernelReport([], t, "unknown", "partial")
+    common = [0 if k in idx else min(m[k] for m in init.terms)
+              for k in range(len(ring.variables))]
+    form = Polynomial._of(ring, {tuple(a - b for a, b in zip(m, common)): c
+                                 for m, c in init.terms.items()})
+    root = form.pth_power_root(e)
+    basis = [] if root is None else [root]
+    return KernelReport(basis, t, "extremal" if len(basis) == t
+                        else "non-extremal", "frobenius-form")
 
 
 def _frobenius_kernel(init, gb):
@@ -699,69 +760,3 @@ def samuel_slope(presentation, candidates=(), certificate=None,
 
     exact = bound.is_infinite  # an infinite lower bound is already the sup
     return SlopeResult(bound, exact, witness, "extremal")
-
-
-def kernel_lambda_at_prime(presentation, prime_vars):
-    """Kernel classification at a coordinate prime, hypersurface case.
-
-    Covers the shape that actually shows up at non-closed points of the
-    corpus: the initial form along the prime is a combination of p^l-th
-    powers of the prime variables with monomial unit-coefficients. Then
-    the form is a p^l-th power of a linear form over the residue field
-    exactly when all the coefficient ratios are p^l-th powers, which for
-    monomials is a divisibility check on exponents.
-    """
-    ring = presentation.ring
-    if len(presentation.relations.generators) != 1:
-        raise UnknownKernel("prime-point kernels only for hypersurfaces")
-    f = presentation.relations.generators[0]
-    prime_idx = tuple(ring.index(v) for v in prime_vars)
-    if f.min_degree_in(prime_idx) < 1:
-        raise ValueError("the prime does not contain the relation")
-
-    emb = len(prime_vars)
-    for mono in f.terms:
-        if sum(mono[i] for i in prime_idx) == 1:
-            emb = len(prime_vars) - 1  # a linear-in-prime part drops one
-            break
-    dim_local = len(prime_vars) - 1
-    t = emb - dim_local
-
-    f_in = f.initial_form_in(prime_idx)
-    m = f_in.min_degree_in(prime_idx)
-    p = ring.char
-    if p and m >= 2:
-        q, ell_exp = 1, 0
-        while (m // q) % p == 0:
-            q *= p
-            ell_exp += 1
-        if q == m and ell_exp >= 1:
-            # pure Frobenius degree; check the shape term by term
-            groups = {}
-            shaped = True
-            for mono, c in f_in.terms.items():
-                support = [i for i in prime_idx if mono[i]]
-                if len(support) != 1 or mono[support[0]] != q:
-                    shaped = False
-                    break
-                unit_part = tuple(
-                    e if i not in prime_idx else 0
-                    for i, e in enumerate(mono))
-                if support[0] in groups:
-                    shaped = False  # coefficient is not a single monomial
-                    break
-                groups[support[0]] = (unit_part, c)
-            if shaped and groups:
-                base = next(iter(groups.values()))
-                all_powers = all(
-                    all((e - b) % q == 0
-                        for e, b in zip(exps, base[0]))
-                    for exps, _ in groups.values())
-                if all_powers:
-                    basis = ["linear form over the residue field"]
-                    return KernelReport(basis, t, "extremal" if 1 == t
-                                        else "non-extremal", "frobenius-form")
-                return KernelReport([], t,
-                                    "extremal" if 0 == t else "non-extremal",
-                                    "frobenius-form")
-    return KernelReport([], t, "unknown", "partial")

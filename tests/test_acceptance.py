@@ -15,8 +15,7 @@ from slopelab.corpus import (closure_equivalence_mismatches,
 from slopelab.elimpres import (ReesAlgebra, build_p_presentation, clean,
                                cross_check_theorems, diff_saturate_once,
                                slope)
-from slopelab.samuel import (kernel_lambda, kernel_lambda_at_prime, nu,
-                             nubar)
+from slopelab.samuel import kernel_lambda, nu, nubar
 
 
 def er(text):
@@ -134,8 +133,7 @@ def test_criterion_8_theorem_cross_checks_hold_on_the_corpus():
     assert len(hypersurfaces) == 6
     results = {}
     for m in hypersurfaces + whitney_members():
-        report = cross_check_theorems(m.presentation, m.g, m.split,
-                                      at=m.point)
+        report = cross_check_theorems(m.presentation, m.split, at=m.point)
         assert report.applicable, m.name
         assert report.passed, m.name
         results[m.name] = report

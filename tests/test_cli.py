@@ -496,21 +496,48 @@ def assert_one_error_line(code, out, err, name):
     assert "error:" in err and name in err
 
 
+# the cap flags each subcommand reads
+CAP_FLAGS = {
+    "nubar": {"--max-n"},
+    "slope": {"--max-n", "--max-rounds"},
+    "kernel": set(),
+    "samuel-slope": {"--max-n"},
+    "check-theorems": {"--max-n", "--max-rounds"},
+    "corpus": {"--max-n"},
+}
+COMMANDS = sorted(CAP_FLAGS)
+
+
 class TestCaps:
     """--max-n, --max-rounds and the job keys max_n, max_rounds take
-    positive integers only."""
+    positive integers only, and each subcommand takes only the flags it
+    reads."""
 
     @pytest.mark.parametrize("flag", ["--max-n", "--max-rounds"])
     @pytest.mark.parametrize("value", ["0", "-3", "4.5", "four"])
     def test_flag_must_be_a_positive_int(self, tmp_path, capsys, flag,
                                          value):
-        jobs = [("nubar", cusp_certificate_job(tmp_path)),
-                ("slope", cusp_slope_job(tmp_path)),
-                ("corpus", None)]
-        for command, job in jobs:
-            argv = [command] + ([job] if job else []) + [flag, value]
-            code, out, err = run(argv, capsys)
+        for command in COMMANDS:
+            if flag not in CAP_FLAGS[command]:
+                continue
+            job = [] if command == "corpus" else [cusp_char2_job(tmp_path)]
+            code, out, err = run([command] + job + [flag, value], capsys)
             assert_one_error_line(code, out, err, flag)
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in COMMANDS
+        for flag in ("--max-n", "--max-rounds")
+        if flag not in CAP_FLAGS[command]])
+    def test_a_flag_the_command_does_not_read_is_refused(
+            self, tmp_path, capsys, command, flag):
+        job = [] if command == "corpus" else [cusp_char2_job(tmp_path)]
+        code, out, err = run([command] + job + [flag, "3"], capsys)
+        assert_one_error_line(code, out, err, flag)
+
+    def test_corpus_takes_no_require_exact(self, capsys):
+        code, out, err = run(["corpus", "--filter", "order/",
+                              "--require-exact"], capsys)
+        assert_one_error_line(code, out, err, "--require-exact")
 
     @pytest.mark.parametrize("section,key,extra", [
         ("nubar", "max_n", {"f": "x", "strategy": "limit"}),
@@ -535,6 +562,58 @@ class TestCaps:
                            capsys)
         assert code == 0
         assert json.loads(out)["Hord"] == "3/2"
+
+
+class TestMalformedJobs:
+    """Each input the computations refuse is one error line, never a
+    traceback."""
+
+    @pytest.mark.parametrize("command,sections,message", [
+        ("kernel", {"local_ring": {"relations": ["x^2 - y1^2*y2"]},
+                    "point": {"kind": "prime", "vars": ["y1", "y2"]}},
+         "does not contain the relation"),
+        ("check-theorems", {"local_ring": {"relations": ["x^2 - y1^3"]},
+                            "split": {"base": ["x", "y1", "y2"],
+                                      "fiber": []}},
+         "exactly one fiber variable, not 0"),
+        ("check-theorems", {"local_ring": {"relations": ["x^2 - y1^3"]},
+                            "split": {"base": ["y2"],
+                                      "fiber": ["x", "y1"]}},
+         "exactly one fiber variable, not 2"),
+        ("slope", {"split": {"base": ["y1", "y2"], "fiber": ["x"]},
+                   "point": {"kind": "prime", "vars": ["y1"]},
+                   "slope": {"g": "x^2 - y1^2*y2"}},
+         "the point must contain every fiber variable"),
+        ("slope", {"split": {"base": 3, "fiber": ["x"]},
+                   "slope": {"g": "x^2 - y1^2*y2"}},
+         "bad split"),
+        ("check-theorems", {"local_ring": {"relations": ["x^2 - y1^3"]},
+                            "split": {"base": ["y1", "y2"], "fiber": ["x"]},
+                            "check_theorems": {"g": "x^2 - y1^3"}},
+         "check_theorems takes no g"),
+    ])
+    def test_one_error_line(self, tmp_path, capsys, command, sections,
+                            message):
+        job = write_job(tmp_path, dict({
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["x", "y1", "y2"], "char": 2},
+        }, **sections))
+        code, out, err = run([command, job], capsys)
+        assert_one_error_line(code, out, err, message)
+        assert "Traceback" not in err
+
+    def test_extremal_kernel_at_a_prime_prints_its_linear_form(
+            self, tmp_path, capsys):
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["x", "y1", "y2"], "char": 2},
+            "local_ring": {"relations": ["x^2 + y1^2*y2^2"]},
+            "point": {"kind": "prime", "vars": ["x", "y1"]},
+        })
+        code, out, _ = run(["kernel", job, "--json"], capsys)
+        assert code == 0
+        assert out == ('{"basis":["y1*y2 + x"],"classification":"extremal",'
+                       '"method":"frobenius-form","r":1,"t":1}\n')
 
 
 REPORT_KEYS = {

@@ -7,7 +7,6 @@ from slopelab.arith import INF, ExtendedRational, SlopelabError
 from slopelab.elimpres import (
     BadDegree,
     CharDividesDegree,
-    InconsistentInputs,
     NotMonic,
     PointNotSingular,
     PointSpec,
@@ -19,12 +18,13 @@ from slopelab.elimpres import (
     cross_check_theorems,
     diff_saturate_once,
     elimination_generators,
+    hord_report,
     sing_order,
     slope,
     tschirnhausen_ord,
 )
 from slopelab.poly import Ring, VariableSplit
-from slopelab.samuel import LocalRingPresentation, SlopeResult
+from slopelab.samuel import LocalRingPresentation, NotApplicable, SlopeResult
 
 
 def er(x):
@@ -193,7 +193,7 @@ def test_slope_point_must_contain_the_fiber():
     ring = Ring(("x", "y1", "y2"), char=2)
     split = VariableSplit(ring, base=("y1", "y2"), fiber=("x",))
     pres = build_p_presentation(ring.parse("x^2 - y1^2*y2"), split, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotApplicable):
         slope(pres, PointSpec.prime(("y1",)))
 
 
@@ -299,7 +299,7 @@ def test_cross_check_cusp_char_two():
     split = VariableSplit(ring, base=("y",), fiber=("z",))
     g = ring.parse("z^2 - y^3")
     A = LocalRingPresentation(ring, [g])
-    report = cross_check_theorems(A, g, split)
+    report = cross_check_theorems(A, split)
     assert report.applicable and report.passed
     assert report.classification == "extremal"
     assert report.hord == er(Fraction(3, 2))
@@ -313,7 +313,7 @@ def test_cross_check_cusp_char_zero():
     split = VariableSplit(ring, base=("y",), fiber=("z",))
     g = ring.parse("z^2 - y^3")
     A = LocalRingPresentation(ring, [g])
-    report = cross_check_theorems(A, g, split)
+    report = cross_check_theorems(A, split)
     assert report.passed
     assert report.classification == "extremal"
     assert report.hord == er(Fraction(3, 2))
@@ -325,7 +325,7 @@ def test_cross_check_nodes_are_non_extremal_with_order_one():
         split = VariableSplit(ring, base=("y",), fiber=("x",))
         g = ring.parse("x^2 - y^2")
         A = LocalRingPresentation(ring, [g])
-        report = cross_check_theorems(A, g, split)
+        report = cross_check_theorems(A, split)
         assert report.passed
         assert report.classification == "non-extremal"
         assert report.hord == er(1)
@@ -338,7 +338,7 @@ def test_cross_check_whitney_at_the_prime():
         split = VariableSplit(ring, base=("y1", "y2"), fiber=("x",))
         g = ring.parse("x^%d - y1^%d*y2" % (p, p))
         A = LocalRingPresentation(ring, [g])
-        report = cross_check_theorems(A, g, split,
+        report = cross_check_theorems(A, split,
                                       at=PointSpec.prime(("x", "y1")))
         assert report.passed
         assert report.classification == "non-extremal"
@@ -352,7 +352,7 @@ def test_cross_check_diagonal_square_char_two():
     split = VariableSplit(ring, base=("y",), fiber=("x",))
     g = ring.parse("x^2 - y^2")
     A = LocalRingPresentation(ring, [g])
-    report = cross_check_theorems(A, g, split)
+    report = cross_check_theorems(A, split)
     assert report.passed
     assert report.classification == "extremal"
     assert report.hord == INF
@@ -365,7 +365,7 @@ def test_cross_check_plane_pair_in_three_variables():
         split = VariableSplit(ring, base=("u", "w"), fiber=("z",))
         g = ring.parse("z^2 - z*u")
         A = LocalRingPresentation(ring, [g])
-        report = cross_check_theorems(A, g, split)
+        report = cross_check_theorems(A, split)
         assert report.passed
         assert report.classification == "non-extremal"
         assert report.hord == er(1)
@@ -376,14 +376,13 @@ def test_cross_check_plane_pair_in_three_variables():
 def f11_germ():
     ring = Ring(("z", "y"), char=11)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
-    g = ring.parse("z^11 + y^13")
-    return LocalRingPresentation(ring, [g]), g, split
+    return LocalRingPresentation(ring, [ring.parse("z^11 + y^13")]), split
 
 
 def test_cross_check_slope_bound_below_hord_is_inconclusive():
     # max_n = 8 < p: the slope is only known to be >= 1, below hord
-    A, g, split = f11_germ()
-    report = cross_check_theorems(A, g, split)
+    A, split = f11_germ()
+    report = cross_check_theorems(A, split)
     assert report.classification == "extremal"
     assert report.hord == er(Fraction(13, 11))
     assert report.ord_d == er(Fraction(6, 5))
@@ -394,23 +393,48 @@ def test_cross_check_slope_bound_below_hord_is_inconclusive():
 
 def test_cross_check_exact_slope_below_hord_fails(monkeypatch):
     # an exact slope below hord <= ord contradicts hord = min(slope, ord)
-    A, g, split = f11_germ()
+    A, split = f11_germ()
 
     def exact_slope(local_ring, max_n):
         return SlopeResult(er(1), True, (), "extremal")
 
     monkeypatch.setattr(elimpres, "samuel_slope", exact_slope)
-    report = cross_check_theorems(A, g, split)
+    report = cross_check_theorems(A, split)
     assert not report.passed and not report.inconclusive
     assert report.verdict() == "FAIL"
 
 
-def test_cross_check_rejects_mismatched_inputs():
+def test_cross_check_needs_a_hypersurface():
     ring = Ring(("z", "y"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
-    A = LocalRingPresentation(ring, [ring.parse("z^2 - y^3")])
-    with pytest.raises(InconsistentInputs):
-        cross_check_theorems(A, ring.parse("z^2 - y^5"), split)
+    A = LocalRingPresentation(ring, [ring.parse("z^2"), ring.parse("y^3")])
+    with pytest.raises(NotApplicable, match="2 relations"):
+        cross_check_theorems(A, split)
+
+
+def test_hord_report_picks_the_route_by_the_fiber_degree():
+    ring = Ring(("z", "y"), char=3)
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    # 3 divides 3: the p-presentation is cleaned
+    cleaned = hord_report(ring.parse("z^3 + y^4"), split)
+    assert cleaned.case == "B1" and cleaned.approximate_elimination
+    assert cleaned.hord == er(Fraction(4, 3))
+    # 3 does not divide 2: the Tschirnhausen value is elim order and hord
+    shifted = hord_report(ring.parse("z^2 + 2*y*z + y^3 + y^2"), split)
+    assert shifted.case == "tschirnhausen"
+    assert not shifted.approximate_elimination
+    assert shifted.value is None and shifted.transcript == []
+    assert shifted.hord == shifted.elimination_order == er(Fraction(3, 2))
+
+
+def test_hord_report_needs_one_fiber_variable():
+    ring = Ring(("z", "w", "y"), char=2)
+    g = ring.parse("z^2 + y^3")
+    for fiber in ((), ("z", "w")):
+        base = tuple(v for v in ring.variables if v not in fiber)
+        split = VariableSplit(ring, base=base, fiber=fiber)
+        with pytest.raises(SlopelabError, match="one fiber variable"):
+            hord_report(g, split)
 
 
 def test_cross_check_skips_smooth_points():
@@ -418,7 +442,7 @@ def test_cross_check_skips_smooth_points():
     split = VariableSplit(ring, base=("y",), fiber=("z",))
     g = ring.parse("z^2 - y")
     A = LocalRingPresentation(ring, [g])
-    report = cross_check_theorems(A, g, split)
+    report = cross_check_theorems(A, split)
     assert not report.applicable
     assert report.passed
 

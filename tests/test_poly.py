@@ -259,7 +259,28 @@ def test_power_squares_no_further_than_the_last_bit(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
     power = f ** 8
-    # three squarings and one product into the running result; squaring
-    # f^8 as well would be a fifth, and the largest
-    assert len(products) == 4
+    # three squarings, and the running product starts at f^8 itself;
+    # squaring f^8 as well would be a fourth, and the largest
+    assert len(products) == 3
+    assert power == want
+
+
+@pytest.mark.parametrize("n,count", [(0, 0), (1, 0), (4, 2), (7, 4)])
+def test_power_starts_from_the_base(monkeypatch, n, count):
+    R = Ring(("x", "y"), 3)
+    f = R.parse("x^2 + 2*x*y + y")
+    want = R.one()
+    for _ in range(n):
+        want = want * f
+    products = []
+    real_mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    power = f ** n
+    # squarings up to the top bit, and one product per further set bit
+    assert len(products) == count
     assert power == want

@@ -21,9 +21,9 @@ from slopelab.samuel import (
     LocalRingPresentation,
     NotALambdaSequence,
     NotApplicable,
+    UnknownKernel,
     ValuationCertificate,
     kernel_lambda,
-    kernel_lambda_at_prime,
     nu,
     nubar,
     samuel_slope,
@@ -290,6 +290,13 @@ def test_certificate_rejected_when_claimed_ideal_value_is_wrong():
     with pytest.raises(CertificateRejected):
         nubar(A, ring.parse("x"),
               certificate=ValuationCertificate([(w, 3)]))
+
+
+def test_negative_claimed_ideal_value_is_rejected():
+    ring, _ = cusp_ring()
+    w = MonomialValuation.from_dict(ring, {"x": 3, "y": 2})
+    with pytest.raises(CertificateRejected, match="not positive"):
+        ValuationCertificate([(w, -1)])
 
 
 def test_nubar_monomial_route_agrees_with_newton_polyhedron():
@@ -719,7 +726,7 @@ def test_kernel_at_a_coordinate_prime_whitney_shape():
         ring = Ring(("x", "y1", "y2"), char=p)
         A = LocalRingPresentation(
             ring, [ring.parse("x^%d - y1^%d*y2" % (p, p))])
-        report = kernel_lambda_at_prime(A, ("x", "y1"))
+        report = kernel_lambda(A, prime=("x", "y1"))
         assert report.method == "frobenius-form"
         assert report.r == 0
         assert report.t == 1
@@ -730,16 +737,49 @@ def test_kernel_at_a_coordinate_prime_detects_actual_powers():
     # x^2 - y1^2*y2^2 has initial form (x + y1*y2)^2 along (x, y1)
     ring = Ring(("x", "y1", "y2"), char=2)
     A = LocalRingPresentation(ring, [ring.parse("x^2 - y1^2*y2^2")])
-    report = kernel_lambda_at_prime(A, ("x", "y1"))
+    report = kernel_lambda(A, prime=("x", "y1"))
     assert report.r == 1
     assert report.classification == "extremal"
+    assert [b.canonical_string() for b in report.basis] == ["y1*y2 + x"]
+
+
+def test_kernel_at_a_coordinate_prime_divides_out_the_common_unit():
+    # y2*x^4 + y1^4*y2^5 = y2*(x + y1*y2)^4, and y2 is a unit along (x, y1)
+    ring = Ring(("x", "y1", "y2"), char=2)
+    A = LocalRingPresentation(ring, [ring.parse("y2*x^4 + y1^4*y2^5")])
+    report = kernel_lambda(A, prime=("x", "y1"))
+    assert [b.canonical_string() for b in report.basis] == ["y1*y2 + x"]
+    assert (report.t, report.classification) == (1, "extremal")
+    # the unit ratio y2 is no square, so no linear form squares to the
+    # initial form of y2*x^2 + y1^2*y2^2
+    A = LocalRingPresentation(ring, [ring.parse("y2*x^2 + y1^2*y2^2")])
+    report = kernel_lambda(A, prime=("x", "y1"))
+    assert (report.r, report.classification) == (0, "non-extremal")
+
+
+def test_kernel_at_a_coordinate_prime_off_the_shape_is_partial():
+    ring = Ring(("x", "y1", "y2"), char=2)
+    for text, t in (("x^2 + x*y1 + y1^2*y2", 1),  # a mixed term
+                    ("x^2*y2 + x^2 + y1^2", 1),  # two terms in x^2
+                    ("x*y2 + y1^2", 0)):  # degree 1 along the prime
+        A = LocalRingPresentation(ring, [ring.parse(text)])
+        report = kernel_lambda(A, prime=("x", "y1"))
+        assert (report.classification, report.method, report.r, report.t) \
+            == ("unknown", "partial", 0, t), text
+
+
+def test_kernel_method_is_chosen_only_at_the_origin():
+    ring = Ring(("x", "y1", "y2"), char=2)
+    A = LocalRingPresentation(ring, [ring.parse("x^2 - y1^2*y2")])
+    with pytest.raises(UnknownKernel, match="only at the origin"):
+        kernel_lambda(A, method="frobenius", prime=("x", "y1"))
 
 
 def test_kernel_at_prime_rejects_points_off_the_hypersurface():
     ring = Ring(("x", "y1", "y2"), char=2)
     A = LocalRingPresentation(ring, [ring.parse("x^2 - y1^2*y2")])
-    with pytest.raises(ValueError):
-        kernel_lambda_at_prime(A, ("y1", "y2"))
+    with pytest.raises(NotApplicable):
+        kernel_lambda(A, prime=("y1", "y2"))
 
 
 def test_relations_must_vanish_at_the_origin():

@@ -6,8 +6,11 @@ from the module, so none of them takes an order or a budget. Monomials are
 plain exponent tuples: no module wraps them in a class. A presented local
 ring owns its Groebner bases, so nu and nubar take no cache, and nu
 against m is one division, with no search over the powers of m. Division
-takes its leading term off a heap, never from a scan. Every name the
-benchmark's tracer patches still exists."""
+takes its leading term off a heap, never from a scan. Each route is
+picked in one place: kernel_lambda takes the point, and hord_report the
+fiber degree, so the command line and the corpus name neither route and
+never ask which kind of point they hold. Every name the benchmark's
+tracer patches still exists."""
 
 import ast
 import importlib
@@ -105,6 +108,34 @@ def test_division_scans_for_no_largest_term():
     assert "max" in called_names(groebner.leading)  # the scan sees a max
     called = called_names(groebner._reduce)
     assert "heappop" in called and "max" not in called
+
+
+def route_picks(source):
+    """Lines of one module that name a route of the kernel or of hord, or
+    read the kind of a point."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        named = (node.id if isinstance(node, ast.Name)
+                 else node.attr if isinstance(node, ast.Attribute)
+                 else node.name if isinstance(node, ast.alias) else None)
+        if named in ("tschirnhausen_ord", "kernel_lambda_at_prime"):
+            hits.append((getattr(node, "lineno", 0), named))
+        if isinstance(node, ast.Attribute) and node.attr == "kind":
+            hits.append((node.lineno, ".kind"))
+    return hits
+
+
+def test_one_place_picks_each_route():
+    sample = ("from .elimpres import tschirnhausen_ord\n"
+              "if at.kind == 'prime':\n"
+              "    samuel.kernel_lambda_at_prime(A, at.variables)\n")
+    assert {kind for _, kind in route_picks(sample)} == {
+        "tschirnhausen_ord", ".kind", "kernel_lambda_at_prime"}
+    found = {name: route_picks((PACKAGE / name).read_text())
+             for name in ("cli.py", "corpus.py")}
+    assert not any(found.values()), found
+    assert not hasattr(slopelab, "kernel_lambda_at_prime")
+    assert not hasattr(samuel, "kernel_lambda_at_prime")
 
 
 def test_every_traced_name_resolves():
