@@ -16,7 +16,8 @@ ring = Ring(("z", "y1", "y2"), char=2)
 split = VariableSplit(ring, base=("y1", "y2"), fiber=("z",))
 g = ring.parse("z^2 + y1^2*y2^2 + y1^5")
 
-presentation = build_p_presentation(g, split, 2)
+# p is the characteristic of the ring, here 2
+presentation = build_p_presentation(g, split)
 first = slope(presentation)
 print("before cleaning: slope %s, case %s" % (first.value, first.case))
 print("  the top coefficient y1^2 y2^2 + y1^5 has initial form")
@@ -34,14 +35,14 @@ print("  elimination order %s" % report.elimination_order)
 print()
 print("cleaning can also consume the polynomial entirely; z^2 + y1^2")
 print("collapses to z^2 after one translation and the order is infinite:")
-degenerate = clean(build_p_presentation(ring.parse("z^2 + y1^2"), split, 2))
+degenerate = clean(build_p_presentation(ring.parse("z^2 + y1^2"), split))
 print("  order %s, degenerate flag %s"
       % (degenerate.hord, degenerate.degenerate))
 
 print()
 print("at the coordinate prime (z, y1) only the y1-degree counts; the")
 print("umbrella z^2 + y1^2 y2 keeps order 1 there:")
-umbrella = clean(build_p_presentation(ring.parse("z^2 + y1^2*y2"), split, 2),
+umbrella = clean(build_p_presentation(ring.parse("z^2 + y1^2*y2"), split),
                  at=PointSpec.prime(("z", "y1")))
 print("  order %s, elimination order %s, case %s"
       % (umbrella.hord, umbrella.elimination_order, umbrella.case))

@@ -165,10 +165,14 @@ class Job:
                            "(base and fiber variables)")
         if not isinstance(section, dict):
             raise JobError("split must be an object")
+
+        def names(key):
+            # a string is one variable name, not a sequence of letters
+            value = section.get(key, ())
+            return (value,) if isinstance(value, str) else tuple(value)
+
         try:
-            return VariableSplit(self.ring,
-                                 tuple(section.get("base", ())),
-                                 tuple(section.get("fiber", ())))
+            return VariableSplit(self.ring, names("base"), names("fiber"))
         except (SlopelabError, ValueError, KeyError, TypeError) as exc:
             raise JobError("bad split: %s" % exc)
 

@@ -307,11 +307,11 @@ def _rees_rows():
                          for f, n in saturated.generators)
 
     def elimination_row():
-        report = slope(build_p_presentation(g, split, 2))
+        report = slope(build_p_presentation(g, split))
         return report.elimination_order.serialize()
 
     def hord_row():
-        report = clean(build_p_presentation(g, split, 2))
+        report = clean(build_p_presentation(g, split))
         return report.hord.serialize()
 
     yield ("rees/cusp-char2/saturation", saturation_row)
@@ -320,11 +320,9 @@ def _rees_rows():
 
 
 def _ppres_rows(member):
-    p = member.ring.char
-
     def run():
-        pres = build_p_presentation(member.g, member.split, p)
-        return clean(pres, at=member.point)
+        return clean(build_p_presentation(member.g, member.split),
+                     at=member.point)
 
     yield ("ppres/%s/hord" % member.name,
            lambda: run().hord.serialize())

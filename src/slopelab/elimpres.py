@@ -5,7 +5,7 @@ translations, and the two theorem cross-checks that tie the slope back to
 the local-ring invariants of the samuel module.
 """
 
-from .arith import INF, ExtendedRational, SlopelabError, ext_min, is_prime
+from .arith import INF, ExtendedRational, SlopelabError, ext_min
 from .groebner import monic, normal_form
 from .samuel import NotApplicable, kernel_lambda, samuel_slope
 
@@ -26,7 +26,7 @@ class CharDividesDegree(SlopelabError):
     pass
 
 
-class PointNotSingular(SlopelabError):
+class MultiplicityBelowDegree(SlopelabError):
     pass
 
 
@@ -59,11 +59,6 @@ class PointSpec:
         if self.kind == "origin":
             return tuple(range(len(ring.variables)))
         return tuple(ring.index(v) for v in self.variables)
-
-    def contains_all(self, names, ring):
-        if self.kind == "origin":
-            return True
-        return set(names) <= set(self.variables)
 
     def order_of(self, f, ring):
         """The order of f along this point: minimal degree in its variables.
@@ -163,67 +158,6 @@ def diff_saturate_once(algebra):
     return ReesAlgebra(ring, kept)
 
 
-class Fiber:
-    """One fiber variable with its monic polynomial of degree p^ell."""
-
-    __slots__ = ("name", "h", "ell", "q", "coefficients")
-
-    def __init__(self, ring, split, name, h, p):
-        if name not in split.fiber:
-            raise ValueError("%s is not a fiber variable" % name)
-        q = h.degree_of_var(name)
-        ell = 0
-        while q % p == 0 and q > 1:
-            q //= p
-            ell += 1
-        if q != 1 or ell < 1:
-            raise BadDegree(
-                "fiber polynomial degree %d is not a positive power of %d"
-                % (h.degree_of_var(name), p))
-        q = h.degree_of_var(name)
-        by_exp = h.coefficients_in(name)
-        top = by_exp.get(q)
-        if top is None or top != ring.one():
-            raise NotMonic("fiber polynomial is not monic in %s" % name)
-        coefficients = {}
-        for j in range(1, q + 1):
-            c = by_exp.get(q - j, ring.zero())
-            if not c.is_zero():
-                bad = c.vars_used() & set(split.fiber_indices())
-                if bad:
-                    raise ValueError(
-                        "coefficient of %s^%d involves the fiber variable %s"
-                        % (name, q - j, ring.variables[sorted(bad)[0]]))
-            coefficients[j] = c
-        self.name = name
-        self.h = h
-        self.q = q
-        self.ell = ell
-        self.coefficients = coefficients
-
-
-class PPresentation:
-    """Coordinate-separated presentation: one monic polynomial of degree
-    p^ell per fiber variable, coefficients in the base variables only."""
-
-    def __init__(self, split, fibers, p):
-        if not is_prime(p):
-            raise ValueError("%r is not prime" % (p,))
-        if split.ring.char != p:
-            raise ValueError("presentation characteristic differs from ring")
-        self.split = split
-        self.ring = split.ring
-        self.p = p
-        self.fibers = tuple(fibers)
-        if not self.fibers:
-            raise ValueError("need at least one fiber")
-
-    def __repr__(self):
-        parts = ["%s: %s" % (f.name, f.h.canonical_string())
-                 for f in self.fibers]
-        return "<p-presentation %s>" % "; ".join(parts)
-
-
 def _fiber_variable(split):
     """The one fiber variable of a hypersurface's split."""
     if len(split.fiber) != 1:
@@ -232,33 +166,71 @@ def _fiber_variable(split):
     return split.fiber[0]
 
 
-def build_p_presentation(g, split, p):
+class PPresentation:
+    """One monic polynomial h of degree q = p^ell in the split's one fiber
+    variable z, p the characteristic of the ring; coefficients maps j to
+    the coefficient a_j of z^(q-j), which lies in the base variables."""
+
+    def __init__(self, split, h):
+        ring = split.ring
+        z = _fiber_variable(split)
+        p = ring.char
+        if not p:
+            raise SlopelabError("a p-presentation needs a ring of positive "
+                                "characteristic")
+        q = h.degree_of_var(z)
+        rest, ell = q, 0
+        while rest > 1 and rest % p == 0:
+            rest //= p
+            ell += 1
+        if rest != 1 or ell < 1:
+            raise BadDegree(
+                "fiber polynomial degree %d is not a positive power of %d"
+                % (q, p))
+        by_exp = h.coefficients_in(z)
+        if by_exp[q] != ring.one():
+            raise NotMonic("fiber polynomial is not monic in %s" % z)
+        self.split = split
+        self.ring = ring
+        self.z = z
+        self.h = h
+        self.q = q
+        self.ell = ell
+        self.coefficients = {j: by_exp.get(q - j, ring.zero())
+                             for j in range(1, q + 1)}
+
+    def __repr__(self):
+        return "<p-presentation %s: %s>" % (self.z, self.h.canonical_string())
+
+
+def build_p_presentation(g, split):
     """Reduce a monic fiber polynomial of degree N'p^ell to one of degree
-    p^ell by the scaled Hasse derivative of order (N'-1)p^ell."""
+    p^ell by the scaled Hasse derivative of order (N'-1)p^ell, p the
+    characteristic of the ring."""
     ring = split.ring
+    p = ring.char
     z = _fiber_variable(split)
     n = g.degree_of_var(z)
     if n == 0:
         raise BadDegree("polynomial has degree 0 in %s" % z)
     top = g.coefficients_in(z).get(n)
-    if top is None or not top.is_constant():
+    if not top.is_constant():
         raise NotMonic("leading coefficient in %s is not a scalar" % z)
     g = g.scale(1 / top.constant_term())
-    q, ell = n, 0
-    while q % p == 0:
-        q //= p
+    n_prime, ell = n, 0
+    while p and n_prime % p == 0:
+        n_prime //= p
         ell += 1
-    n_prime = q
     if ell == 0:
         raise BadDegree(
-            "degree %d is prime to the characteristic %d; this shape "
-            "belongs to the Tschirnhausen route" % (n, p))
+            "the characteristic %d does not divide the degree %d; this "
+            "shape belongs to the Tschirnhausen route" % (p, n))
     r = (n_prime - 1) * (n // n_prime)
     h = g
     if r:
         h = g.hasse_derivative(z, r)
         h = h.scale(1 / ring.field.from_int(n_prime))
-    return PPresentation(split, [Fiber(ring, split, z, h, p)], p)
+    return PPresentation(split, h)
 
 
 def elimination_generators(presentation):
@@ -269,42 +241,34 @@ def elimination_generators(presentation):
     an approximate generating set (exact on the worked examples).
     """
     out = []
-    for fiber in presentation.fibers:
-        for j in range(1, fiber.q):
-            c = fiber.coefficients[j]
-            if not c.is_zero():
-                out.append((c, j))
-        for j in range(2, fiber.q + 1):
-            c = fiber.coefficients[j]
-            if c.is_zero():
-                continue
-            for y in presentation.split.base:
-                for b in range(1, j):
-                    d = c.hasse_derivative(y, b)
-                    if not d.is_zero():
-                        out.append((d, j - b))
+    q = presentation.q
+    for j in range(1, q):
+        c = presentation.coefficients[j]
+        if not c.is_zero():
+            out.append((c, j))
+    for j in range(2, q + 1):
+        c = presentation.coefficients[j]
+        if c.is_zero():
+            continue
+        for y in presentation.split.base:
+            for b in range(1, j):
+                d = c.hasse_derivative(y, b)
+                if not d.is_zero():
+                    out.append((d, j - b))
     return out
 
 
-def elimination_algebra(presentation):
-    gens = elimination_generators(presentation)
-    if not gens:
-        return None
-    return ReesAlgebra(presentation.ring, gens)
-
-
 class SlopeReport:
-    def __init__(self, value, case, elimination_order, coefficient_orders,
-                 degenerate=False, hord=None, transcript=(),
-                 presentation=None):
+    def __init__(self, value, case, elimination_order, degenerate=False,
+                 hord=None, transcript=(), presentation=None, root=None):
         self.value = value
         self.case = case
         self.elimination_order = elimination_order
-        self.coefficient_orders = coefficient_orders
         self.degenerate = degenerate
         self.hord = hord
         self.transcript = list(transcript)
         self.presentation = presentation
+        self.root = root
 
     @property
     def approximate_elimination(self):
@@ -317,102 +281,68 @@ class SlopeReport:
             self.value, self.case, self.elimination_order, self.hord)
 
 
-def _initial_root(fiber, presentation, at):
+def _initial_root(presentation, at):
     """If the initial form of the top coefficient at the point is a q-th
     power G^q, return G; the scalar is absorbed because every scalar of
-    the prime field is fixed by Frobenius."""
+    the prime field is fixed by Frobenius. The top coefficient vanishes
+    at the point, so the point holds some base variable."""
     ring = presentation.ring
-    c = fiber.coefficients[fiber.q]
-    if c.is_zero():
-        return None
     idx = tuple(i for i in at.indices(ring)
                 if ring.variables[i] in presentation.split.base)
-    if not idx:
-        return None
-    init = c.initial_form_in(idx)
-    return init.pth_power_root(fiber.ell)
+    init = presentation.coefficients[presentation.q].initial_form_in(idx)
+    return init.pth_power_root(presentation.ell)
 
 
 def slope(presentation, at=None):
     """Slope of the presentation at the point: the smaller of the top
-    coefficient orders (each divided by its fiber degree) and the order of
-    the elimination algebra.
+    coefficient's order over the fiber degree and the elimination order,
+    the least ord(f)/n over the elimination generators f of weight n.
 
     The case label records what attains the minimum and whether a cleaning
-    translation is still available.
+    translation is still available; in case B3 the report carries the
+    root G of the top coefficient's initial form.
     """
     at = at or PointSpec.origin()
     ring = presentation.ring
-    if not at.contains_all([f.name for f in presentation.fibers], ring):
+    if ring.index(presentation.z) not in at.indices(ring):
         raise NotApplicable("the point must contain every fiber variable")
 
-    coefficient_orders = {}
-    top_term = INF
-    for fiber in presentation.fibers:
-        per = {}
-        for j in range(1, fiber.q + 1):
-            c = fiber.coefficients[j]
-            per[j] = at.order_of(c, ring) / j
-        coefficient_orders[fiber.name] = per
-        top_term = ext_min(top_term, per[fiber.q])
-
-    algebra = elimination_algebra(presentation)
-    elim = sing_order(algebra, at) if algebra else INF
-    value = ext_min(top_term, elim)
-
-    for per in coefficient_orders.values():
-        for j, v in per.items():
-            if v < ExtendedRational(1):
-                raise PointNotSingular(
-                    "coefficient order %s at weight %d is below 1" % (v, j))
+    orders = {j: at.order_of(c, ring) / j
+              for j, c in presentation.coefficients.items()}
+    for j, v in orders.items():
+        if v < ExtendedRational(1):
+            raise MultiplicityBelowDegree(
+                "coefficient order %s at weight %d is below 1" % (v, j))
+    top = orders[presentation.q]
+    elim = INF
+    for f, n in elimination_generators(presentation):
+        elim = ext_min(elim, at.order_of(f, ring) / n)
+    value = ext_min(top, elim)
 
     if value.is_infinite:
-        return SlopeReport(value, None, elim, coefficient_orders,
-                           degenerate=True, presentation=presentation)
+        return SlopeReport(value, None, elim, degenerate=True,
+                           presentation=presentation)
 
-    if elim <= top_term:
+    root = None
+    if elim <= top:
         case = "A"
     elif not value.is_integer():
         case = "B1"
     else:
-        case = "B2"
-        attaining = [f for f in presentation.fibers
-                     if coefficient_orders[f.name][f.q] == value]
-        if attaining and all(
-                _initial_root(f, presentation, at) is not None
-                for f in attaining):
-            case = "B3"
-    return SlopeReport(value, case, elim, coefficient_orders,
-                       presentation=presentation)
-
-
-def _apply_cleaning(presentation, at, report):
-    """Translate each fiber that attains the slope by the root of its
-    initial form: z goes to z - G, which cancels the initial form because
-    raising to the fiber degree is additive in characteristic p."""
-    ring = presentation.ring
-    new_fibers = []
-    shifts = []
-    for fiber in presentation.fibers:
-        root = None
-        if report.coefficient_orders[fiber.name][fiber.q] == report.value:
-            root = _initial_root(fiber, presentation, at)
-        if root is None:
-            new_fibers.append(fiber)
-            continue
-        shift = -root
-        h = fiber.h.translate(fiber.name, shift)
-        new_fibers.append(Fiber(ring, presentation.split, fiber.name, h,
-                                presentation.p))
-        shifts.append((fiber.name, shift))
-    return PPresentation(presentation.split, new_fibers,
-                         presentation.p), shifts
+        root = _initial_root(presentation, at)
+        case = "B2" if root is None else "B3"
+    return SlopeReport(value, case, elim, presentation=presentation,
+                       root=root)
 
 
 def clean(presentation, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
     """Iterate cleaning translations until a normal form (cases A, B1, B2,
     or nothing left at all) and stamp the final slope as the order of the
-    presentation there."""
+    presentation there.
+
+    Each B3 round translates z to z - G, G the root the slope found, which
+    cancels the initial form of the top coefficient because raising to
+    the fiber degree is additive in characteristic p."""
     if max_rounds < 1:
         raise SlopelabError("max_rounds must be a positive integer")
     at = at or PointSpec.origin()
@@ -430,8 +360,10 @@ def clean(presentation, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
         if report.case != "B3":
             report.hord = report.value
             return report
-        current, shifts = _apply_cleaning(current, at, report)
-        transcript.extend(shifts)
+        shift = -report.root
+        current = PPresentation(current.split,
+                                current.h.translate(current.z, shift))
+        transcript.append((current.z, shift))
     raise RoundsExhausted(
         "no normal form after %d cleaning rounds; best slope %s is a "
         "lower bound" % (max_rounds, best.value), best)
@@ -479,9 +411,9 @@ def hord_report(g, split, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
     z = _fiber_variable(split)
     p = split.ring.char
     if p and g.degree_of_var(z) % p == 0:
-        return clean(build_p_presentation(g, split, p), at, max_rounds)
+        return clean(build_p_presentation(g, split), at, max_rounds)
     value = tschirnhausen_ord(g, split, at)
-    return SlopeReport(None, "tschirnhausen", value, {}, hord=value)
+    return SlopeReport(None, "tschirnhausen", value, hord=value)
 
 
 class CheckReport:
@@ -520,6 +452,8 @@ def cross_check_theorems(local_ring, split, at=None,
     """Confront the two structure statements with one germ, the local
     ring's one relation g, monic in the fiber variable of the split.
 
+    The statements hold where g has multiplicity equal to its degree in
+    the fiber variable; below that the check does not apply.
     Non-extremal points must come out with order 1 (and elimination order
     1 too when the point is closed); extremal points must satisfy
     hord = min(slope of the local ring, elimination-algebra order), which
@@ -535,9 +469,15 @@ def cross_check_theorems(local_ring, split, at=None,
             "has %d relations" % len(relations))
     g = relations[0]
 
-    if at.order_of(g, split.ring) <= ExtendedRational(1):
+    multiplicity = at.order_of(g, split.ring)
+    if multiplicity <= ExtendedRational(1):
         return CheckReport(False, True, "smooth", None, None, None, False,
                            None, note="multiplicity 1: point not singular")
+    degree = g.degree_of_var(_fiber_variable(split))
+    if multiplicity < ExtendedRational(degree):
+        return CheckReport(False, True, "singular", None, None, None, False,
+                           None, note="multiplicity %s is below the fiber "
+                           "degree %d" % (multiplicity.serialize(), degree))
 
     kernel = kernel_lambda(local_ring, prime=at.variables)
     if kernel.classification == "unknown":

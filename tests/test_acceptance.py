@@ -67,7 +67,7 @@ def test_criterion_3_cusp_rees_algebra_saturation_and_orders():
     got = [(f.canonical_string(), n) for f, n in saturated.generators]
     assert got == [("y^2", 1), ("y^3 + z^2", 2)]
 
-    presentation = build_p_presentation(g, split, 2)
+    presentation = build_p_presentation(g, split)
     report = slope(presentation)
     assert report.elimination_order == er("2")
     cleaned = clean(presentation)
@@ -80,7 +80,7 @@ def test_criterion_4_umbrella_orders_at_the_prime():
     members = {m.name: m for m in whitney_members()}
     for p in (2, 3, 5):
         m = members["whitney-p%d" % p]
-        presentation = build_p_presentation(m.g, m.split, p)
+        presentation = build_p_presentation(m.g, m.split)
         report = clean(presentation, at=m.point)
         assert report.hord == er("1"), m.name
         assert report.elimination_order == \

@@ -384,6 +384,29 @@ class TestCheckTheoremsCommand:
         assert report["applicable"] is False
         assert report["passed"] is True
 
+    @pytest.mark.parametrize("char", [0, 3, 5])
+    def test_multiplicity_below_the_fiber_degree_not_applicable(
+            self, tmp_path, capsys, char):
+        # z^3 + y*z has multiplicity 2 at the origin: this was a FAIL over
+        # Q and F_5 and an error over F_3
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["y", "z"], "char": char},
+            "local_ring": {"relations": ["z^3 + y*z"]},
+            "split": {"base": ["y"], "fiber": ["z"]},
+        })
+        code, out, err = run(["check-theorems", job, "--require-exact"],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert out == ("verdict: pass (not applicable: multiplicity 2 is "
+                       "below the fiber degree 3)\n")
+        code, out, _ = run(["check-theorems", job, "--json"], capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "applicable": False, "classification": "singular",
+            "note": "multiplicity 2 is below the fiber degree 3",
+            "passed": True}
+
 
 class TestParser:
     def test_built_once_and_carries_no_value_between_calls(
@@ -601,6 +624,21 @@ class TestMalformedJobs:
         code, out, err = run([command, job], capsys)
         assert_one_error_line(code, out, err, message)
         assert "Traceback" not in err
+
+    def test_a_string_split_entry_is_one_name(self, tmp_path, capsys):
+        # "base": 3 stays a bad split: see test_one_error_line
+        def job(fiber):
+            return write_job(tmp_path, {
+                "schema": "slopelab-job/1",
+                "ring": {"vars": ["z1", "y"], "char": 2},
+                "split": {"base": ["y"], "fiber": fiber},
+                "slope": {"g": "z1^2 + y^3"},
+            }, name="split.json")
+
+        for flags in ([], ["--json"]):
+            listed = run(["slope", job(["z1"])] + flags, capsys)
+            named = run(["slope", job("z1")] + flags, capsys)
+            assert named == listed and listed[0] == 0
 
     def test_extremal_kernel_at_a_prime_prints_its_linear_form(
             self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,10 @@ from slopelab.arith import INF, ExtendedRational, SlopelabError
 from slopelab.elimpres import (
     BadDegree,
     CharDividesDegree,
+    MultiplicityBelowDegree,
     NotMonic,
-    PointNotSingular,
     PointSpec,
     PPresentation,
-    Fiber,
     ReesAlgebra,
     build_p_presentation,
     clean,
@@ -92,39 +92,84 @@ def test_saturation_preserves_sing_order_at_corpus_points():
 def test_build_p_presentation_collapses_degree_six():
     ring = Ring(("z", "y"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
-    pres = build_p_presentation(ring.parse("z^6"), split, 2)
-    assert pres.fibers[0].h.canonical_string() == "z^2"
-    assert pres.fibers[0].ell == 1
+    pres = build_p_presentation(ring.parse("z^6"), split)
+    assert pres.h.canonical_string() == "z^2"
+    assert pres.ell == 1
 
-    pres2 = build_p_presentation(ring.parse("z^6 + y^5"), split, 2)
-    assert pres2.fibers[0].h.canonical_string() == "z^2"
+    pres2 = build_p_presentation(ring.parse("z^6 + y^5"), split)
+    assert pres2.h.canonical_string() == "z^2"
 
 
 def test_build_p_presentation_idempotent_at_prime_power_degree():
     ring = Ring(("z", "y"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
     g = ring.parse("z^2 - y^3")
-    pres = build_p_presentation(g, split, 2)
-    assert pres.fibers[0].h == g
-    again = build_p_presentation(pres.fibers[0].h, split, 2)
-    assert again.fibers[0].h == g
+    pres = build_p_presentation(g, split)
+    assert pres.h == g
+    again = build_p_presentation(pres.h, split)
+    assert again.h == g
 
 
 def test_build_p_presentation_rejections():
     ring = Ring(("z", "y"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
     with pytest.raises(BadDegree):
-        build_p_presentation(ring.parse("y^3"), split, 2)
+        build_p_presentation(ring.parse("y^3"), split)
     with pytest.raises(BadDegree):
-        build_p_presentation(ring.parse("z^3 + y"), split, 2)
+        build_p_presentation(ring.parse("z^3 + y"), split)
     with pytest.raises(NotMonic):
-        build_p_presentation(ring.parse("y*z^2 + y^3"), split, 2)
+        build_p_presentation(ring.parse("y*z^2 + y^3"), split)
+    ring = Ring(("z", "y"))
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    with pytest.raises(BadDegree, match="Tschirnhausen"):
+        build_p_presentation(ring.parse("z^2 + y^3"), split)
+
+
+def test_p_presentation_reads_the_fiber_and_p_from_the_split():
+    ring = Ring(("z", "y"), char=2)
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    pres = PPresentation(split, ring.parse("z^4 + y*z^2 + y^5"))
+    assert (pres.z, pres.q, pres.ell) == ("z", 4, 2)
+    assert {j: c.canonical_string() for j, c in pres.coefficients.items()} \
+        == {1: "0", 2: "y", 3: "0", 4: "y^5"}
+
+
+@pytest.fixture
+def no_hang():
+    # a refusal must come at once: a p-adic loop on degree 0 never ends
+    def interrupt(signum, frame):
+        raise AssertionError("no answer within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("names,char,fiber,text,error,match", [
+    (("z1", "z2", "y"), 2, ("z1", "z2"), "z1^2 + y^3", SlopelabError,
+     "exactly one fiber variable, not 2"),
+    (("z", "y"), 0, ("z",), "z^2 + y^3", SlopelabError,
+     "positive characteristic"),
+    (("z", "y"), 2, ("z",), "y^3", BadDegree, "degree 0 is not"),
+    (("z", "y"), 2, ("z",), "z^3 + y", BadDegree, "degree 3 is not"),
+    (("z", "y"), 2, ("z",), "y*z^2 + y^3", NotMonic, "not monic"),
+    (("z", "y"), 3, ("z",), "2*z^3 + y^4", NotMonic, "not monic"),
+])
+def test_p_presentation_refusals(no_hang, names, char, fiber, text, error,
+                                 match):
+    ring = Ring(names, char=char)
+    base = tuple(v for v in names if v not in fiber)
+    split = VariableSplit(ring, base=base, fiber=fiber)
+    with pytest.raises(error, match=match):
+        PPresentation(split, ring.parse(text))
 
 
 def test_elimination_generators_on_the_cusp():
     ring = Ring(("z", "y"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
-    pres = build_p_presentation(ring.parse("z^2 - y^3"), split, 2)
+    pres = build_p_presentation(ring.parse("z^2 - y^3"), split)
     gens = elimination_generators(pres)
     assert [(f.canonical_string(), n) for f, n in gens] == [("y^2", 1)]
     assert slope(pres).approximate_elimination
@@ -135,7 +180,7 @@ def test_elimination_generators_on_whitney():
         ring = Ring(("x", "y1", "y2"), char=p)
         split = VariableSplit(ring, base=("y1", "y2"), fiber=("x",))
         pres = build_p_presentation(
-            ring.parse("x^%d - y1^%d*y2" % (p, p)), split, p)
+            ring.parse("x^%d - y1^%d*y2" % (p, p)), split)
         gens = elimination_generators(pres)
         assert len(gens) == 1
         f, n = gens[0]
@@ -146,14 +191,14 @@ def test_elimination_generators_on_whitney():
 def test_elimination_generators_empty_for_a_bare_power():
     ring = Ring(("z", "y"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
-    pres = build_p_presentation(ring.parse("z^2"), split, 2)
+    pres = build_p_presentation(ring.parse("z^2"), split)
     assert elimination_generators(pres) == []
 
 
 def test_slope_of_the_cusp_is_three_halves_case_b1():
     ring = Ring(("z", "y"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
-    pres = build_p_presentation(ring.parse("z^2 - y^3"), split, 2)
+    pres = build_p_presentation(ring.parse("z^2 - y^3"), split)
     report = slope(pres)
     assert report.value == er(Fraction(3, 2))
     assert report.case == "B1"
@@ -165,7 +210,7 @@ def test_slope_of_whitney_at_the_prime_is_one_case_b2():
         ring = Ring(("x", "y1", "y2"), char=p)
         split = VariableSplit(ring, base=("y1", "y2"), fiber=("x",))
         pres = build_p_presentation(
-            ring.parse("x^%d - y1^%d*y2" % (p, p)), split, p)
+            ring.parse("x^%d - y1^%d*y2" % (p, p)), split)
         report = slope(pres, PointSpec.prime(("x", "y1")))
         assert report.value == er(1)
         assert report.case == "B2"
@@ -175,7 +220,7 @@ def test_slope_of_whitney_at_the_prime_is_one_case_b2():
 def test_slope_degenerate_for_a_bare_power():
     ring = Ring(("z", "y"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
-    pres = build_p_presentation(ring.parse("z^2"), split, 2)
+    pres = build_p_presentation(ring.parse("z^2"), split)
     report = slope(pres)
     assert report.value == INF
     assert report.degenerate
@@ -184,15 +229,15 @@ def test_slope_degenerate_for_a_bare_power():
 def test_slope_requires_the_point_to_be_singular():
     ring = Ring(("z", "y"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
-    pres = build_p_presentation(ring.parse("z^2 - y"), split, 2)
-    with pytest.raises(PointNotSingular):
+    pres = build_p_presentation(ring.parse("z^2 - y"), split)
+    with pytest.raises(MultiplicityBelowDegree):
         slope(pres)
 
 
 def test_slope_point_must_contain_the_fiber():
     ring = Ring(("x", "y1", "y2"), char=2)
     split = VariableSplit(ring, base=("y1", "y2"), fiber=("x",))
-    pres = build_p_presentation(ring.parse("x^2 - y1^2*y2"), split, 2)
+    pres = build_p_presentation(ring.parse("x^2 - y1^2*y2"), split)
     with pytest.raises(NotApplicable):
         slope(pres, PointSpec.prime(("y1",)))
 
@@ -201,7 +246,7 @@ def test_clean_runs_one_b3_round_on_the_demo():
     ring = Ring(("z", "y1", "y2"), char=2)
     split = VariableSplit(ring, base=("y1", "y2"), fiber=("z",))
     pres = build_p_presentation(
-        ring.parse("z^2 + y1^2*y2^2 + y1^5"), split, 2)
+        ring.parse("z^2 + y1^2*y2^2 + y1^5"), split)
     first = slope(pres)
     assert first.value == er(2)
     assert first.case == "B3"
@@ -213,7 +258,7 @@ def test_clean_runs_one_b3_round_on_the_demo():
     assert [(name, s.canonical_string()) for name, s in final.transcript] \
         == [("z", "y1*y2")]
     assert final.value >= first.value  # cleaning never decreases the slope
-    assert final.presentation.fibers[0].h.canonical_string() == "y1^5 + z^2"
+    assert final.presentation.h.canonical_string() == "y1^5 + z^2"
 
 
 def test_clean_reaches_the_degenerate_flag_on_frobenius_powers():
@@ -221,7 +266,7 @@ def test_clean_reaches_the_degenerate_flag_on_frobenius_powers():
         ring = Ring(("z", "y"), char=p)
         split = VariableSplit(ring, base=("y",), fiber=("z",))
         pres = build_p_presentation(
-            ring.parse("z^%d + y^%d" % (p, p)), split, p)
+            ring.parse("z^%d + y^%d" % (p, p)), split)
         report = clean(pres)
         assert report.degenerate
         assert report.hord == INF
@@ -231,7 +276,7 @@ def test_clean_reaches_the_degenerate_flag_on_frobenius_powers():
 def test_clean_is_a_no_op_on_the_cusp():
     ring = Ring(("z", "y"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
-    pres = build_p_presentation(ring.parse("z^2 - y^3"), split, 2)
+    pres = build_p_presentation(ring.parse("z^2 - y^3"), split)
     report = clean(pres)
     assert report.transcript == []
     assert report.hord == er(Fraction(3, 2))
@@ -241,7 +286,7 @@ def test_clean_is_a_no_op_on_the_cusp():
 def test_clean_needs_at_least_one_round():
     ring = Ring(("z", "y"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
-    pres = build_p_presentation(ring.parse("z^2 - y^3"), split, 2)
+    pres = build_p_presentation(ring.parse("z^2 - y^3"), split)
     for rounds in (0, -1):
         with pytest.raises(SlopelabError, match="max_rounds"):
             clean(pres, max_rounds=rounds)
@@ -265,31 +310,17 @@ def test_tschirnhausen_rejects_bad_characteristic():
         tschirnhausen_ord(ring.parse("z^2 - y^3"), split)
 
 
-def test_multi_fiber_slope():
-    ring = Ring(("z1", "z2", "y"), char=2)
-    split = VariableSplit(ring, base=("y",), fiber=("z1", "z2"))
-    fibers = [
-        Fiber(ring, split, "z1", ring.parse("z1^2 + y^3"), 2),
-        Fiber(ring, split, "z2", ring.parse("z2^2 + y^5"), 2),
-    ]
-    pres = PPresentation(split, fibers, 2)
-    report = slope(pres)
-    assert report.value == er(Fraction(3, 2))
-    assert report.case == "B1"
-    assert report.elimination_order == er(2)
-
-
 def test_hord_invariant_under_unit_rescaling_of_the_fiber():
     cases = [(3, "z^3 + y^4", (2,)), (5, "z^5 + y^7", (2, 3, 4))]
     for p, text, units in cases:
         ring = Ring(("z", "y"), char=p)
         split = VariableSplit(ring, base=("y",), fiber=("z",))
-        base = clean(build_p_presentation(ring.parse(text), split, p))
+        base = clean(build_p_presentation(ring.parse(text), split))
         for u in units:
             # g(u*z) / u^n, monic again
             g = ring.parse(text.replace("z", "(%d*z)" % u))
             g = g.scale(ring.field.from_int(u) ** -g.degree_of_var("z"))
-            other = clean(build_p_presentation(g, split, p))
+            other = clean(build_p_presentation(g, split))
             assert other.hord == base.hord
             assert other.case == base.case
 

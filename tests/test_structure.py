@@ -9,8 +9,9 @@ against m is one division, with no search over the powers of m. Division
 takes its leading term off a heap, never from a scan. Each route is
 picked in one place: kernel_lambda takes the point, and hord_report the
 fiber degree, so the command line and the corpus name neither route and
-never ask which kind of point they hold. Every name the benchmark's
-tracer patches still exists."""
+never ask which kind of point they hold. A p-presentation is one monic
+polynomial in the one fiber variable, with p read from the ring. Every
+name the benchmark's tracer patches still exists."""
 
 import ast
 import importlib
@@ -18,7 +19,7 @@ import inspect
 import pathlib
 
 import slopelab
-from slopelab import groebner, samuel
+from slopelab import elimpres, groebner, samuel
 
 PACKAGE = pathlib.Path(slopelab.__file__).parent
 TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
@@ -136,6 +137,19 @@ def test_one_place_picks_each_route():
     assert not any(found.values()), found
     assert not hasattr(slopelab, "kernel_lambda_at_prime")
     assert not hasattr(samuel, "kernel_lambda_at_prime")
+
+
+def test_a_p_presentation_is_one_fiber_polynomial():
+    for gone in ("Fiber", "_apply_cleaning", "elimination_algebra"):
+        assert not hasattr(elimpres, gone), gone
+    assert not hasattr(elimpres.PointSpec, "contains_all")
+    for entry in (elimpres.build_p_presentation, elimpres.PPresentation):
+        assert "p" not in inspect.signature(entry).parameters, entry
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             if isinstance(node, ast.Attribute) else node.name
+             for node in ast.walk(ast.parse(inspect.getsource(elimpres)))
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert "is_prime" not in names
 
 
 def test_every_traced_name_resolves():
