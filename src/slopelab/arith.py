@@ -131,6 +131,10 @@ class RationalField:
     def from_int(self, n):
         return Fraction(n)
 
+    def char_exponent(self, n):
+        """The exponent of the characteristic in n: none over Q."""
+        return 0
+
     @property
     def zero(self):
         return Fraction(0)
@@ -163,6 +167,16 @@ class PrimeField:
 
     def from_int(self, n):
         return _element(n, self.char)
+
+    def char_exponent(self, n):
+        """The exponent of p in the positive integer n."""
+        if n < 1:
+            raise ValueError("char_exponent needs a positive integer")
+        e = 0
+        while n % self.char == 0:
+            n //= self.char
+            e += 1
+        return e
 
     @property
     def zero(self):

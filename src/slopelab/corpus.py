@@ -352,10 +352,10 @@ def checks(max_n=LIMIT_N_DEFAULT):
         rows.append(("scaling/%s" % mono.name,
                      lambda m=mono: "%d mismatches"
                      % power_scaling_mismatches(m.ideal)))
-    for member in local_ring_members():
+    for member in members.values():
         rows.append(("kernel/%s" % member.name,
                      lambda m=member: _kernel_string(m)))
-    for member in local_ring_members():
+    for member in members.values():
         if member.g is None:
             continue
         rows.append(("theorem/%s" % member.name,

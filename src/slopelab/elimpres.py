@@ -104,18 +104,16 @@ class ReesAlgebra:
         return "<rees %s>" % "; ".join(parts)
 
 
-def sing_order(algebra, at):
-    """Order of the Rees algebra at the point: min of ord(f_i)/n_i.
+def sing_order(pairs, at):
+    """The least ord(f)/n at the point over weighted elements (f, n), INF
+    when there are none.
 
-    The point lies in the singular locus of the algebra exactly when the
-    result is at least 1.
+    On the generators of a Rees algebra, the point lies in the singular
+    locus of the algebra exactly when the result is at least 1.
     """
     best = INF
-    for f, n in algebra.generators:
-        v = at.order_of(f, algebra.ring)
-        if v.is_infinite:
-            continue
-        best = ext_min(best, v / n)
+    for f, n in pairs:
+        best = ext_min(best, at.order_of(f, f.ring) / n)
     return best
 
 
@@ -166,6 +164,35 @@ def _fiber_variable(split):
     return split.fiber[0]
 
 
+def _monic_in_fiber(g, split):
+    """g over its leading coefficient in the split's one fiber variable z,
+    with z and the degree n of g in z; refused when n is 0 or the leading
+    coefficient is not a nonzero scalar."""
+    z = _fiber_variable(split)
+    n = g.degree_of_var(z)
+    if n == 0:
+        raise BadDegree("polynomial has degree 0 in %s" % z)
+    top = g.hasse_derivative(z, n)  # the coefficient of z^n
+    if not top.is_constant():
+        raise NotMonic("leading coefficient in %s is not a scalar" % z)
+    return g.scale(1 / top.constant_term()), z, n
+
+
+def _admit(g, split, at):
+    """The germ g over its scalar leading coefficient in the fiber variable
+    z, with its degree n in z, where hord and the slope are defined: the
+    point holds z, and the multiplicity of g there is at least n."""
+    g, z, n = _monic_in_fiber(g, split)
+    if g.ring.index(z) not in at.indices(g.ring):
+        raise NotApplicable("the point must contain every fiber variable")
+    multiplicity = at.order_of(g, g.ring)
+    if multiplicity < ExtendedRational(n):
+        raise MultiplicityBelowDegree(
+            "multiplicity %s is below the fiber degree %d"
+            % (multiplicity.serialize(), n))
+    return g, n
+
+
 class PPresentation:
     """One monic polynomial h of degree q = p^ell in the split's one fiber
     variable z, p the characteristic of the ring; coefficients maps j to
@@ -179,11 +206,8 @@ class PPresentation:
             raise SlopelabError("a p-presentation needs a ring of positive "
                                 "characteristic")
         q = h.degree_of_var(z)
-        rest, ell = q, 0
-        while rest > 1 and rest % p == 0:
-            rest //= p
-            ell += 1
-        if rest != 1 or ell < 1:
+        ell = q and ring.field.char_exponent(q)
+        if not ell or q != p ** ell:
             raise BadDegree(
                 "fiber polynomial degree %d is not a positive power of %d"
                 % (q, p))
@@ -204,32 +228,20 @@ class PPresentation:
 
 
 def build_p_presentation(g, split):
-    """Reduce a monic fiber polynomial of degree N'p^ell to one of degree
-    p^ell by the scaled Hasse derivative of order (N'-1)p^ell, p the
-    characteristic of the ring."""
+    """Reduce a fiber polynomial of degree N'p^ell, its scalar leading
+    coefficient divided out, to one of degree q = p^ell by the scaled
+    Hasse derivative of order (N'-1)q, p the characteristic of the ring."""
     ring = split.ring
-    p = ring.char
-    z = _fiber_variable(split)
-    n = g.degree_of_var(z)
-    if n == 0:
-        raise BadDegree("polynomial has degree 0 in %s" % z)
-    top = g.coefficients_in(z).get(n)
-    if not top.is_constant():
-        raise NotMonic("leading coefficient in %s is not a scalar" % z)
-    g = g.scale(1 / top.constant_term())
-    n_prime, ell = n, 0
-    while p and n_prime % p == 0:
-        n_prime //= p
-        ell += 1
+    h, z, n = _monic_in_fiber(g, split)
+    ell = ring.field.char_exponent(n)
     if ell == 0:
         raise BadDegree(
             "the characteristic %d does not divide the degree %d; this "
-            "shape belongs to the Tschirnhausen route" % (p, n))
-    r = (n_prime - 1) * (n // n_prime)
-    h = g
-    if r:
-        h = g.hasse_derivative(z, r)
-        h = h.scale(1 / ring.field.from_int(n_prime))
+            "shape belongs to the Tschirnhausen route" % (ring.char, n))
+    q = ring.char ** ell
+    if n > q:
+        h = h.hasse_derivative(z, n - q).scale(
+            1 / ring.field.from_int(n // q))
     return PPresentation(split, h)
 
 
@@ -303,20 +315,10 @@ def slope(presentation, at=None):
     root G of the top coefficient's initial form.
     """
     at = at or PointSpec.origin()
-    ring = presentation.ring
-    if ring.index(presentation.z) not in at.indices(ring):
-        raise NotApplicable("the point must contain every fiber variable")
-
-    orders = {j: at.order_of(c, ring) / j
-              for j, c in presentation.coefficients.items()}
-    for j, v in orders.items():
-        if v < ExtendedRational(1):
-            raise MultiplicityBelowDegree(
-                "coefficient order %s at weight %d is below 1" % (v, j))
-    top = orders[presentation.q]
-    elim = INF
-    for f, n in elimination_generators(presentation):
-        elim = ext_min(elim, at.order_of(f, ring) / n)
+    _admit(presentation.h, presentation.split, at)
+    q = presentation.q
+    top = sing_order([(presentation.coefficients[q], q)], at)
+    elim = sing_order(elimination_generators(presentation), at)
     value = ext_min(top, elim)
 
     if value.is_infinite:
@@ -370,47 +372,36 @@ def clean(presentation, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
 
 
 def tschirnhausen_ord(g, split, at=None):
-    """Order of a monic fiber polynomial away from the bad characteristic:
-    kill the subleading coefficient by a linear shift, then take the least
-    coefficient order over weight."""
+    """Order of a fiber polynomial away from the bad characteristic, its
+    scalar leading coefficient divided out: kill the subleading
+    coefficient by a linear shift, then take the least coefficient order
+    over weight."""
     at = at or PointSpec.origin()
     ring = split.ring
-    z = _fiber_variable(split)
-    m = g.degree_of_var(z)
-    if m == 0:
-        raise BadDegree("polynomial has degree 0 in %s" % z)
-    if ring.char and m % ring.char == 0:
+    g, z, m = _monic_in_fiber(g, split)
+    if ring.field.char_exponent(m):
         raise CharDividesDegree(
             "characteristic %d divides the degree %d" % (ring.char, m))
-    top = g.coefficients_in(z).get(m)
-    if top is None or top != ring.one():
-        raise NotMonic("polynomial is not monic in %s" % z)
-    a1 = g.coefficients_in(z).get(m - 1, ring.zero())
-    if not a1.is_zero():
-        shift = a1.scale(1 / ring.field.from_int(m)).scale(
-            ring.field.from_int(-1))
-        g = g.translate(z, shift)
-    coeffs = g.coefficients_in(z)
-    best = INF
-    for i in range(2, m + 1):
-        a = coeffs.get(m - i)
-        if a is None or a.is_zero():
-            continue
-        best = ext_min(best, at.order_of(a, ring) / i)
-    return best
+    a1 = g.coefficients_in(z).get(m - 1)
+    if a1 is not None:
+        g = g.translate(z, a1.scale(-1 / ring.field.from_int(m)))
+    return sing_order(((a, m - e) for e, a in g.coefficients_in(z).items()
+                       if e <= m - 2), at)
 
 
 def hord_report(g, split, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
-    """Order of a monic fiber polynomial at the point, as a SlopeReport.
+    """Order of a fiber polynomial at the point, as a SlopeReport, once
+    the germ is admitted: its scalar leading coefficient is divided out,
+    and its multiplicity at the point must reach its fiber degree.
 
     When the characteristic divides the fiber degree, its p-presentation
     is cleaned (see clean); otherwise the Tschirnhausen translation gives
     the order, which is then both the elimination order and hord, under
     the case "tschirnhausen", with no slope of a p-presentation.
     """
-    z = _fiber_variable(split)
-    p = split.ring.char
-    if p and g.degree_of_var(z) % p == 0:
+    at = at or PointSpec.origin()
+    g, n = _admit(g, split, at)
+    if split.ring.field.char_exponent(n):
         return clean(build_p_presentation(g, split), at, max_rounds)
     value = tschirnhausen_ord(g, split, at)
     return SlopeReport(None, "tschirnhausen", value, hord=value)
@@ -450,7 +441,8 @@ def cross_check_theorems(local_ring, split, at=None,
                          max_n=THEOREM_MAX_N_DEFAULT,
                          max_rounds=MAX_ROUNDS_DEFAULT):
     """Confront the two structure statements with one germ, the local
-    ring's one relation g, monic in the fiber variable of the split.
+    ring's one relation g, with a scalar leading coefficient in the fiber
+    variable of the split.
 
     The statements hold where g has multiplicity equal to its degree in
     the fiber variable; below that the check does not apply.
@@ -473,11 +465,11 @@ def cross_check_theorems(local_ring, split, at=None,
     if multiplicity <= ExtendedRational(1):
         return CheckReport(False, True, "smooth", None, None, None, False,
                            None, note="multiplicity 1: point not singular")
-    degree = g.degree_of_var(_fiber_variable(split))
-    if multiplicity < ExtendedRational(degree):
+    try:
+        _admit(g, split, at)
+    except MultiplicityBelowDegree as exc:
         return CheckReport(False, True, "singular", None, None, None, False,
-                           None, note="multiplicity %s is below the fiber "
-                           "degree %d" % (multiplicity.serialize(), degree))
+                           None, note=str(exc))
 
     kernel = kernel_lambda(local_ring, prime=at.variables)
     if kernel.classification == "unknown":

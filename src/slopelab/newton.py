@@ -77,9 +77,6 @@ class NewtonPolyhedron:
         self.ring = ring
         self.facets = tuple(sorted(facets))
 
-    def valuations(self):
-        return [MonomialValuation(self.ring, w) for w, _ in self.facets]
-
     def __repr__(self):
         return "NewtonPolyhedron(%r)" % (list(self.facets),)
 

@@ -390,9 +390,6 @@ class VariableSplit:
         self.base = base
         self.fiber = fiber
 
-    def fiber_indices(self):
-        return tuple(self.ring.index(v) for v in self.fiber)
-
     def __repr__(self):
         return "VariableSplit(base=%r, fiber=%r)" % (self.base, self.fiber)
 

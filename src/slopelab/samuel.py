@@ -525,9 +525,7 @@ def _kernel_at_prime(presentation, prime):
 
     init = f.initial_form_in(idx)
     q = init.min_degree_in(idx)
-    p, e = ring.char, 0
-    while p and q % p ** (e + 1) == 0:
-        e += 1
+    p, e = ring.char, ring.field.char_exponent(q)
     supports = [tuple(i for i in idx if m[i]) for m in init.terms]
     if not e or p ** e != q or any(len(s) != 1 for s in supports) \
             or len(set(supports)) != len(supports):
@@ -600,16 +598,12 @@ def _power_of_linear_form(g):
         return None  # a linear (or constant) generator leaves no nilpotents
     if g.initial_form() != g:
         return None  # not homogeneous, cannot be a power of a linear form
-    h, mm = g, m
-    if ring.char:
-        s = 0
-        while mm % ring.char == 0:
-            mm //= ring.char
-            s += 1
-        if s:
-            h = g.pth_power_root(s)
-            if h is None:
-                return None
+    h, mm, s = g, m, ring.field.char_exponent(m)
+    if s:
+        mm //= ring.char ** s
+        h = g.pth_power_root(s)
+        if h is None:
+            return None
     # now h should be c * ell^mm with the exponent prime to the characteristic
     pivot = None
     for i in range(len(ring.variables)):

@@ -178,6 +178,22 @@ class TestSlopeCommand:
                                     "classification": "extremal",
                                     "witness": ["x + y"]}
 
+    @pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
+    @pytest.mark.parametrize("g,multiplicity,degree", [
+        ("z^2 + y", 1, 2), ("z^3 + y*z", 2, 3), ("z^6 + y^5", 5, 6)])
+    def test_multiplicity_below_the_fiber_degree_is_refused(
+            self, tmp_path, capsys, char, g, multiplicity, degree):
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["y", "z"], "char": char},
+            "split": {"base": ["y"], "fiber": ["z"]},
+            "slope": {"g": g},
+        })
+        code, out, err = run(["slope", job, "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: multiplicity %d is below the fiber degree %d\n"
+                       % (multiplicity, degree))
+
 
 class TestKernelCommand:
     def test_extremal_pair_of_lines(self, tmp_path, capsys):

@@ -38,17 +38,17 @@ def gens_as_strings(algebra):
 def test_sing_order_examples():
     ring = Ring(("y",), char=2)
     G = ReesAlgebra(ring, [(ring.parse("y^2"), 1)])
-    assert sing_order(G, PointSpec.origin()) == er(2)
+    assert sing_order(G.generators, PointSpec.origin()) == er(2)
 
     for p in (2, 3, 5):
         ringp = Ring(("y1", "y2"), char=p)
         Gp = ReesAlgebra(ringp, [(ringp.parse("y1^%d" % p), p - 1)])
-        assert sing_order(Gp, PointSpec.prime(("y1",))) \
+        assert sing_order(Gp.generators, PointSpec.prime(("y1",))) \
             == ExtendedRational(Fraction(p, p - 1))
 
     ring0 = Ring(("x", "y"))
     G0 = ReesAlgebra(ring0, [(ring0.parse("x^2"), 2), (ring0.parse("y^3"), 3)])
-    assert sing_order(G0, PointSpec.origin()) == er(1)
+    assert sing_order(G0.generators, PointSpec.origin()) == er(1)
 
 
 def test_saturation_on_the_cusp_algebra():
@@ -86,7 +86,8 @@ def test_saturation_preserves_sing_order_at_corpus_points():
         cases.append((G, PointSpec.origin()))
         cases.append((G, PointSpec.prime(("x", "y1"))))
     for G, pt in cases:
-        assert sing_order(diff_saturate_once(G), pt) == sing_order(G, pt)
+        assert sing_order(diff_saturate_once(G).generators, pt) \
+            == sing_order(G.generators, pt)
 
 
 def test_build_p_presentation_collapses_degree_six():
@@ -466,6 +467,34 @@ def test_hord_report_needs_one_fiber_variable():
         split = VariableSplit(ring, base=base, fiber=fiber)
         with pytest.raises(SlopelabError, match="one fiber variable"):
             hord_report(g, split)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
+@pytest.mark.parametrize("text,multiplicity,degree", [
+    ("z^2 + y", 1, 2), ("z^3 + y*z", 2, 3), ("z^6 + y^5", 5, 6)])
+def test_hord_refuses_a_germ_below_its_fiber_degree(char, text,
+                                                    multiplicity, degree):
+    ring = Ring(("y", "z"), char=char)
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    with pytest.raises(MultiplicityBelowDegree,
+                       match="^multiplicity %d is below the fiber degree %d$"
+                       % (multiplicity, degree)):
+        hord_report(ring.parse(text), split)
+
+
+@pytest.mark.parametrize("char,lead,text,hord", [
+    (char, lead, text, hord) for char in (0, 2, 3, 5, 7)
+    for lead, text, hord in ((3, "z^2 + y^3", Fraction(3, 2)),
+                             (2, "z^5 + y^7", Fraction(7, 5)))
+    if not char or lead % char > 1])
+def test_a_scalar_lead_is_divided_out_on_both_routes(char, lead, text, hord):
+    ring = Ring(("y", "z"), char=char)
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    monic_g = ring.parse(text)
+    g = monic_g.scale(ring.field.from_int(lead))
+    scaled, monic_report = hord_report(g, split), hord_report(monic_g, split)
+    assert (scaled.hord, scaled.case) == (monic_report.hord, monic_report.case)
+    assert scaled.hord == er(hord)
 
 
 def test_cross_check_skips_smooth_points():

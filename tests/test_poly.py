@@ -207,7 +207,7 @@ def test_degree_helpers():
 def test_variable_split():
     R = Ring(("z", "y1", "y2"), 2)
     split = VariableSplit(R, base=("y1", "y2"), fiber=("z",))
-    assert split.fiber_indices() == (0,)
+    assert (split.base, split.fiber) == (("y1", "y2"), ("z",))
     with pytest.raises(ValueError):
         VariableSplit(R, base=("y1",), fiber=("z",))  # y2 uncovered
     with pytest.raises(ValueError):

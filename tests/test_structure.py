@@ -10,8 +10,11 @@ takes its leading term off a heap, never from a scan. Each route is
 picked in one place: kernel_lambda takes the point, and hord_report the
 fiber degree, so the command line and the corpus name neither route and
 never ask which kind of point they hold. A p-presentation is one monic
-polynomial in the one fiber variable, with p read from the ring. Every
-name the benchmark's tracer patches still exists."""
+polynomial in the one fiber variable, with p read from the ring. One
+check admits a germ for hord, so MultiplicityBelowDegree is raised in
+one place, and only arith's field handles take the exponent of the
+characteristic in an integer. Every name the benchmark's tracer patches
+still exists."""
 
 import ast
 import importlib
@@ -150,6 +153,39 @@ def test_a_p_presentation_is_one_fiber_polynomial():
              for node in ast.walk(ast.parse(inspect.getsource(elimpres)))
              if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
     assert "is_prime" not in names
+
+
+def raisers(source, error):
+    """Names of the functions of one module that raise the error."""
+    return {func.name for func in ast.walk(ast.parse(source))
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == error}
+
+
+def test_one_check_admits_a_germ():
+    found = {path.name: raisers(path.read_text(), "MultiplicityBelowDegree")
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: funcs for name, funcs in found.items() if funcs} \
+        == {"elimpres.py": {"_admit"}}
+
+
+def p_adic_loops(source):
+    """Lines of one module that loop while an integer is divisible."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.While)
+            and any(isinstance(op, ast.Mod) for op in ast.walk(node.test))]
+
+
+def test_only_the_field_takes_the_exponent_of_the_characteristic():
+    assert p_adic_loops("while n % p == 0:\n    n //= p\n") == [1]
+    assert len(p_adic_loops((PACKAGE / "arith.py").read_text())) == 1
+    found = {path.name: p_adic_loops(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "arith.py"}
+    assert found and not any(found.values()), found
 
 
 def test_every_traced_name_resolves():
