@@ -397,14 +397,17 @@ def hord_report(g, split, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
     When the characteristic divides the fiber degree, its p-presentation
     is cleaned (see clean); otherwise the Tschirnhausen translation gives
     the order, which is then both the elimination order and hord, under
-    the case "tschirnhausen", with no slope of a p-presentation.
+    the case "tschirnhausen", with no slope of a p-presentation; an
+    infinite order, the translated polynomial a pure power of z, is
+    flagged degenerate as on the p-presentation route.
     """
     at = at or PointSpec.origin()
     g, n = _admit(g, split, at)
     if split.ring.field.char_exponent(n):
         return clean(build_p_presentation(g, split), at, max_rounds)
     value = tschirnhausen_ord(g, split, at)
-    return SlopeReport(None, "tschirnhausen", value, hord=value)
+    return SlopeReport(None, "tschirnhausen", value,
+                       degenerate=value.is_infinite, hord=value)
 
 
 class CheckReport:

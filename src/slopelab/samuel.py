@@ -10,6 +10,7 @@ ideal.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from .arith import INF, ExtendedRational, SlopelabError, echelon, ext_min
@@ -81,8 +82,10 @@ class LocalRingPresentation:
         return self._maximal
 
     def is_zero_element(self, f):
-        return f.is_zero() or \
-            self._basis("J", lambda: buchberger(self.relations)).contains(f)
+        return f.is_zero() or self.relation_basis().contains(f)
+
+    def relation_basis(self):
+        return self._basis("J", lambda: buchberger(self.relations))
 
     def initial_basis(self):
         return self._basis("in(J)",
@@ -259,15 +262,16 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
                      lower bound, and exact (infinite) when some power of
                      f dies in the ring.
 
-    The limit route reads its samples from _orders, which never builds
-    f^n: it carries one residue, r_n, the normal form of r_(n-1)*f, and
-    builds f^n only for the global zero test, which runs only on a zero
-    residue. A sample that reaches the cap is only 'at least' it; capped
-    lists its n. Over F_p, when no power is zero, it tests one more, f^q
-    for the least power q of p above max_n: the power map fixes F_p, so
-    f^q is f with every exponent multiplied by q and needs no product. If
-    f^q is zero the answer is infinite (exact), with (q, inf) as the last
-    sample; if not, the lower bound and its samples stand as they were.
+    The limit route reads its samples from _orders, which carries one
+    residue, r_n, the normal form of r_(n-1)*f, and builds f^n once, for
+    the global zero test at the first zero residue; from there on it
+    carries the normal form of f^n modulo J for that test. A sample that
+    reaches the cap is only 'at least' it; capped lists its n. Over F_p,
+    when no power is zero, it tests one more, f^q for the least power q
+    of p above max_n: the power map fixes F_p, so f^q is f with every
+    exponent multiplied by q and needs no product. If f^q is zero the
+    answer is infinite (exact), with (q, inf) as the last sample; if not,
+    the lower bound and its samples stand as they were.
     """
     _check_choice("nubar strategy", strategy,
                   ("auto", "monomial", "certificate", "limit"))
@@ -321,17 +325,25 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
         ratio = Fraction(order, n)
         if ratio > best:
             best = ratio
-    p = presentation.ring.char
-    if p:
-        q = p
-        while q <= max_n:
-            q *= p
-        if presentation.is_zero_element(_frobenius_power(f, q)):
-            samples.append((q, INF))
-            return NubarResult(INF, "exact", certificate="nilpotent-power",
-                               samples=samples, capped=capped)
+    q = _frobenius_zero(presentation, f, max_n)
+    if q:
+        samples.append((q, INF))
+        return NubarResult(INF, "exact", certificate="nilpotent-power",
+                           samples=samples, capped=capped)
     return NubarResult(ExtendedRational(best), "lower-bound",
                        samples=samples, capped=capped)
+
+
+def _frobenius_zero(presentation, f, max_n):
+    """Over F_p, the least power q of p above max_n when f^q is zero in
+    the ring, else None; None at once in characteristic 0."""
+    p = presentation.ring.char
+    if not p:
+        return None
+    q = p
+    while q <= max_n:
+        q *= p
+    return q if presentation.is_zero_element(_frobenius_power(f, q)) else None
 
 
 def _frobenius_power(f, q):
@@ -368,7 +380,10 @@ def _orders(presentation, f, ideal, cap):
     what is left in turn. Either way the normal form of g depends only on
     g modulo that basis' ideal, so r_1 = NF(f) and r_n = NF(r_(n-1)*f) is
     the normal form of f^n. A nonzero r_n proves f^n nonzero, so the
-    global zero test runs only when r_n is zero, and then on f^n.
+    global zero test runs only when r_n is zero: on f^n at the first such
+    n, n0. The residue then stays zero, so from n0 on the run carries
+    w_n, the normal form of w_(n-1)*f modulo J's grevlex basis, from
+    w_n0 = NF(f^n0), and tests it for zero in place of f^n.
     """
     if ideal == presentation.maximal_ideal():
         basis = presentation._basis(
@@ -379,8 +394,7 @@ def _orders(presentation, f, ideal, cap):
                 return cap, True
             return rest.min_degree(), False
     else:
-        basis = presentation._basis(
-            "J", lambda: buchberger(presentation.relations))
+        basis = presentation.relation_basis()
 
         def order(rest):
             for j in range(1, cap + 1):
@@ -388,12 +402,21 @@ def _orders(presentation, f, ideal, cap):
                     return j - 1, False
             return cap, True
     rest = basis.normal_form(f)
-    for n in itertools.count(1):
-        if rest.is_zero() and presentation.is_zero_element(f ** n):
-            yield INF, False
-            return
+    n = 1
+    while not rest.is_zero():
         yield order(rest)
+        n += 1
         rest = basis.normal_form(rest * f)
+    power = f ** n
+    if presentation.is_zero_element(power):
+        yield INF, False
+        return
+    grevlex = presentation.relation_basis()
+    carried = grevlex.normal_form(power)
+    while not carried.is_zero():
+        yield order(rest)
+        carried = grevlex.normal_form(carried * f)
+    yield INF, False
 
 
 class KernelReport:
@@ -709,6 +732,20 @@ def samuel_slope(presentation, candidates=(), certificate=None,
 
     The extremal value is reported as a lower bound; sup attainment is
     never assumed here. The theorem cross-check can certify it exact.
+
+    The search runs nubar on each kernel direction ell and keeps its
+    samples a_n = nu(ell^n), with a_0 = 0. A shift s of order at least
+    d >= 2, such as a monomial of degree d, copies them when no sample n
+    is capped and a_n < a_(n-k) + k*d for every k = 1..n whose binomial
+    C(n, k) is nonzero in the field: then (ell + s)^n - ell^n, the sum of
+    the terms C(n, k)*ell^(n-k)*s^k, has order above a_n, and
+    ord(a + b) = ord(a) when ord(b) > ord(a), so every limit sample of
+    ell + s is ell's, none capped and none zero. Its value is ell's,
+    which cannot beat the best of the direction, so only nubar's
+    Frobenius zero test is run on it: over F_p, ell + s is infinite when
+    its power at q dies, and over Q it needs nothing. Other shifts,
+    caller candidates, and every candidate of a run with a certificate
+    go through nubar.
     """
     _check_cap("max_n", max_n)
     kernel = kernel_lambda(presentation)
@@ -722,19 +759,31 @@ def samuel_slope(presentation, candidates=(), certificate=None,
     def assess(gamma):
         return nubar(presentation, gamma, certificate=certificate,
                      strategy="auto" if certificate else "limit",
-                     max_n=max_n).value
+                     max_n=max_n)
 
     shifts = _translation_shifts(presentation, kernel) if search else []
     best_by_slot = []
     witness = []
     for ell in kernel.basis:
-        slot_best, slot_witness = None, None
-        for gamma in [ell] + [ell + s for s in shifts]:
-            value = assess(gamma)
-            if slot_best is None or value > slot_best:
-                slot_best, slot_witness = value, gamma
+        lead = assess(ell)
+        slot_best, slot_witness = lead.value, ell
+        copies = {}  # shift order d -> whether ell + s copies ell's samples
+        for s in shifts:
             if slot_best.is_infinite:
                 break
+            gamma = ell + s
+            d = s.min_degree()
+            if d not in copies:
+                copies[d] = certificate is None and _copies_samples(
+                    lead, d, presentation.ring.char)
+            if not copies[d]:
+                value = assess(gamma).value
+            elif _frobenius_zero(presentation, gamma, max_n):
+                value = INF
+            else:
+                continue
+            if value > slot_best:
+                slot_best, slot_witness = value, gamma
         best_by_slot.append(slot_best)
         witness.append(slot_witness)
 
@@ -746,7 +795,7 @@ def samuel_slope(presentation, candidates=(), certificate=None,
         validate_lambda_sequence(presentation, kernel, list(seq))
         value = None
         for gamma in seq:
-            v = assess(gamma)
+            v = assess(gamma).value
             value = v if value is None else ext_min(value, v)
         if value > bound:
             bound = value
@@ -754,3 +803,18 @@ def samuel_slope(presentation, candidates=(), certificate=None,
 
     exact = bound.is_infinite  # an infinite lower bound is already the sup
     return SlopeResult(bound, exact, witness, "extremal")
+
+
+def _copies_samples(lead, d, p):
+    """Whether every shift of order at least d leaves the limit samples of
+    lead, the result of nubar on a kernel direction, as they are, p being
+    the characteristic (see samuel_slope)."""
+    orders = [0] + [order.as_fraction for _, order in lead.samples]
+    for n in range(1, len(orders)):
+        if n in lead.capped:
+            return False
+        for k in range(1, n + 1):
+            if (not p or math.comb(n, k) % p) \
+                    and orders[n] >= orders[n - k] + k * d:
+                return False
+    return True

@@ -132,6 +132,27 @@ class TestSlopeCommand:
         assert report["flag"] == "degenerate"
         assert report["transcript"] == [{"shift": "y", "var": "z"}]
 
+    @pytest.mark.parametrize("char,g", [
+        (0, "z^3"), (2, "z^3"), (3, "z^2 + 2*y*z + y^2")])
+    def test_degenerate_flag_on_the_tschirnhausen_route(self, tmp_path,
+                                                        capsys, char, g):
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["z", "y"], "char": char},
+            "split": {"base": ["y"], "fiber": ["z"]},
+            "slope": {"g": g},
+        })
+        code, out, _ = run(["slope", job, "--json"], capsys)
+        assert code == 0
+        assert out == ('{"Hord":"inf","approximate_elimination":false,'
+                       '"case":"tschirnhausen","elim_ord":"inf",'
+                       '"flag":"degenerate","transcript":[]}\n')
+        code, out, _ = run(["slope", job], capsys)
+        assert code == 0
+        assert out == ("case = tschirnhausen\nelimination order = inf\n"
+                       "hord = inf\ndegenerate: the fiber polynomial "
+                       "reduced to a pure power\n")
+
     def test_whitney_at_prime(self, tmp_path, capsys):
         job = write_job(tmp_path, {
             "schema": "slopelab-job/1",

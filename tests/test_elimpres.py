@@ -459,6 +459,20 @@ def test_hord_report_picks_the_route_by_the_fiber_degree():
     assert shifted.hord == shifted.elimination_order == er(Fraction(3, 2))
 
 
+@pytest.mark.parametrize("char,text,case", [
+    (2, "z^2", None),  # 2 divides 2: the p-presentation route
+    (0, "z^3", "tschirnhausen"),
+    (2, "z^3", "tschirnhausen"),
+    (3, "z^2 + 2*y*z + y^2", "tschirnhausen"),  # (z + y)^2
+])
+def test_hord_report_flags_a_pure_power_on_both_routes(char, text, case):
+    ring = Ring(("z", "y"), char=char)
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    report = hord_report(ring.parse(text), split)
+    assert report.degenerate and report.case == case
+    assert report.hord == report.elimination_order == INF
+
+
 def test_hord_report_needs_one_fiber_variable():
     ring = Ring(("z", "w", "y"), char=2)
     g = ring.parse("z^2 + y^3")

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slopelab import corpus, groebner, samuel
-from slopelab.arith import INF, ExtendedRational, SlopelabError, echelon
+from slopelab.arith import (
+    INF,
+    ExtendedRational,
+    SlopelabError,
+    echelon,
+    ext_min,
+)
 from slopelab.groebner import (
     GroebnerBasis,
     IdealPresentation,
@@ -164,6 +171,27 @@ def test_nubar_limit_tests_one_power_for_zero_when_it_dies(monkeypatch):
     assert result.status == "exact" and result.value == INF
     assert result.samples == [(n, ExtendedRational(n)) for n in range(1, 11)] \
         + [(11, INF)]
+
+
+def test_nubar_limit_carries_the_zero_test_past_the_cap(monkeypatch):
+    # x^2 - y^3 + x*y^2 equals x*y^2 in the ring, so its residue modulo
+    # J + m^72 vanishes from n = 21 on; each later zero test is one
+    # product by f of a normal form modulo J, not a fresh power f^n
+    products = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        products.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    ring, A = cusp_ring()
+    result = nubar(A, ring.parse("x^2 - y^3 + x*y^2"), strategy="limit",
+                   cap=72, max_n=60)
+    assert (result.value, result.status) == (
+        ExtendedRational(Fraction(7, 2)), "lower-bound")
+    assert result.capped == tuple(range(21, 61))
+    assert len(products) < 2 * 60
 
 
 def test_nubar_limit_flags_the_samples_at_the_cap():
@@ -719,6 +747,114 @@ def test_user_candidates_feed_the_slope_search():
     result = samuel_slope(A, candidates=[[ring.parse("x + y^2")]],
                           max_n=6, search=False)
     assert result.lower_bound == ExtendedRational(Fraction(3, 2))
+
+
+def reference_slope(presentation, max_n):
+    """samuel_slope's automatic search with every candidate, each shift
+    included, sent through nubar's limit route."""
+    kernel = kernel_lambda(presentation)
+    assert kernel.classification == "extremal"
+    shifts = samuel._translation_shifts(presentation, kernel)
+    bound, witness = None, []
+    for ell in kernel.basis:
+        slot_best, slot_witness = None, None
+        for gamma in [ell] + [ell + s for s in shifts]:
+            value = nubar(presentation, gamma, strategy="limit",
+                          max_n=max_n).value
+            if slot_best is None or value > slot_best:
+                slot_best, slot_witness = value, gamma
+            if slot_best.is_infinite:
+                break
+        bound = slot_best if bound is None else ext_min(bound, slot_best)
+        witness.append(slot_witness)
+    return bound, bound.is_infinite, witness, "extremal"
+
+
+def shifted_power_germs(seed=17, per_field=5):
+    """Seeded hypersurfaces (z + c*s)^a + higher terms over Q, F_2, F_3,
+    F_5 and F_7, s a monomial of degree 2 or 3 in the base variables and
+    each higher term of degree above 2a, with a max_n for the search."""
+    rng = random.Random(seed)
+    for char in (0, 2, 3, 5, 7):
+        for _ in range(per_field):
+            names = rng.choice([("y", "z"), ("x", "y", "z")])
+            ring = Ring(names, char=char)
+            base = names[:-1]
+
+            def monomial(low, high, variables, c):
+                exps = [0] * len(names)
+                for _ in range(rng.randint(low, high)):
+                    exps[names.index(rng.choice(variables))] += 1
+                return ring.monomial(exps, c)
+
+            a = rng.choice([2, 3] + ([char] * 2 if char else []))
+            c = rng.randint(1, char - 1) if char else rng.choice([-1, 1, 3])
+            g = (ring.var("z") + monomial(2, 3, base, c)) ** a
+            for _ in range(rng.randint(0, 2)):
+                g = g + monomial(2 * a + 1, 3 * a + 1, names,
+                                 rng.randint(1, 4))
+            yield LocalRingPresentation(ring, [g]), rng.randint(2, 8)
+
+
+def test_slope_search_matches_a_reference_that_runs_nubar_on_every_shift():
+    shift_wins = frobenius_deaths = 0
+    for A, max_n in shifted_power_germs():
+        result = samuel_slope(A, max_n=max_n)
+        bound, exact, witness, classification = reference_slope(A, max_n)
+        assert (result.lower_bound, result.exact, result.classification) \
+            == (bound, exact, classification), A
+        assert result.witness == witness, A
+        if witness != list(kernel_lambda(A).basis):
+            shift_wins += 1
+            frobenius_deaths += bound.is_infinite and A.ring.char > max_n
+    # the germs cover shifts that win, and shifts whose power dies only
+    # at the Frobenius power above max_n
+    assert shift_wins and frobenius_deaths
+
+
+def recorded_nubar_runs(monkeypatch):
+    """The elements samuel runs nubar on."""
+    assessed = []
+
+    def recording_nubar(presentation, f, *args, **kwargs):
+        assessed.append(f)
+        return nubar(presentation, f, *args, **kwargs)
+
+    monkeypatch.setattr(samuel, "nubar", recording_nubar)
+    return assessed
+
+
+@pytest.mark.parametrize("p", [13, 7])
+def test_slope_search_settles_shifts_from_the_direction_samples(
+        monkeypatch, p):
+    ring = Ring(("y", "z"), char=p)
+    A = LocalRingPresentation(ring, [ring.parse("z^%d + y^%d" % (p, p + 1))])
+    kernel = kernel_lambda(A)
+    shifts = samuel._translation_shifts(A, kernel)
+    assessed = recorded_nubar_runs(monkeypatch)
+    zero_tests = recorded_zero_tests(monkeypatch)
+    result = samuel_slope(A, max_n=8)
+    assert result.witness == [ring.parse("z")]
+    # nubar runs on the direction z alone; its Frobenius zero test, and
+    # one for each shift, are the only zero tests
+    assert assessed == list(kernel.basis)
+    assert len(zero_tests) == 1 + len(shifts)
+
+
+def test_slope_search_runs_nubar_where_a_shift_can_move_an_order(
+        monkeypatch):
+    ring = Ring(("x", "y"))
+    A = LocalRingPresentation(ring, [ring.parse("x^2 - 2*y^3")])
+    kernel = kernel_lambda(A)
+    shifts = samuel._translation_shifts(A, kernel)
+    assessed = recorded_nubar_runs(monkeypatch)
+    samuel_slope(A, max_n=3)
+    # the orders of x, x^2, x^3 are 1, 3, 4: a shift s of degree 2 may
+    # move the order of (x + s)^2, as 3 is not below 1 + 2, while one of
+    # degree 3 moves none
+    x = ring.parse("x")
+    assert {s.min_degree() for s in shifts} == {2, 3}
+    assert assessed == [x] + [x + s for s in shifts if s.min_degree() == 2]
 
 
 def test_kernel_at_a_coordinate_prime_whitney_shape():
