@@ -398,14 +398,15 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\^)|(\*)|(\+)|(-)|(\
 
 
 def _tokenize(text):
+    """The tokens of text, each with its offset, then the end marker."""
     pos, out = 0, []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
             raise SlopelabError("cannot read polynomial at %r" % text[pos:pos + 12])
         pos = m.end()
-        out.append(m.group().strip())
-    out.append(None)  # end marker
+        out.append((m.group(m.lastindex), m.start(m.lastindex)))
+    out.append((None, len(text)))  # end marker
     return out
 
 
@@ -414,14 +415,15 @@ def _parse(ring, text):
     k = [0]
 
     def peek():
-        return tokens[k[0]]
+        return tokens[k[0]][0]
 
     def take():
-        tok = tokens[k[0]]
+        tok = tokens[k[0]][0]
         k[0] += 1
         return tok
 
     def atom():
+        at = tokens[k[0]][1]
         tok = take()
         if tok == "(":
             e = expr()
@@ -434,7 +436,10 @@ def _parse(ring, text):
             raise SlopelabError("polynomial text ended early: %r" % text)
         if tok.isdigit():
             return ring.constant(int(tok))
-        return ring.var(tok)
+        if tok[0].isalpha() or tok[0] == "_":
+            return ring.var(tok)
+        raise SlopelabError("expected a factor at %r, position %d of %r"
+                            % (text[at:at + 12], at, text))
 
     def factor():
         base = atom()

@@ -21,6 +21,7 @@ from .groebner import (
     ideal_sum,
     local_basis,
     monomial_dimension,
+    normal_form,
     radical_member,
 )
 from .newton import nubar_monomial
@@ -337,13 +338,21 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
 def _frobenius_zero(presentation, f, max_n):
     """Over F_p, the least power q of p above max_n when f^q is zero in
     the ring, else None; None at once in characteristic 0."""
-    p = presentation.ring.char
+    q = _frobenius_exponent(presentation.ring.char, max_n)
+    if q and presentation.is_zero_element(_frobenius_power(f, q)):
+        return q
+    return None
+
+
+def _frobenius_exponent(p, max_n):
+    """The least power q of p above max_n, the Frobenius power the limit
+    route tests for zero; None in characteristic 0."""
     if not p:
         return None
     q = p
     while q <= max_n:
         q *= p
-    return q if presentation.is_zero_element(_frobenius_power(f, q)) else None
+    return q
 
 
 def _frobenius_power(f, q):
@@ -689,40 +698,68 @@ def validate_lambda_sequence(presentation, kernel, candidate):
 
 
 def _complement_variables(presentation, kernel):
+    """The variables whose unit vectors, taken greedily in ring order,
+    extend the linear parts of the kernel basis to a basis of k^n: e_i is
+    taken when it lies outside the span so far.
+
+    One forward elimination serves every test. The span is kept as rows
+    with distinct pivot columns, each row a one at its pivot and zero at
+    the pivots of the rows before it, so a vector lies in the span
+    exactly when reducing it by the rows in turn leaves zero.
+    """
     ring = presentation.ring
-    rows = echelon(_linear_part_rows(kernel.basis, ring))
+    n = len(ring.variables)
+    zero, one = ring.field.zero, ring.field.one
+    pivots = []  # (pivot column, row)
+
+    def extend(row):
+        """Add row to the span when it lies outside it; True when it did."""
+        for col, pivot_row in pivots:
+            c = row[col]
+            if c:
+                row = [a - c * b for a, b in zip(row, pivot_row)]
+        col = next((k for k, c in enumerate(row) if c), None)
+        if col is None:
+            return False
+        inv = 1 / row[col]
+        pivots.append((col, [c * inv for c in row]))
+        return True
+
+    for row in _linear_part_rows(kernel.basis, ring):
+        extend(row)
     complement = []
     for i, name in enumerate(ring.variables):
-        unit = [ring.field.zero] * len(ring.variables)
-        unit[i] = ring.field.one
-        grown = echelon(rows + [unit])
-        if len(grown) > len(rows):
-            rows = grown
+        if extend([one if k == i else zero for k in range(n)]):
             complement.append(name)
     return complement
 
 
 def _translation_shifts(presentation, kernel):
-    """Shift polynomials for the automatic slope search: multiples of a
-    complement variable by monomials of degree 1 up to SHIFT_DEGREE.
+    """Shift monomials of the automatic slope search, in its order: a
+    complement variable times a monomial of degree 1 up to SHIFT_DEGREE,
+    with coefficient one. The search shifts by u*s for each of them, s,
+    and each unit u of _shift_units in turn.
 
-    Every shift lies in m^2, so ell + shift keeps the linear part ell and
+    Every shift lies in m^2, so ell + u*s keeps the linear part ell and
     is a valid lambda-sequence element for the kernel direction ell.
     """
     ring = presentation.ring
-    complement = _complement_variables(presentation, kernel)
-    units = [1, -1] if ring.char == 0 else list(range(1, ring.char))
-    shifts = []
     n = len(ring.variables)
-    for name in complement:
-        base = ring.var(name)
+    shifts = []
+    for name in _complement_variables(presentation, kernel):
+        i = ring.index(name)
         for exps in itertools.product(range(SHIFT_DEGREE + 1), repeat=n):
-            if not 1 <= sum(exps) <= SHIFT_DEGREE:
-                continue
-            mono = ring.monomial(exps)
-            for u in units:
-                shifts.append((base * mono).scale(ring.field.from_int(u)))
+            if 1 <= sum(exps) <= SHIFT_DEGREE:
+                shifts.append(ring.monomial(
+                    [e + (k == i) for k, e in enumerate(exps)]))
     return shifts
+
+
+def _shift_units(ring):
+    """The scalars each shift monomial is taken with: 1 and -1 over Q,
+    every unit over F_p."""
+    units = [1, -1] if ring.char == 0 else range(1, ring.char)
+    return [ring.field.from_int(u) for u in units]
 
 
 def samuel_slope(presentation, candidates=(), certificate=None,
@@ -734,18 +771,32 @@ def samuel_slope(presentation, candidates=(), certificate=None,
     never assumed here. The theorem cross-check can certify it exact.
 
     The search runs nubar on each kernel direction ell and keeps its
-    samples a_n = nu(ell^n), with a_0 = 0. A shift s of order at least
-    d >= 2, such as a monomial of degree d, copies them when no sample n
-    is capped and a_n < a_(n-k) + k*d for every k = 1..n whose binomial
-    C(n, k) is nonzero in the field: then (ell + s)^n - ell^n, the sum of
-    the terms C(n, k)*ell^(n-k)*s^k, has order above a_n, and
-    ord(a + b) = ord(a) when ord(b) > ord(a), so every limit sample of
-    ell + s is ell's, none capped and none zero. Its value is ell's,
-    which cannot beat the best of the direction, so only nubar's
-    Frobenius zero test is run on it: over F_p, ell + s is infinite when
-    its power at q dies, and over Q it needs nothing. Other shifts,
-    caller candidates, and every candidate of a run with a certificate
-    go through nubar.
+    samples a_n = nu(ell^n), with a_0 = 0, then tries ell + u*s for each
+    shift monomial s (see _translation_shifts) and unit u. When no
+    certificate is in play and no sample of ell is capped, a monomial s
+    copies ell's samples for every u by either of two rules:
+      binomial -- s has order d and a_n < a_(n-k) + k*d for every
+                  k = 1..n whose binomial C(n, k) is nonzero in the
+                  field: (ell + u*s)^n - ell^n, the sum of the terms
+                  C(n, k)*u^k*ell^(n-k)*s^k, then has order above a_n,
+                  and ord(a + b) = ord(a) when ord(b) > ord(a);
+      multiple -- ell divides s (the normal form of s modulo {ell}, a
+                  Groebner basis of (ell), is zero): ell + u*s is
+                  ell*(1 + u*s/ell), a unit times ell in the local ring,
+                  so nu((ell + u*s)^n) = nu(ell^n) for every n.
+    Either way every limit sample of ell + u*s is ell's, none capped and
+    none zero, and its value, ell's, cannot beat the best of the
+    direction. The no-capped-sample condition matters: a capped sample
+    sends nubar to the global zero test, where the unit can change the
+    answer. Over Q such a monomial is skipped. Over F_p only nubar's
+    Frobenius zero test is left: for the power q of p it uses,
+    (ell + u*s)^q = ell^q + u*s^q, as u^q = u, and the grevlex normal
+    form modulo J is linear, so NF(ell^q), once per direction, and
+    NF(s^q), once per monomial, settle every unit: ell + u*s is infinite
+    when NF(ell^q) + u*NF(s^q) = 0, which needs no division. Other
+    monomials run nubar on ell + u*s for each unit in turn, and so do
+    caller candidates and every candidate of a run with a certificate.
+    A shifted element is built only for a nubar run or a new witness.
     """
     _check_cap("max_n", max_n)
     kernel = kernel_lambda(presentation)
@@ -761,29 +812,42 @@ def samuel_slope(presentation, candidates=(), certificate=None,
                      strategy="auto" if certificate else "limit",
                      max_n=max_n)
 
+    ring = presentation.ring
     shifts = _translation_shifts(presentation, kernel) if search else []
+    units = _shift_units(ring)
+    q = _frobenius_exponent(ring.char, max_n)
     best_by_slot = []
     witness = []
     for ell in kernel.basis:
         lead = assess(ell)
         slot_best, slot_witness = lead.value, ell
-        copies = {}  # shift order d -> whether ell + s copies ell's samples
+        settled = certificate is None and not lead.capped
+        copies = {}  # shift order d -> whether the binomial rule holds
+        ell_q = None  # NF(ell^q) modulo J, on the first copying monomial
         for s in shifts:
             if slot_best.is_infinite:
                 break
-            gamma = ell + s
             d = s.min_degree()
-            if d not in copies:
-                copies[d] = certificate is None and _copies_samples(
-                    lead, d, presentation.ring.char)
-            if not copies[d]:
-                value = assess(gamma).value
-            elif _frobenius_zero(presentation, gamma, max_n):
-                value = INF
-            else:
+            if settled and d not in copies:
+                copies[d] = _copies_samples(lead, d, ring.char)
+            if settled and (copies[d] or normal_form(s, [ell]).is_zero()):
+                if q:
+                    grevlex = presentation.relation_basis()
+                    if ell_q is None:
+                        ell_q = grevlex.normal_form(_frobenius_power(ell, q))
+                    s_q = grevlex.normal_form(_frobenius_power(s, q))
+                    for u in units:
+                        if (ell_q + s_q.scale(u)).is_zero():
+                            slot_best, slot_witness = INF, ell + s.scale(u)
+                            break
                 continue
-            if value > slot_best:
-                slot_best, slot_witness = value, gamma
+            for u in units:
+                gamma = ell + s.scale(u)
+                value = assess(gamma).value
+                if value > slot_best:
+                    slot_best, slot_witness = value, gamma
+                if slot_best.is_infinite:
+                    break
         best_by_slot.append(slot_best)
         witness.append(slot_witness)
 
@@ -807,12 +871,11 @@ def samuel_slope(presentation, candidates=(), certificate=None,
 
 def _copies_samples(lead, d, p):
     """Whether every shift of order at least d leaves the limit samples of
-    lead, the result of nubar on a kernel direction, as they are, p being
-    the characteristic (see samuel_slope)."""
+    lead, the result of nubar on a kernel direction with no capped
+    sample, as they are, p being the characteristic: the binomial rule of
+    samuel_slope."""
     orders = [0] + [order.as_fraction for _, order in lead.samples]
     for n in range(1, len(orders)):
-        if n in lead.capped:
-            return False
         for k in range(1, n + 1):
             if (not p or math.comb(n, k) % p) \
                     and orders[n] >= orders[n - k] + k * d:

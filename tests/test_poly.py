@@ -49,6 +49,15 @@ def test_parse_mod_p_and_errors():
         R2.parse("(y")
 
 
+@pytest.mark.parametrize("text, at", [("x*+y", 2), ("x**2", 2), ("()", 1),
+                                      ("x^2 + )", 6), ("-*x", 1)])
+def test_parse_names_an_operator_where_a_factor_belongs(text, at):
+    R = Ring(("x", "y"))
+    with pytest.raises(SlopelabError,
+                       match=r"expected a factor at .*, position %d of" % at):
+        R.parse(text)
+
+
 def test_ring_guards():
     with pytest.raises(ValueError):
         Ring(tuple("abcdefghi"), 0)  # nine variables, one over the cap

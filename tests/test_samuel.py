@@ -721,6 +721,43 @@ def test_slope_not_applicable_for_a_regular_presentation():
         samuel_slope(A)
 
 
+def echelon_complement(presentation, kernel):
+    """Complement variables chosen greedily by one echelon per variable."""
+    ring = presentation.ring
+    rows = echelon(samuel._linear_part_rows(kernel.basis, ring))
+    complement = []
+    for i, name in enumerate(ring.variables):
+        unit = [ring.field.zero] * len(ring.variables)
+        unit[i] = ring.field.one
+        grown = echelon(rows + [unit])
+        if len(grown) > len(rows):
+            rows = grown
+            complement.append(name)
+    return complement
+
+
+def test_complement_variables_match_one_echelon_per_variable():
+    members = corpus.local_ring_members() + corpus.whitney_members()
+    for member in members:
+        A = member.presentation
+        kernel = kernel_lambda(A)
+        assert samuel._complement_variables(A, kernel) \
+            == echelon_complement(A, kernel), member.name
+    # seeded spans of linear forms, with dependent and repeated rows
+    rng = random.Random(41)
+    for char in (0, 2, 3, 5):
+        for n in (2, 3, 4):
+            ring = Ring(("x", "y", "z", "w")[:n], char=char)
+            A = LocalRingPresentation(ring)
+            for _ in range(6):
+                basis = [sum((ring.var(v) * rng.randint(-2, 2)
+                              for v in ring.variables), ring.zero())
+                         for _ in range(rng.randint(0, n))]
+                kernel = samuel.KernelReport(basis, 0, "unknown", "partial")
+                assert samuel._complement_variables(A, kernel) \
+                    == echelon_complement(A, kernel), (ring, basis)
+
+
 @pytest.mark.parametrize("name", ["cusp-char0", "cusp-char2",
                                   "node-char2"])
 def test_slope_search_shifts_lie_in_the_square_of_m(name):
@@ -754,7 +791,9 @@ def reference_slope(presentation, max_n):
     included, sent through nubar's limit route."""
     kernel = kernel_lambda(presentation)
     assert kernel.classification == "extremal"
-    shifts = samuel._translation_shifts(presentation, kernel)
+    shifts = [s.scale(u)
+              for s in samuel._translation_shifts(presentation, kernel)
+              for u in samuel._shift_units(presentation.ring)]
     bound, witness = None, []
     for ell in kernel.basis:
         slot_best, slot_witness = None, None
@@ -824,6 +863,20 @@ def recorded_nubar_runs(monkeypatch):
     return assessed
 
 
+def recorded_divisions(monkeypatch, basis):
+    """The elements divided by the given Groebner basis."""
+    divided = []
+    normal_form = GroebnerBasis.normal_form
+
+    def recording_normal_form(self, f):
+        if self is basis:
+            divided.append(f)
+        return normal_form(self, f)
+
+    monkeypatch.setattr(GroebnerBasis, "normal_form", recording_normal_form)
+    return divided
+
+
 @pytest.mark.parametrize("p", [13, 7])
 def test_slope_search_settles_shifts_from_the_direction_samples(
         monkeypatch, p):
@@ -833,12 +886,15 @@ def test_slope_search_settles_shifts_from_the_direction_samples(
     shifts = samuel._translation_shifts(A, kernel)
     assessed = recorded_nubar_runs(monkeypatch)
     zero_tests = recorded_zero_tests(monkeypatch)
+    divided = recorded_divisions(monkeypatch, A.relation_basis())
     result = samuel_slope(A, max_n=8)
     assert result.witness == [ring.parse("z")]
-    # nubar runs on the direction z alone; its Frobenius zero test, and
-    # one for each shift, are the only zero tests
+    # nubar runs on the direction z alone, and its Frobenius zero test is
+    # the only zero test; past it, the search divides z^q once and each
+    # shift monomial's q-th power once, for all p - 1 units together
     assert assessed == list(kernel.basis)
-    assert len(zero_tests) == 1 + len(shifts)
+    assert zero_tests == ["z^%d" % samuel._frobenius_exponent(p, 8)]
+    assert len(divided) - len(zero_tests) == 1 + len(shifts)
 
 
 def test_slope_search_runs_nubar_where_a_shift_can_move_an_order(
@@ -851,10 +907,92 @@ def test_slope_search_runs_nubar_where_a_shift_can_move_an_order(
     samuel_slope(A, max_n=3)
     # the orders of x, x^2, x^3 are 1, 3, 4: a shift s of degree 2 may
     # move the order of (x + s)^2, as 3 is not below 1 + 2, while one of
-    # degree 3 moves none
+    # degree 3 moves none; and x +- x*y is x times a unit
     x = ring.parse("x")
+    assert [s for s in shifts if s.min_degree() == 2] \
+        == [ring.parse("y^2"), ring.parse("x*y")]
     assert {s.min_degree() for s in shifts} == {2, 3}
-    assert assessed == [x] + [x + s for s in shifts if s.min_degree() == 2]
+    assert assessed == [x, ring.parse("x + y^2"), ring.parse("x - y^2")]
+
+
+def unit_multiple_germs(seed=29, per_kind=2):
+    """Seeded hypersurfaces over Q, F_2, F_3, F_5 and F_7 whose kernel
+    direction z divides some shift monomials, in the variables y, z or
+    x, y, z, each with a max_n for the search, and of three kinds:
+      jump    -- z^a + c*y^b with b > a + 1, plus higher terms: the order
+                 of z^a jumps, so the binomial rule fails on shifts of
+                 order 2 and only z | s settles z*y;
+      capped  -- z^a*(1 + c*y): z^a is zero only in the local ring, so
+                 the run of z has capped samples from a on, and the unit
+                 multiple z + c*y*z dies under the global zero test;
+      shifted -- (z + c*s)^a plus higher terms, s a monomial in the base
+                 variables, whose shift may die only at the Frobenius
+                 power above max_n.
+    """
+    rng = random.Random(seed)
+    for char in (0, 2, 3, 5, 7):
+        for kind in ("jump", "capped", "shifted") * per_kind:
+            names = rng.choice([("y", "z"), ("x", "y", "z")])
+            ring = Ring(names, char=char)
+            base = names[:-1]
+
+            def monomial(low, high, variables, c):
+                exps = [0] * len(names)
+                for _ in range(rng.randint(low, high)):
+                    exps[names.index(rng.choice(variables))] += 1
+                return ring.monomial(exps, c)
+
+            z, y = ring.var("z"), ring.var("y")
+            c = rng.randint(1, char - 1) if char else rng.choice([-1, 1])
+            a = rng.choice([2, 3] + ([char] if char else []))
+            if kind == "jump":
+                g = z ** a + y ** rng.randint(a + 2, a + 4) * c
+                for _ in range(rng.randint(0, 1)):
+                    g = g + monomial(2 * a + 2, 3 * a, names,
+                                     rng.randint(1, 4))
+            elif kind == "capped":
+                g = z ** a * (ring.one() + y * c)
+            else:
+                g = (z + monomial(2, 3, base, c)) ** a
+                for _ in range(rng.randint(0, 2)):
+                    g = g + monomial(2 * a + 1, 3 * a + 1, names,
+                                     rng.randint(1, 4))
+            yield kind, LocalRingPresentation(ring, [g]), rng.randint(2, 8)
+
+
+def test_slope_search_settles_unit_multiples_like_the_reference(
+        monkeypatch):
+    divides = []
+    normal_form = samuel.normal_form
+
+    def recording_normal_form(f, basis):
+        # the search divides only to ask whether its direction divides f
+        rest = normal_form(f, basis)
+        divides.append(rest.is_zero())
+        return rest
+
+    monkeypatch.setattr(samuel, "normal_form", recording_normal_form)
+    assessed = recorded_nubar_runs(monkeypatch)
+    guarded = frobenius_deaths = 0
+    for kind, A, max_n in unit_multiple_germs():
+        asked = len(divides)
+        assessed.clear()
+        result = samuel_slope(A, max_n=max_n)
+        bound, exact, witness, classification = reference_slope(A, max_n)
+        assert (result.lower_bound, result.exact, result.classification,
+                result.witness) == (bound, exact, classification, witness), A
+        (ell,) = kernel_lambda(A).basis
+        # a shifted witness that nubar never ran on died at the Frobenius
+        # power, found from the normal forms shared by its units
+        frobenius_deaths += witness != [ell] and witness[0] not in assessed
+        if nubar(A, ell, strategy="limit", max_n=max_n).capped:
+            # a capped run never asks whether ell divides a shift, and here
+            # the unit multiple that rule would copy is the witness
+            assert len(divides) == asked, A
+            shift = witness[0] - ell
+            guarded += not shift.is_zero() \
+                and groebner.normal_form(shift, [ell]).is_zero()
+    assert any(divides) and guarded and frobenius_deaths
 
 
 def test_kernel_at_a_coordinate_prime_whitney_shape():
