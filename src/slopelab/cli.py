@@ -68,16 +68,16 @@ class Job:
             raise JobError("bad ring declaration: %s" % exc)
         self.data = data
         self.polys = {}
-        for name, text in self._table("polys").items():
+        for name, text in self.section("polys").items():
             self.polys[name] = self._parse_poly(text, "polys[%s]" % name)
         self.ideals = {}
-        for name, gens in self._table("ideals").items():
+        for name, gens in self.section("ideals").items():
             if not isinstance(gens, list):
                 raise JobError("ideal %r must list its generators" % name)
             self.ideals[name] = IdealPresentation(
                 self.ring, [self.poly(g, "ideals[%s]" % name) for g in gens])
         self.certificates = {}
-        for name, entries in self._table("certificates").items():
+        for name, entries in self.section("certificates").items():
             self.certificates[name] = self._parse_certificate(name, entries)
 
     @classmethod
@@ -90,12 +90,6 @@ class Job:
         except json.JSONDecodeError as exc:
             raise JobError("job file is not valid JSON: %s" % exc)
         return cls(data)
-
-    def _table(self, key):
-        table = self.data.get(key, {})
-        if not isinstance(table, dict):
-            raise JobError("section %r must be an object" % key)
-        return table
 
     def _parse_poly(self, text, where):
         if not isinstance(text, str):
@@ -193,7 +187,10 @@ class Job:
                 if name not in self.ring.variables:
                     raise JobError("point variable %r is not in the ring"
                                    % name)
-            return PointSpec.prime(tuple(names))
+            try:
+                return PointSpec.prime(tuple(names))
+            except ValueError as exc:
+                raise JobError("bad point: %s" % exc)
         raise JobError("point kind must be origin or prime")
 
     def candidates(self):
@@ -357,17 +354,15 @@ def cmd_kernel(args):
 
 def _samuel_slope_report(job, args):
     params = job.section("samuel_slope")
-    presentation = job.local_ring()
-    certificate = None
     if "certificate" in params:
-        certificate = job.certificate(params["certificate"],
-                                      "samuel_slope.certificate")
-    result = samuel_slope(presentation,
-                          candidates=job.candidates(),
-                          certificate=certificate,
+        raise JobError("samuel_slope takes no certificate: every element "
+                       "runs nubar's limit route")
+    if "search" in params:
+        raise JobError("samuel_slope takes no search: the shift search "
+                       "always runs")
+    result = samuel_slope(job.local_ring(), candidates=job.candidates(),
                           max_n=_cap(args, params, "samuel_slope", "max_n",
-                                     LIMIT_N_DEFAULT),
-                          search=params.get("search", True))
+                                     LIMIT_N_DEFAULT))
     report = {
         "bound": result.lower_bound.serialize(),
         "exact": result.exact,

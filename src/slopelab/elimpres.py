@@ -44,6 +44,8 @@ class PointSpec:
             raise ValueError("kind must be 'origin' or 'prime'")
         if kind == "prime" and not variables:
             raise ValueError("a coordinate prime needs at least one variable")
+        if len(set(variables)) != len(variables):
+            raise ValueError("a coordinate prime names each variable once")
         self.kind = kind
         self.variables = tuple(variables)
 
@@ -60,14 +62,14 @@ class PointSpec:
             return tuple(range(len(ring.variables)))
         return tuple(ring.index(v) for v in self.variables)
 
-    def order_of(self, f, ring):
+    def order_of(self, f):
         """The order of f along this point: minimal degree in its variables.
 
         Exact for a polynomial ambient ring; distinct monomials never cancel.
         """
         if f.is_zero():
             return INF
-        return ExtendedRational(f.min_degree_in(self.indices(ring)))
+        return ExtendedRational(f.min_degree_in(self.indices(f.ring)))
 
     def __repr__(self):
         if self.kind == "origin":
@@ -113,7 +115,7 @@ def sing_order(pairs, at):
     """
     best = INF
     for f, n in pairs:
-        best = ext_min(best, at.order_of(f, f.ring) / n)
+        best = ext_min(best, at.order_of(f) / n)
     return best
 
 
@@ -185,7 +187,7 @@ def _admit(g, split, at):
     g, z, n = _monic_in_fiber(g, split)
     if g.ring.index(z) not in at.indices(g.ring):
         raise NotApplicable("the point must contain every fiber variable")
-    multiplicity = at.order_of(g, g.ring)
+    multiplicity = at.order_of(g)
     if multiplicity < ExtendedRational(n):
         raise MultiplicityBelowDegree(
             "multiplicity %s is below the fiber degree %d"
@@ -272,14 +274,13 @@ def elimination_generators(presentation):
 
 class SlopeReport:
     def __init__(self, value, case, elimination_order, degenerate=False,
-                 hord=None, transcript=(), presentation=None, root=None):
+                 hord=None, transcript=(), root=None):
         self.value = value
         self.case = case
         self.elimination_order = elimination_order
         self.degenerate = degenerate
         self.hord = hord
         self.transcript = list(transcript)
-        self.presentation = presentation
         self.root = root
 
     @property
@@ -322,8 +323,7 @@ def slope(presentation, at=None):
     value = ext_min(top, elim)
 
     if value.is_infinite:
-        return SlopeReport(value, None, elim, degenerate=True,
-                           presentation=presentation)
+        return SlopeReport(value, None, elim, degenerate=True)
 
     root = None
     if elim <= top:
@@ -333,8 +333,7 @@ def slope(presentation, at=None):
     else:
         root = _initial_root(presentation, at)
         case = "B2" if root is None else "B3"
-    return SlopeReport(value, case, elim, presentation=presentation,
-                       root=root)
+    return SlopeReport(value, case, elim, root=root)
 
 
 def clean(presentation, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
@@ -464,7 +463,7 @@ def cross_check_theorems(local_ring, split, at=None,
             "has %d relations" % len(relations))
     g = relations[0]
 
-    multiplicity = at.order_of(g, split.ring)
+    multiplicity = at.order_of(g)
     if multiplicity <= ExtendedRational(1):
         return CheckReport(False, True, "smooth", None, None, None, False,
                            None, note="multiplicity 1: point not singular")

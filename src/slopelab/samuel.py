@@ -548,6 +548,9 @@ def _kernel_at_prime(presentation, prime):
     ring = presentation.ring
     if len(presentation.relations.generators) != 1:
         raise UnknownKernel("prime-point kernels only for hypersurfaces")
+    if len(set(prime)) != len(prime):
+        raise SlopelabError("the prime (%s) names a variable twice"
+                            % ", ".join(prime))
     f = presentation.relations.generators[0]
     idx = tuple(ring.index(v) for v in prime)
     if f.min_degree_in(idx) < 1:
@@ -702,36 +705,17 @@ def _complement_variables(presentation, kernel):
     extend the linear parts of the kernel basis to a basis of k^n: e_i is
     taken when it lies outside the span so far.
 
-    One forward elimination serves every test. The span is kept as rows
-    with distinct pivot columns, each row a one at its pivot and zero at
-    the pivots of the rows before it, so a vector lies in the span
-    exactly when reducing it by the rows in turn leaves zero.
+    With V the span of the linear parts, V + span(e_j taken, j < i) is
+    V + span(e_j, j < i), so e_i is taken exactly when no vector of V has
+    its last nonzero entry at i. Those last entries are the pivots of the
+    echelon form of V's rows read right to left.
     """
     ring = presentation.ring
     n = len(ring.variables)
-    zero, one = ring.field.zero, ring.field.one
-    pivots = []  # (pivot column, row)
-
-    def extend(row):
-        """Add row to the span when it lies outside it; True when it did."""
-        for col, pivot_row in pivots:
-            c = row[col]
-            if c:
-                row = [a - c * b for a, b in zip(row, pivot_row)]
-        col = next((k for k, c in enumerate(row) if c), None)
-        if col is None:
-            return False
-        inv = 1 / row[col]
-        pivots.append((col, [c * inv for c in row]))
-        return True
-
-    for row in _linear_part_rows(kernel.basis, ring):
-        extend(row)
-    complement = []
-    for i, name in enumerate(ring.variables):
-        if extend([one if k == i else zero for k in range(n)]):
-            complement.append(name)
-    return complement
+    rows = echelon([row[::-1]
+                    for row in _linear_part_rows(kernel.basis, ring)])
+    lasts = {n - 1 - next(k for k, c in enumerate(row) if c) for row in rows}
+    return [name for i, name in enumerate(ring.variables) if i not in lasts]
 
 
 def _translation_shifts(presentation, kernel):
@@ -762,19 +746,19 @@ def _shift_units(ring):
     return [ring.field.from_int(u) for u in units]
 
 
-def samuel_slope(presentation, candidates=(), certificate=None,
-                 max_n=LIMIT_N_DEFAULT, search=True):
+def samuel_slope(presentation, candidates=(), max_n=LIMIT_N_DEFAULT):
     """Slope of the local ring: 1 in the non-extremal case, otherwise the
     best min-over-sequence asymptotic order found.
 
     The extremal value is reported as a lower bound; sup attainment is
     never assumed here. The theorem cross-check can certify it exact.
+    Every element is assessed by nubar's limit route.
 
     The search runs nubar on each kernel direction ell and keeps its
     samples a_n = nu(ell^n), with a_0 = 0, then tries ell + u*s for each
-    shift monomial s (see _translation_shifts) and unit u. When no
-    certificate is in play and no sample of ell is capped, a monomial s
-    copies ell's samples for every u by either of two rules:
+    shift monomial s (see _translation_shifts) and unit u. When no sample
+    of ell is capped, a monomial s copies ell's samples for every u by
+    either of two rules:
       binomial -- s has order d and a_n < a_(n-k) + k*d for every
                   k = 1..n whose binomial C(n, k) is nonzero in the
                   field: (ell + u*s)^n - ell^n, the sum of the terms
@@ -794,9 +778,10 @@ def samuel_slope(presentation, candidates=(), certificate=None,
     form modulo J is linear, so NF(ell^q), once per direction, and
     NF(s^q), once per monomial, settle every unit: ell + u*s is infinite
     when NF(ell^q) + u*NF(s^q) = 0, which needs no division. Other
-    monomials run nubar on ell + u*s for each unit in turn, and so do
-    caller candidates and every candidate of a run with a certificate.
-    A shifted element is built only for a nubar run or a new witness.
+    monomials run nubar on ell + u*s for each unit in turn, and so do the
+    elements of the caller's candidate lambda-sequences, each sequence
+    scoring the least value of its elements. A shifted element is built
+    only for a nubar run or a new witness.
     """
     _check_cap("max_n", max_n)
     kernel = kernel_lambda(presentation)
@@ -808,12 +793,10 @@ def samuel_slope(presentation, candidates=(), certificate=None,
         return SlopeResult(ExtendedRational(1), True, [], "non-extremal")
 
     def assess(gamma):
-        return nubar(presentation, gamma, certificate=certificate,
-                     strategy="auto" if certificate else "limit",
-                     max_n=max_n)
+        return nubar(presentation, gamma, strategy="limit", max_n=max_n)
 
     ring = presentation.ring
-    shifts = _translation_shifts(presentation, kernel) if search else []
+    shifts = _translation_shifts(presentation, kernel)
     units = _shift_units(ring)
     q = _frobenius_exponent(ring.char, max_n)
     best_by_slot = []
@@ -821,7 +804,7 @@ def samuel_slope(presentation, candidates=(), certificate=None,
     for ell in kernel.basis:
         lead = assess(ell)
         slot_best, slot_witness = lead.value, ell
-        settled = certificate is None and not lead.capped
+        settled = not lead.capped  # the copy rules need no capped sample
         copies = {}  # shift order d -> whether the binomial rule holds
         ell_q = None  # NF(ell^q) modulo J, on the first copying monomial
         for s in shifts:

@@ -153,6 +153,18 @@ class TestSlopeCommand:
                        "hord = inf\ndegenerate: the fiber polynomial "
                        "reduced to a pure power\n")
 
+    def test_exhausted_rounds_are_one_error_line(self, tmp_path, capsys):
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["y", "z"], "char": 2},
+            "split": {"base": ["y"], "fiber": ["z"]},
+            "slope": {"g": "z^2 + y^2 + y^3"},
+        })
+        code, out, err = run(["slope", job, "--max-rounds", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: no normal form after 1 cleaning rounds; "
+                       "best slope 1 is a lower bound\n")
+
     def test_whitney_at_prime(self, tmp_path, capsys):
         job = write_job(tmp_path, {
             "schema": "slopelab-job/1",
@@ -314,6 +326,26 @@ class TestSamuelSlopeCommand:
         report = json.loads(out)
         assert report["bound"] == "3/2"
         assert report["exact"] is False
+
+    @pytest.mark.parametrize("command", ["samuel-slope", "slope"])
+    @pytest.mark.parametrize("key,value", [("certificate", "w"),
+                                           ("search", False)])
+    def test_certificate_and_search_keys_are_refused(
+            self, tmp_path, capsys, command, key, value):
+        # w passes validate, yet its value 5 on x overstates the cusp's
+        # slope 3/2
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["x", "y"], "char": 0},
+            "local_ring": {"relations": ["x^2 - y^3"]},
+            "certificates": {"w": [{"weights": {"x": 5, "y": 1},
+                                    "value": 1}]},
+            "split": {"base": ["y"], "fiber": ["x"]},
+            "slope": {"g": "x^2 - y^3"},
+            "samuel_slope": {key: value},
+        })
+        code, out, err = run([command, job], capsys)
+        assert_one_error_line(code, out, err, "samuel_slope takes no " + key)
 
     def test_regular_ring_is_a_validation_error(self, tmp_path, capsys):
         job = write_job(tmp_path, {
@@ -651,6 +683,13 @@ class TestMalformedJobs:
                             "split": {"base": ["y1", "y2"], "fiber": ["x"]},
                             "check_theorems": {"g": "x^2 - y1^3"}},
          "check_theorems takes no g"),
+        ("kernel", {"local_ring": {"relations": ["x^2 - y1^2*y2"]},
+                    "point": {"kind": "prime", "vars": ["x", "y1", "y1"]}},
+         "names each variable once"),
+        ("slope", {"split": {"base": ["y1", "y2"], "fiber": ["x"]},
+                   "point": {"kind": "prime", "vars": ["x", "y1", "y1"]},
+                   "slope": {"g": "x^2 - y1^2*y2"}},
+         "names each variable once"),
     ])
     def test_one_error_line(self, tmp_path, capsys, command, sections,
                             message):

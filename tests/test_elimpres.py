@@ -13,6 +13,7 @@ from slopelab.elimpres import (
     PointSpec,
     PPresentation,
     ReesAlgebra,
+    RoundsExhausted,
     build_p_presentation,
     clean,
     cross_check_theorems,
@@ -259,7 +260,9 @@ def test_clean_runs_one_b3_round_on_the_demo():
     assert [(name, s.canonical_string()) for name, s in final.transcript] \
         == [("z", "y1*y2")]
     assert final.value >= first.value  # cleaning never decreases the slope
-    assert final.presentation.h.canonical_string() == "y1^5 + z^2"
+    # the transcript's translation turns the germ into its normal form
+    ((name, shift),) = final.transcript
+    assert pres.h.translate(name, shift).canonical_string() == "y1^5 + z^2"
 
 
 def test_clean_reaches_the_degenerate_flag_on_frobenius_powers():
@@ -282,6 +285,26 @@ def test_clean_is_a_no_op_on_the_cusp():
     assert report.transcript == []
     assert report.hord == er(Fraction(3, 2))
     assert clean(pres).hord == er(Fraction(3, 2))
+
+
+def test_clean_stops_at_its_round_budget_with_a_lower_bound():
+    ring = Ring(("y", "z"), char=2)
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    g = ring.parse("z^2 + y^2 + y^3")
+    report = hord_report(g, split)
+    assert (report.hord, report.case) == (er(Fraction(3, 2)), "B1")
+    assert [(name, s.canonical_string()) for name, s in report.transcript] \
+        == [("z", "y")]  # z -> z + y
+    with pytest.raises(RoundsExhausted) as caught:
+        hord_report(g, split, max_rounds=1)
+    assert str(caught.value) == ("no normal form after 1 cleaning rounds; "
+                                 "best slope 1 is a lower bound")
+    assert caught.value.report.case == "B3"
+
+
+def test_a_prime_point_names_each_variable_once():
+    with pytest.raises(ValueError, match="once"):
+        PointSpec.prime(("x", "y1", "y1"))
 
 
 def test_clean_needs_at_least_one_round():

@@ -780,10 +780,17 @@ def test_user_candidate_sequences_are_validated():
 
 
 def test_user_candidates_feed_the_slope_search():
-    ring, A = cusp_ring(char=2)
-    result = samuel_slope(A, candidates=[[ring.parse("x + y^2")]],
-                          max_n=6, search=False)
-    assert result.lower_bound == ExtendedRational(Fraction(3, 2))
+    # the search's shifts of z have degree at most 3, so it never tries
+    # z + y^4, whose square is the relation up to y^9
+    ring = Ring(("y", "z"))
+    A = LocalRingPresentation(ring, [ring.parse("(z + y^4)^2 - y^9")])
+    searched = samuel_slope(A, max_n=6)
+    assert (searched.lower_bound, searched.exact, searched.witness) \
+        == (ExtendedRational(Fraction(7, 2)), False, [ring.parse("z")])
+    result = samuel_slope(A, candidates=[[ring.parse("z + y^4")]], max_n=6)
+    assert (result.lower_bound, result.exact) \
+        == (ExtendedRational(Fraction(9, 2)), False)
+    assert [w.canonical_string() for w in result.witness] == ["y^4 + z"]
 
 
 def reference_slope(presentation, max_n):
@@ -1054,6 +1061,13 @@ def test_kernel_at_prime_rejects_points_off_the_hypersurface():
     A = LocalRingPresentation(ring, [ring.parse("x^2 - y1^2*y2")])
     with pytest.raises(NotApplicable):
         kernel_lambda(A, prime=("y1", "y2"))
+
+
+def test_kernel_at_prime_refuses_a_repeated_variable():
+    ring = Ring(("x", "y1", "y2"), char=2)
+    A = LocalRingPresentation(ring, [ring.parse("x^2 - y1^2*y2")])
+    with pytest.raises(SlopelabError, match="twice"):
+        kernel_lambda(A, prime=("x", "y1", "y1"))
 
 
 def test_relations_must_vanish_at_the_origin():

@@ -13,8 +13,10 @@ never ask which kind of point they hold. A p-presentation is one monic
 polynomial in the one fiber variable, with p read from the ring. One
 check admits a germ for hord, so MultiplicityBelowDegree is raised in
 one place, and only arith's field handles take the exponent of the
-characteristic in an integer. Every name the benchmark's tracer patches
-still exists."""
+characteristic in an integer. The Samuel slope takes one route, nubar's
+limit route, so samuel_slope takes no certificate and no switch for its
+search, and its complement variables come from the one echelon routine.
+Every name the benchmark's tracer patches still exists."""
 
 import ast
 import importlib
@@ -186,6 +188,12 @@ def test_only_the_field_takes_the_exponent_of_the_characteristic():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "arith.py"}
     assert found and not any(found.values()), found
+
+
+def test_the_slope_search_takes_one_route_and_one_elimination():
+    assert list(inspect.signature(samuel.samuel_slope).parameters) == [
+        "presentation", "candidates", "max_n"]
+    assert "echelon" in called_names(samuel._complement_variables)
 
 
 def test_every_traced_name_resolves():
