@@ -29,11 +29,21 @@ from . import corpus as corpus_module
 
 SCHEMA = "slopelab-job/1"
 
-_TOP_LEVEL_KEYS = frozenset((
-    "schema", "ring", "polys", "ideals", "local_ring", "split", "point",
-    "certificates", "candidates",
-    "nubar", "slope", "kernel", "samuel_slope", "check_theorems",
-))
+# The keys each job object reads; a job that names any other is refused
+# when it loads, so a mistyped key never runs the default in its place.
+_SECTION_KEYS = {
+    "ring": ("vars", "char"),
+    "local_ring": ("relations",),
+    "split": ("base", "fiber"),
+    "point": ("kind", "vars"),
+    "nubar": ("f", "ideal", "certificate", "strategy", "max_n"),
+    "slope": ("g", "max_rounds"),
+    "kernel": (),
+    "samuel_slope": ("max_n",),
+    "check_theorems": ("max_n", "max_rounds"),
+}
+_TOP_LEVEL_KEYS = frozenset(_SECTION_KEYS).union((
+    "schema", "polys", "ideals", "certificates", "candidates"))
 
 
 class JobError(SlopelabError):
@@ -52,6 +62,13 @@ class Job:
         if unknown:
             raise JobError("unknown job sections: %s"
                            % ", ".join(sorted(unknown)))
+        for name, keys in _SECTION_KEYS.items():
+            section = data.get(name, {})
+            if not isinstance(section, dict):
+                raise JobError("section %r must be an object" % name)
+            for key in section:
+                if key not in keys:
+                    raise JobError("%s takes no %s" % (name, key))
         ring_decl = data.get("ring")
         if not isinstance(ring_decl, dict):
             raise JobError("job needs a ring section")
@@ -134,16 +151,15 @@ class Job:
             try:
                 valuation = MonomialValuation.from_dict(self.ring, weights)
                 claimed = ExtendedRational.parse(str(entry["value"]))
-            except (SlopelabError, ValueError, KeyError) as exc:
+            except (SlopelabError, ValueError, KeyError, TypeError) as exc:
                 raise JobError("%s: %s" % (where, exc))
+            except ZeroDivisionError:
+                raise JobError("%s: a rational with denominator 0" % where)
             pairs.append((valuation, claimed))
         return ValuationCertificate(pairs)
 
     def local_ring(self):
-        section = self.data.get("local_ring", {})
-        if not isinstance(section, dict):
-            raise JobError("local_ring must be an object")
-        refs = section.get("relations", [])
+        refs = self.section("local_ring").get("relations", [])
         if not isinstance(refs, list):
             raise JobError("local_ring relations must be a list")
         relations = [self.poly(r, "local_ring.relations") for r in refs]
@@ -157,8 +173,6 @@ class Job:
         if section is None:
             raise JobError("this command needs a split section "
                            "(base and fiber variables)")
-        if not isinstance(section, dict):
-            raise JobError("split must be an object")
 
         def names(key):
             # a string is one variable name, not a sequence of letters
@@ -174,8 +188,6 @@ class Job:
         section = self.data.get("point")
         if section is None:
             return PointSpec.origin()
-        if not isinstance(section, dict):
-            raise JobError("point must be an object")
         kind = section.get("kind", "origin")
         if kind == "origin":
             return PointSpec.origin()
@@ -331,9 +343,7 @@ def cmd_slope(args):
 
 def cmd_kernel(args):
     job = Job.load(args.job)
-    params = job.section("kernel")
-    report = kernel_lambda(job.local_ring(), method=params.get("method"),
-                           prime=job.point().variables)
+    report = kernel_lambda(job.local_ring(), prime=job.point().variables)
     json_report = {
         "classification": report.classification,
         "method": report.method,
@@ -354,12 +364,6 @@ def cmd_kernel(args):
 
 def _samuel_slope_report(job, args):
     params = job.section("samuel_slope")
-    if "certificate" in params:
-        raise JobError("samuel_slope takes no certificate: every element "
-                       "runs nubar's limit route")
-    if "search" in params:
-        raise JobError("samuel_slope takes no search: the shift search "
-                       "always runs")
     result = samuel_slope(job.local_ring(), candidates=job.candidates(),
                           max_n=_cap(args, params, "samuel_slope", "max_n",
                                      LIMIT_N_DEFAULT))
@@ -390,9 +394,6 @@ def cmd_samuel_slope(args):
 def cmd_check_theorems(args):
     job = Job.load(args.job)
     params = job.section("check_theorems")
-    if "g" in params:
-        raise JobError("check_theorems takes no g: the germ is the "
-                       "local ring's one relation")
     report = cross_check_theorems(
         job.local_ring(), job.split(), at=job.point(),
         max_n=_cap(args, params, "check_theorems", "max_n",

@@ -230,17 +230,20 @@ def _claim(claimed):
 class NubarResult:
     """A nubar value, its status and the certificate that proves it.
 
-    The limit route also keeps its samples, (n, nu(f^n)) pairs, and in
-    capped the n whose sample is only 'at least' its value, the cap.
+    The limit route also keeps its samples, (n, nu(f^n)) pairs, in
+    capped the n whose sample is only 'at least' its value, the cap, and
+    in frobenius the normal form modulo J of the Frobenius power f^q it
+    tested for zero, or None when it tested none.
     """
 
     def __init__(self, value, status, certificate=None, samples=None,
-                 capped=()):
+                 capped=(), frobenius=None):
         self.value = value
         self.status = status  # "exact" or "lower-bound"
         self.certificate = certificate
         self.samples = samples or []
         self.capped = tuple(capped)
+        self.frobenius = frobenius
 
     def __repr__(self):
         return "nubar %s (%s)" % (self.value, self.status)
@@ -270,9 +273,10 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
     reaches the cap is only 'at least' it; capped lists its n. Over F_p,
     when no power is zero, it tests one more, f^q for the least power q
     of p above max_n: the power map fixes F_p, so f^q is f with every
-    exponent multiplied by q and needs no product. If f^q is zero the
-    answer is infinite (exact), with (q, inf) as the last sample; if not,
-    the lower bound and its samples stand as they were.
+    exponent multiplied by q and needs no product. Its normal form modulo
+    J's grevlex basis is kept on the result. If it is zero the answer is
+    infinite (exact), with (q, inf) as the last sample; if not, the lower
+    bound and its samples stand as they were.
     """
     _check_choice("nubar strategy", strategy,
                   ("auto", "monomial", "certificate", "limit"))
@@ -326,31 +330,28 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
         ratio = Fraction(order, n)
         if ratio > best:
             best = ratio
-    q = _frobenius_zero(presentation, f, max_n)
-    if q:
-        samples.append((q, INF))
-        return NubarResult(INF, "exact", certificate="nilpotent-power",
-                           samples=samples, capped=capped)
-    return NubarResult(ExtendedRational(best), "lower-bound",
-                       samples=samples, capped=capped)
-
-
-def _frobenius_zero(presentation, f, max_n):
-    """Over F_p, the least power q of p above max_n when f^q is zero in
-    the ring, else None; None at once in characteristic 0."""
     q = _frobenius_exponent(presentation.ring.char, max_n)
-    if q and presentation.is_zero_element(_frobenius_power(f, q)):
-        return q
-    return None
+    frobenius = None
+    if q:
+        frobenius = presentation.relation_basis().normal_form(
+            _frobenius_power(f, q))
+        if frobenius.is_zero():
+            samples.append((q, INF))
+            return NubarResult(INF, "exact", certificate="nilpotent-power",
+                               samples=samples, capped=capped,
+                               frobenius=frobenius)
+    return NubarResult(ExtendedRational(best), "lower-bound",
+                       samples=samples, capped=capped, frobenius=frobenius)
 
 
-def _frobenius_exponent(p, max_n):
-    """The least power q of p above max_n, the Frobenius power the limit
-    route tests for zero; None in characteristic 0."""
+def _frobenius_exponent(p, bound):
+    """The least power q of p above bound, None in characteristic 0: the
+    Frobenius power the limit route tests for zero, above max_n, and the
+    one the Frobenius kernel raises each variable to."""
     if not p:
         return None
     q = p
-    while q <= max_n:
+    while q <= bound:
         q *= p
     return q
 
@@ -429,12 +430,25 @@ def _orders(presentation, f, ideal, cap):
 
 
 class KernelReport:
-    def __init__(self, basis, t, classification, method):
+    """A degree-one kernel: its basis, of dimension r, the excess t, and
+    the route that found it.
+
+    The classification is read from them in this one place: extremal when
+    r = t; otherwise unknown when the route is partial, which finds only
+    part of the kernel, and non-extremal for every exact route.
+    """
+
+    def __init__(self, basis, t, method):
         self.basis = tuple(basis)
         self.r = len(self.basis)
         self.t = t
-        self.classification = classification
         self.method = method
+        if self.r == t:
+            self.classification = "extremal"
+        elif method == "partial":
+            self.classification = "unknown"
+        else:
+            self.classification = "non-extremal"
 
     def __repr__(self):
         return "<kernel r=%d t=%d %s via %s>" % (
@@ -461,44 +475,24 @@ def _row_to_linear(ring, row):
     return out
 
 
-def kernel_lambda(presentation, method=None, prime=()):
+def kernel_lambda(presentation, prime=()):
     """Degree-one nilpotents of the associated graded ring of the origin,
     or, when prime names some variables, of the coordinate prime they
-    span (see _kernel_at_prime; no method is chosen there).
+    span (see _kernel_at_prime).
 
-    Exact routes at the origin: monomial initial ideal (radical by
-    squarefree parts), principal initial ideal (is it a scalar times a
-    power of a linear form?), and, over F_p in at most three variables,
-    the null space of the Frobenius-linear map a -> sum a_i NF(x_i^q).
-    Anything else comes back labeled partial.
+    At the origin the initial ideal picks the route: a monomial one is
+    exact (radical by squarefree parts), then a principal one (is it a
+    scalar times a power of a linear form?), then, over F_p in at most
+    three variables, the null space of the Frobenius-linear map
+    a -> sum a_i NF(x_i^q). Anything else comes back labeled partial:
+    the variables in the radical.
     """
-    if method is not None:
-        _check_choice("kernel method", method,
-                      ("monomial", "factorization", "frobenius", "partial"))
     if prime:
-        if method is not None:
-            raise UnknownKernel("a kernel method is chosen only at the "
-                                "origin, not at the prime (%s)"
-                                % ", ".join(prime))
-        return _kernel_at_prime(presentation, prime)
+        return KernelReport(*_kernel_at_prime(presentation, prime))
     ring = presentation.ring
     init = presentation.initial_ideal()
     t = presentation.excess()
-
-    def classify(r):
-        return "extremal" if r == t else "non-extremal"
-
-    if method is None:
-        if init.is_monomial_ideal():
-            method = "monomial"
-        elif len(init.generators) == 1:
-            method = "factorization"
-        elif ring.char and len(ring.variables) <= 3:
-            method = "frobenius"
-        else:
-            method = "partial"
-
-    if method == "monomial":
+    if init.is_monomial_ideal():
         monos = init.monomial_generators() if init.generators else []
         basis = []
         for i, name in enumerate(ring.variables):
@@ -506,36 +500,25 @@ def kernel_lambda(presentation, method=None, prime=()):
                 if m[i] and all(e == 0 for k, e in enumerate(m) if k != i):
                     basis.append(ring.var(name))
                     break
-        return KernelReport(basis, t, classify(len(basis)), "monomial")
-
-    if method == "factorization":
-        if len(init.generators) != 1:
-            raise UnknownKernel("factorization route needs a principal ideal")
-        g = init.generators[0]
-        ell = _power_of_linear_form(g)
-        basis = [ell] if ell is not None else []
-        return KernelReport(basis, t, classify(len(basis)), "factorization")
-
-    if method == "frobenius":
-        if not ring.char or len(ring.variables) > 3:
-            raise UnknownKernel("the Frobenius route needs a prime field "
-                                "and at most 3 variables")
+        return KernelReport(basis, t, "monomial")
+    if len(init.generators) == 1:
+        ell = _power_of_linear_form(init.generators[0])
+        return KernelReport([] if ell is None else [ell], t, "factorization")
+    if ring.char and len(ring.variables) <= 3:
         basis = [_row_to_linear(ring, row) for row in
                  _frobenius_kernel(init, presentation.initial_basis())]
-        return KernelReport(basis, t, classify(len(basis)), "frobenius-Fp")
-
+        return KernelReport(basis, t, "frobenius-Fp")
     found = []
     for name in ring.variables:
         if radical_member(ring.var(name), init):
             found.append(ring.var(name))
-    classification = "extremal" if len(found) == t else "unknown"
-    return KernelReport(found, t, classification, "partial")
+    return KernelReport(found, t, "partial")
 
 
 def _kernel_at_prime(presentation, prime):
     """Kernel at the coordinate prime P spanned by the variables prime,
-    hypersurface case; t is 0 when the relation has a term of degree 1
-    along P, and 1 otherwise.
+    hypersurface case, as its basis, t and route; t is 0 when the
+    relation has a term of degree 1 along P, and 1 otherwise.
 
     Exact on the shape the non-closed points of the corpus show: over
     F_p, the initial form along P has degree q = p^e and is a sum of unit
@@ -564,15 +547,13 @@ def _kernel_at_prime(presentation, prime):
     supports = [tuple(i for i in idx if m[i]) for m in init.terms]
     if not e or p ** e != q or any(len(s) != 1 for s in supports) \
             or len(set(supports)) != len(supports):
-        return KernelReport([], t, "unknown", "partial")
+        return [], t, "partial"
     common = [0 if k in idx else min(m[k] for m in init.terms)
               for k in range(len(ring.variables))]
     form = Polynomial._of(ring, {tuple(a - b for a, b in zip(m, common)): c
                                  for m, c in init.terms.items()})
     root = form.pth_power_root(e)
-    basis = [] if root is None else [root]
-    return KernelReport(basis, t, "extremal" if len(basis) == t
-                        else "non-extremal", "frobenius-form")
+    return [] if root is None else [root], t, "frobenius-form"
 
 
 def _frobenius_kernel(init, gb):
@@ -587,9 +568,7 @@ def _frobenius_kernel(init, gb):
     ring = init.ring
     p, n = ring.char, len(ring.variables)
     d = max((g.degree() for g in init.generators), default=1)
-    q = p
-    while q < max(d, 3) ** n:
-        q *= p
+    q = _frobenius_exponent(p, max(d, 3) ** n - 1)
     forms = [_power_normal_form(gb, ring.var(name), q)
              for name in ring.variables]
     columns = list(dict.fromkeys(m for h in forms for m in h.terms))
@@ -775,13 +754,13 @@ def samuel_slope(presentation, candidates=(), max_n=LIMIT_N_DEFAULT):
     answer. Over Q such a monomial is skipped. Over F_p only nubar's
     Frobenius zero test is left: for the power q of p it uses,
     (ell + u*s)^q = ell^q + u*s^q, as u^q = u, and the grevlex normal
-    form modulo J is linear, so NF(ell^q), once per direction, and
-    NF(s^q), once per monomial, settle every unit: ell + u*s is infinite
-    when NF(ell^q) + u*NF(s^q) = 0, which needs no division. Other
-    monomials run nubar on ell + u*s for each unit in turn, and so do the
-    elements of the caller's candidate lambda-sequences, each sequence
-    scoring the least value of its elements. A shifted element is built
-    only for a nubar run or a new witness.
+    form modulo J is linear, so NF(ell^q), kept by nubar's run on ell,
+    and NF(s^q), once per monomial, settle every unit: ell + u*s is
+    infinite when NF(ell^q) + u*NF(s^q) = 0, which needs no division.
+    Other monomials run nubar on ell + u*s for each unit in turn, and so
+    do the elements of the caller's candidate lambda-sequences, each
+    sequence scoring the least value of its elements. A shifted element
+    is built only for a nubar run or a new witness.
     """
     _check_cap("max_n", max_n)
     kernel = kernel_lambda(presentation)
@@ -806,7 +785,6 @@ def samuel_slope(presentation, candidates=(), max_n=LIMIT_N_DEFAULT):
         slot_best, slot_witness = lead.value, ell
         settled = not lead.capped  # the copy rules need no capped sample
         copies = {}  # shift order d -> whether the binomial rule holds
-        ell_q = None  # NF(ell^q) modulo J, on the first copying monomial
         for s in shifts:
             if slot_best.is_infinite:
                 break
@@ -815,12 +793,10 @@ def samuel_slope(presentation, candidates=(), max_n=LIMIT_N_DEFAULT):
                 copies[d] = _copies_samples(lead, d, ring.char)
             if settled and (copies[d] or normal_form(s, [ell]).is_zero()):
                 if q:
-                    grevlex = presentation.relation_basis()
-                    if ell_q is None:
-                        ell_q = grevlex.normal_form(_frobenius_power(ell, q))
-                    s_q = grevlex.normal_form(_frobenius_power(s, q))
+                    s_q = presentation.relation_basis().normal_form(
+                        _frobenius_power(s, q))
                     for u in units:
-                        if (ell_q + s_q.scale(u)).is_zero():
+                        if (lead.frobenius + s_q.scale(u)).is_zero():
                             slot_best, slot_witness = INF, ell + s.scale(u)
                             break
                 continue

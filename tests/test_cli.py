@@ -280,10 +280,8 @@ class TestUnknownChoices:
             "kernel": {"method": method},
         })
         code, out, err = run(["kernel", job, "--json"], capsys)
-        assert code == 1
-        assert out == ""
-        assert err == ("error: unknown kernel method %r (choose monomial, "
-                       "factorization, frobenius or partial)\n" % method)
+        assert err == "error: kernel takes no method\n"
+        assert_one_error_line(code, out, err, "kernel takes no method")
 
     def test_unknown_nubar_strategy(self, tmp_path, capsys):
         job = write_job(tmp_path, {
@@ -690,6 +688,18 @@ class TestMalformedJobs:
                    "point": {"kind": "prime", "vars": ["x", "y1", "y1"]},
                    "slope": {"g": "x^2 - y1^2*y2"}},
          "names each variable once"),
+        ("nubar", {"certificates": {"w": [{"weights": {"x": 3, "y1": 2},
+                                           "value": "1/0"}]},
+                   "nubar": {"f": "x", "certificate": "w"}},
+         "certificates[w]"),
+        ("nubar", {"certificates": {"w": [{"weights": {"x": "1/0", "y1": 2},
+                                           "value": "2"}]},
+                   "nubar": {"f": "x", "certificate": "w"}},
+         "certificates[w]"),
+        ("nubar", {"certificates": {"w": [{"weights": {"x": [3], "y1": 2},
+                                           "value": "2"}]},
+                   "nubar": {"f": "x", "certificate": "w"}},
+         "certificates[w]"),
     ])
     def test_one_error_line(self, tmp_path, capsys, command, sections,
                             message):
@@ -728,6 +738,31 @@ class TestMalformedJobs:
         assert code == 0
         assert out == ('{"basis":["y1*y2 + x"],"classification":"extremal",'
                        '"method":"frobenius-form","r":1,"t":1}\n')
+
+
+class TestJobKeys:
+    """Each job object takes only the keys it reads: any other is refused
+    when the job loads, whichever command runs it, so a mistyped key never
+    runs the default in its place."""
+
+    @pytest.mark.parametrize("section,params,key", [
+        ("ring", {"vars": ["x", "y"], "chr": 2}, "chr"),
+        ("local_ring", {"relation": ["x^2 - y^3"]}, "relation"),
+        ("split", {"base": ["y"], "fibre": ["x"]}, "fibre"),
+        ("point", {"kind": "prime", "vars": ["x"], "var": "y"}, "var"),
+        ("nubar", {"f": "x", "maxn": 2}, "maxn"),
+        ("slope", {"g": "x^2 + y^3", "max_n": 2}, "max_n"),
+        ("kernel", {"metod": "partial"}, "metod"),
+        ("samuel_slope", {"maxn": 2}, "maxn"),
+        ("check_theorems", {"max_round": 2}, "max_round"),
+    ])
+    @pytest.mark.parametrize("command", ["kernel", "check-theorems"])
+    def test_an_unread_key_is_refused(self, tmp_path, capsys, section,
+                                      params, key, command):
+        job = cusp_char2_job(tmp_path, **{section: params})
+        code, out, err = run([command, job], capsys)
+        assert err == "error: %s takes no %s\n" % (section, key)
+        assert_one_error_line(code, out, err, key)
 
 
 REPORT_KEYS = {

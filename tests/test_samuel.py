@@ -28,7 +28,6 @@ from slopelab.samuel import (
     LocalRingPresentation,
     NotALambdaSequence,
     NotApplicable,
-    UnknownKernel,
     ValuationCertificate,
     kernel_lambda,
     nu,
@@ -276,7 +275,8 @@ def test_frobenius_kernel_builds_one_basis(monkeypatch):
     ring = Ring(("x", "y", "z"), char=5)
     A = LocalRingPresentation(ring, [ring.parse("(x + 2*y)^2"),
                                      ring.parse("y*z^2")])
-    report = kernel_lambda(A, method="frobenius")
+    report = kernel_lambda(A)
+    assert report.method == "frobenius-Fp"
     assert [g.canonical_string() for g in report.basis] == ["x + 2*y"]
     assert len(built) == 1
 
@@ -542,16 +542,23 @@ def test_kernel_of_the_node_in_char_two_is_the_diagonal():
     assert report.classification == "extremal"
 
 
+def frobenius_route(A):
+    """The kernel by the Frobenius route, whatever route kernel_lambda
+    would pick for A, as basis strings."""
+    rows = samuel._frobenius_kernel(A.initial_ideal(), A.initial_basis())
+    return [samuel._row_to_linear(A.ring, row).canonical_string()
+            for row in rows]
+
+
 def test_enumeration_route_agrees_with_factorization_on_small_fields():
     for char, relation in [(3, "x^2 - y^2"), (2, "x^2 - y^3"),
                            (5, "x^2 - y^2")]:
         ring = Ring(("x", "y"), char=char)
         A = LocalRingPresentation(ring, [ring.parse(relation)])
-        via_fact = kernel_lambda(A, method="factorization")
-        via_enum = kernel_lambda(A, method="frobenius")
-        assert via_fact.r == via_enum.r
-        assert sorted(g.canonical_string() for g in via_fact.basis) \
-            == sorted(g.canonical_string() for g in via_enum.basis)
+        (form,) = A.initial_ideal().generators
+        ell = samuel._power_of_linear_form(form)
+        via_fact = [] if ell is None else [ell.canonical_string()]
+        assert via_fact == frobenius_route(A)
 
 
 def _enumerated_kernel(A):
@@ -594,7 +601,7 @@ def test_frobenius_route_matches_line_enumeration(char, names, relations,
                                                   basis):
     ring = Ring(tuple(names), char=char)
     A = LocalRingPresentation(ring, [ring.parse(r) for r in relations])
-    report = kernel_lambda(A, method="frobenius")
+    report = kernel_lambda(A)
     got = [g.canonical_string() for g in report.basis]
     assert got == _enumerated_kernel(A) == basis
     assert report.method == "frobenius-Fp"
@@ -624,9 +631,7 @@ def homogeneous_ideals(draw):
 @settings(max_examples=25, deadline=None)
 @given(homogeneous_ideals())
 def test_frobenius_route_matches_line_enumeration_on_random_forms(A):
-    report = kernel_lambda(A, method="frobenius")
-    assert [g.canonical_string() for g in report.basis] \
-        == _enumerated_kernel(A)
+    assert frobenius_route(A) == _enumerated_kernel(A)
 
 
 def test_frobenius_route_at_a_large_prime():
@@ -753,7 +758,7 @@ def test_complement_variables_match_one_echelon_per_variable():
                 basis = [sum((ring.var(v) * rng.randint(-2, 2)
                               for v in ring.variables), ring.zero())
                          for _ in range(rng.randint(0, n))]
-                kernel = samuel.KernelReport(basis, 0, "unknown", "partial")
+                kernel = samuel.KernelReport(basis, 0, "partial")
                 assert samuel._complement_variables(A, kernel) \
                     == echelon_complement(A, kernel), (ring, basis)
 
@@ -896,12 +901,15 @@ def test_slope_search_settles_shifts_from_the_direction_samples(
     divided = recorded_divisions(monkeypatch, A.relation_basis())
     result = samuel_slope(A, max_n=8)
     assert result.witness == [ring.parse("z")]
-    # nubar runs on the direction z alone, and its Frobenius zero test is
-    # the only zero test; past it, the search divides z^q once and each
-    # shift monomial's q-th power once, for all p - 1 units together
+    # nubar runs on the direction z alone, tests nothing for zero but its
+    # Frobenius power z^q, and keeps the normal form of z^q for the
+    # search; past it, the search divides each shift monomial's q-th power
+    # once, for all p - 1 units together
     assert assessed == list(kernel.basis)
-    assert zero_tests == ["z^%d" % samuel._frobenius_exponent(p, 8)]
-    assert len(divided) - len(zero_tests) == 1 + len(shifts)
+    assert zero_tests == []
+    z_q = ring.parse("z^%d" % samuel._frobenius_exponent(p, 8))
+    assert divided.count(z_q) == 1
+    assert len(divided) == 1 + len(shifts)
 
 
 def test_slope_search_runs_nubar_where_a_shift_can_move_an_order(
@@ -1040,20 +1048,15 @@ def test_kernel_at_a_coordinate_prime_divides_out_the_common_unit():
 
 def test_kernel_at_a_coordinate_prime_off_the_shape_is_partial():
     ring = Ring(("x", "y1", "y2"), char=2)
-    for text, t in (("x^2 + x*y1 + y1^2*y2", 1),  # a mixed term
-                    ("x^2*y2 + x^2 + y1^2", 1),  # two terms in x^2
-                    ("x*y2 + y1^2", 0)):  # degree 1 along the prime
+    for text, classification, t in (
+            ("x^2 + x*y1 + y1^2*y2", "unknown", 1),  # a mixed term
+            ("x^2*y2 + x^2 + y1^2", "unknown", 1),  # two terms in x^2
+            # degree 1 along the prime: t = 0, so r = t and it is extremal
+            ("x*y2 + y1^2", "extremal", 0)):
         A = LocalRingPresentation(ring, [ring.parse(text)])
         report = kernel_lambda(A, prime=("x", "y1"))
         assert (report.classification, report.method, report.r, report.t) \
-            == ("unknown", "partial", 0, t), text
-
-
-def test_kernel_method_is_chosen_only_at_the_origin():
-    ring = Ring(("x", "y1", "y2"), char=2)
-    A = LocalRingPresentation(ring, [ring.parse("x^2 - y1^2*y2")])
-    with pytest.raises(UnknownKernel, match="only at the origin"):
-        kernel_lambda(A, method="frobenius", prime=("x", "y1"))
+            == (classification, "partial", 0, t), text
 
 
 def test_kernel_at_prime_rejects_points_off_the_hypersurface():

@@ -16,6 +16,8 @@ one place, and only arith's field handles take the exponent of the
 characteristic in an integer. The Samuel slope takes one route, nubar's
 limit route, so samuel_slope takes no certificate and no switch for its
 search, and its complement variables come from the one echelon routine.
+The input picks the kernel's route, so kernel_lambda takes no method, and
+it alone builds a KernelReport, which classifies every route the same way.
 Every name the benchmark's tracer patches still exists."""
 
 import ast
@@ -194,6 +196,24 @@ def test_the_slope_search_takes_one_route_and_one_elimination():
     assert list(inspect.signature(samuel.samuel_slope).parameters) == [
         "presentation", "candidates", "max_n"]
     assert "echelon" in called_names(samuel._complement_variables)
+
+
+def callers(source, name):
+    """Names of the functions of one module whose bodies call name."""
+    return {func.name for func in ast.walk(ast.parse(source))
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name}
+
+
+def test_the_input_picks_the_kernel_route():
+    sample = "def route(A):\n    return KernelReport([], 0, 'partial')\n"
+    assert callers(sample, "KernelReport") == {"route"}
+    assert list(inspect.signature(samuel.kernel_lambda).parameters) == [
+        "presentation", "prime"]
+    assert callers((PACKAGE / "samuel.py").read_text(), "KernelReport") \
+        == {"kernel_lambda"}
 
 
 def test_every_traced_name_resolves():
