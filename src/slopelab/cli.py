@@ -190,6 +190,8 @@ class Job:
             return PointSpec.origin()
         kind = section.get("kind", "origin")
         if kind == "origin":
+            if "vars" in section:  # the origin names no variables
+                raise JobError("point vars need kind prime, not origin")
             return PointSpec.origin()
         if kind == "prime":
             names = section.get("vars", [])

@@ -5,9 +5,11 @@ translations, and the two theorem cross-checks that tie the slope back to
 the local-ring invariants of the samuel module.
 """
 
+import math
+
 from .arith import INF, ExtendedRational, SlopelabError, ext_min
 from .groebner import monic, normal_form
-from .samuel import NotApplicable, kernel_lambda, samuel_slope
+from .samuel import NotApplicable, _check_cap, kernel_lambda, samuel_slope
 
 SATURATION_CAP = 512
 MAX_ROUNDS_DEFAULT = 16
@@ -174,10 +176,12 @@ def _monic_in_fiber(g, split):
     n = g.degree_of_var(z)
     if n == 0:
         raise BadDegree("polynomial has degree 0 in %s" % z)
-    top = g.hasse_derivative(z, n)  # the coefficient of z^n
-    if not top.is_constant():
+    i = g.ring.index(z)
+    lead = g.terms.get(tuple(n if k == i else 0
+                             for k in range(len(g.ring.variables))))
+    if lead is None or sum(m[i] == n for m in g.terms) != 1:
         raise NotMonic("leading coefficient in %s is not a scalar" % z)
-    return g.scale(1 / top.constant_term()), z, n
+    return (g if lead == 1 else g.scale(1 / lead)), z, n
 
 
 def _admit(g, split, at):
@@ -247,31 +251,6 @@ def build_p_presentation(g, split):
     return PPresentation(split, h)
 
 
-def elimination_generators(presentation):
-    """Generators for the base-ring part of the algebra.
-
-    Rule: the coefficient elements themselves below the top weight, plus
-    all Hasse derivatives of coefficients taken in base variables. This is
-    an approximate generating set (exact on the worked examples).
-    """
-    out = []
-    q = presentation.q
-    for j in range(1, q):
-        c = presentation.coefficients[j]
-        if not c.is_zero():
-            out.append((c, j))
-    for j in range(2, q + 1):
-        c = presentation.coefficients[j]
-        if c.is_zero():
-            continue
-        for y in presentation.split.base:
-            for b in range(1, j):
-                d = c.hasse_derivative(y, b)
-                if not d.is_zero():
-                    out.append((d, j - b))
-    return out
-
-
 class SlopeReport:
     def __init__(self, value, case, elimination_order, degenerate=False,
                  hord=None, transcript=(), root=None):
@@ -285,8 +264,8 @@ class SlopeReport:
 
     @property
     def approximate_elimination(self):
-        # elimination_generators follows an approximate rule, which the
-        # Tschirnhausen route does not use
+        # slope's elimination order follows an approximate generating
+        # rule, which the Tschirnhausen route does not use
         return self.case != "tschirnhausen"
 
     def __repr__(self):
@@ -306,10 +285,39 @@ def _initial_root(presentation, at):
     return init.pth_power_root(presentation.ell)
 
 
+def _elimination_order(presentation, at):
+    """The elimination order of slope, read off the exponents of the
+    coefficients; INF when no generator is left."""
+    ring = presentation.ring
+    p, q, idx = ring.char, presentation.q, at.indices(ring)
+    base = [(i, i in idx) for i in map(ring.index, presentation.split.base)]
+    num, den = 1, 0  # the least ratio so far, 1/0 standing for INF
+    for j in range(1, q + 1):
+        for m in presentation.coefficients[j].terms:
+            d = sum(m[i] for i in idx)
+            if j < q and d * den < num * j:
+                num, den = d, j
+            for i, inside in base:
+                for b in range(1, min(m[i], j - 1) + 1):
+                    if math.comb(m[i], b) % p \
+                            and (d - b * inside) * den < num * (j - b):
+                        num, den = d - b * inside, j - b
+    return ExtendedRational(num) / den if den else INF
+
+
 def slope(presentation, at=None):
     """Slope of the presentation at the point: the smaller of the top
     coefficient's order over the fiber degree and the elimination order,
     the least ord(f)/n over the elimination generators f of weight n.
+
+    The generators follow an approximate rule: each coefficient a_j of
+    weight j < q, and each nonzero Hasse derivative D^b_y(a_j) in a base
+    variable y, 1 <= b < j <= q, of weight j - b. Their orders are read
+    off the exponents, with no derivative built: D^b_y sends y^e to
+    C(e, b) y^(e - b) and keeps every other exponent, so it maps distinct
+    monomials to distinct monomials and no terms cancel. So D^b_y(a_j)
+    keeps exactly the terms of a_j with C(e_y, b) nonzero mod p, and each
+    loses b in order when y is a variable of the point.
 
     The case label records what attains the minimum and whether a cleaning
     translation is still available; in case B3 the report carries the
@@ -319,7 +327,7 @@ def slope(presentation, at=None):
     _admit(presentation.h, presentation.split, at)
     q = presentation.q
     top = sing_order([(presentation.coefficients[q], q)], at)
-    elim = sing_order(elimination_generators(presentation), at)
+    elim = _elimination_order(presentation, at)
     value = ext_min(top, elim)
 
     if value.is_infinite:
@@ -344,8 +352,7 @@ def clean(presentation, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
     Each B3 round translates z to z - G, G the root the slope found, which
     cancels the initial form of the top coefficient because raising to
     the fiber degree is additive in characteristic p."""
-    if max_rounds < 1:
-        raise SlopelabError("max_rounds must be a positive integer")
+    _check_cap("max_rounds", max_rounds)
     at = at or PointSpec.origin()
     transcript = []
     best = None

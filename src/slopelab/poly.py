@@ -285,26 +285,24 @@ class Polynomial:
             raise IllegalSubstitution(
                 "shift for %s mentions %s itself" % (name, name))
         field = self.ring.field
-        # cache powers of the shift as we go
-        powers = {0: self.ring.one()}
-
-        def shift_power(j):
-            if j not in powers:
-                powers[j] = shift_power(j - 1) * shift
-            return powers[j]
-
-        out = self.ring.zero()
+        # the powers shift^j whose binomial C(e, j) is nonzero for some e
+        powers = {0: self.ring.one(), 1: shift}
+        out = {}
         for m, c in self.terms.items():
             e = m[i]
-            rest = list(m)
             for j in range(e + 1):
                 k = field.from_int(math.comb(e, j)) * c
                 if not k:
                     continue
-                rest[i] = e - j
-                out = out + shift_power(j).scale(k) * Polynomial(
-                    self.ring, {tuple(rest): field.one})
-        return out
+                if j not in powers:
+                    powers[j] = powers[j - 1] * shift if j - 1 in powers \
+                        else shift ** j
+                rest = m[:i] + (e - j,) + m[i + 1:]
+                for sm, sc in powers[j].terms.items():
+                    mono = tuple(map(add, rest, sm))
+                    s = out.get(mono)
+                    out[mono] = k * sc if s is None else s + k * sc
+        return Polynomial(self.ring, out)
 
     def coefficients_in(self, name):
         """Split into coefficients of powers of one variable.
@@ -315,11 +313,8 @@ class Polynomial:
         i = self.ring.index(name)
         out = {}
         for m, c in self.terms.items():
-            e = m[i]
-            part = out.setdefault(e, self.ring.zero())
-            out[e] = part + Polynomial(self.ring,
-                                       {m[:i] + (0,) + m[i + 1:]: c})
-        return out
+            out.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
+        return {e: Polynomial._of(self.ring, t) for e, t in out.items()}
 
     def pth_power_root(self, e=1):
         """Inverse of the p^e-th power map, or None when there is none.
@@ -400,18 +395,24 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\^)|(\*)|(\+)|(-)|(\
 def _tokenize(text):
     """The tokens of text, each with its offset, then the end marker."""
     pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise SlopelabError("cannot read polynomial at %r" % text[pos:pos + 12])
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:
+            break
         pos = m.end()
         out.append((m.group(m.lastindex), m.start(m.lastindex)))
+    if pos < len(text):
+        raise SlopelabError("cannot read polynomial at %r" % text[pos:pos + 12])
     out.append((None, len(text)))  # end marker
     return out
 
 
 def _parse(ring, text):
+    """The polynomial text spells. A term gathers its numbers and variables
+    into one coefficient and one exponent list, a numeric power taken in
+    the field; only a parenthesised or negated factor is a Polynomial,
+    multiplied in. The terms of an expression go into one term dict."""
     tokens = _tokenize(text)
+    field, n = ring.field, len(ring.variables)
     k = [0]
 
     def peek():
@@ -423,6 +424,7 @@ def _parse(ring, text):
         return tok
 
     def atom():
+        """A Polynomial, an int, or a variable's name."""
         at = tokens[k[0]][1]
         tok = take()
         if tok == "(":
@@ -431,42 +433,56 @@ def _parse(ring, text):
                 raise SlopelabError("unbalanced parenthesis in %r" % text)
             return e
         if tok == "-":
-            return -atom()
+            e = atom()
+            return -ring.var(e) if isinstance(e, str) else -e
         if tok is None:
             raise SlopelabError("polynomial text ended early: %r" % text)
         if tok.isdigit():
-            return ring.constant(int(tok))
+            return int(tok)
         if tok[0].isalpha() or tok[0] == "_":
-            return ring.var(tok)
+            ring.index(tok)  # an unknown name fails here, as a KeyError
+            return tok
         raise SlopelabError("expected a factor at %r, position %d of %r"
                             % (text[at:at + 12], at, text))
 
-    def factor():
-        base = atom()
-        if peek() == "^":
+    def term(sign):
+        """The terms of one product, as a dict."""
+        coeff, exps, rest = field.from_int(sign), [0] * n, None
+        while True:
+            base = atom()
+            e = 1
+            if peek() == "^":
+                take()
+                exp = take()
+                if exp is None or not exp.isdigit():
+                    raise SlopelabError("exponent must be a nonnegative integer")
+                e = int(exp)
+            if isinstance(base, int):
+                coeff = coeff * field.from_int(base) ** e
+            elif isinstance(base, str):
+                exps[ring.index(base)] += e
+            else:
+                base = base ** e
+                rest = base if rest is None else rest * base
+            if peek() != "*":
+                break
             take()
-            exp = take()
-            if exp is None or not exp.isdigit():
-                raise SlopelabError("exponent must be a nonnegative integer")
-            return base ** int(exp)
-        return base
-
-    def term():
-        out = factor()
-        while peek() == "*":
-            take()
-            out = out * factor()
-        return out
+        if rest is None:
+            return {tuple(exps): coeff}
+        return {tuple(map(add, m, exps)): coeff * c
+                for m, c in rest.terms.items()}
 
     def expr():
         sign = 1
         if peek() in ("+", "-"):
             sign = -1 if take() == "-" else 1
-        out = term() * sign
+        out = term(sign)
         while peek() in ("+", "-"):
             sign = -1 if take() == "-" else 1
-            out = out + term() * sign
-        return out
+            for m, c in term(sign).items():
+                s = out.get(m)
+                out[m] = c if s is None else s + c
+        return Polynomial(ring, out)
 
     result = expr()
     if peek() is not None:

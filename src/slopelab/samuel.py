@@ -29,6 +29,7 @@ from .poly import Polynomial
 
 NU_CAP_DEFAULT = 24
 LIMIT_N_DEFAULT = 20
+CAP_LIMIT = 10000  # the largest cap, max_n or max_rounds a caller may ask
 SHIFT_DEGREE = 2  # top degree of the slope search's shift monomials
 
 
@@ -57,8 +58,9 @@ class LocalRingPresentation:
     other than m) and of the initial ideal (dimension and the Frobenius
     kernel), the local basis of J + m^cap for each cap (nu, and nubar
     against m), and the grevlex basis of ideal^j + J for each other ideal
-    and exponent j asked for (nubar against it). The maximal ideal is
-    built once, so its hash is computed once.
+    and exponent j asked for (nubar against it); so is kernel_lambda's
+    report for each point. The maximal ideal is built once, so its hash
+    is computed once.
     """
 
     def __init__(self, ring, relations=()):
@@ -373,6 +375,8 @@ def _check_choice(kind, value, choices):
 def _check_cap(name, value):
     if value < 1:
         raise SlopelabError("%s must be a positive integer" % name)
+    if value > CAP_LIMIT:
+        raise SlopelabError("%s must be at most %d" % (name, CAP_LIMIT))
 
 
 def _orders(presentation, f, ideal, cap):
@@ -476,19 +480,28 @@ def _row_to_linear(ring, row):
 
 
 def kernel_lambda(presentation, prime=()):
-    """Degree-one nilpotents of the associated graded ring of the origin,
-    or, when prime names some variables, of the coordinate prime they
-    span (see _kernel_at_prime).
+    """Degree-one nilpotents of the associated graded ring of the origin
+    (see _kernel_at_origin), or, when prime names some variables, of the
+    coordinate prime they span (see _kernel_at_prime).
 
-    At the origin the initial ideal picks the route: a monomial one is
-    exact (radical by squarefree parts), then a principal one (is it a
-    scalar times a power of a linear form?), then, over F_p in at most
-    three variables, the null space of the Frobenius-linear map
-    a -> sum a_i NF(x_i^q). Anything else comes back labeled partial:
-    the variables in the radical.
+    The report is kept on the presentation, keyed by the prime, as its
+    bases are, so each point's kernel is found once.
     """
-    if prime:
-        return KernelReport(*_kernel_at_prime(presentation, prime))
+    return presentation._basis(("kernel", tuple(prime)), lambda: KernelReport(
+        *(_kernel_at_prime(presentation, prime) if prime
+          else _kernel_at_origin(presentation))))
+
+
+def _kernel_at_origin(presentation):
+    """Kernel at the origin, as its basis, t and route.
+
+    The initial ideal picks the route: a monomial one is exact (radical
+    by squarefree parts), then a principal one (is it a scalar times a
+    power of a linear form?), then, over F_p in at most three variables,
+    the null space of the Frobenius-linear map a -> sum a_i NF(x_i^q).
+    Anything else comes back labeled partial: the variables in the
+    radical.
+    """
     ring = presentation.ring
     init = presentation.initial_ideal()
     t = presentation.excess()
@@ -500,19 +513,19 @@ def kernel_lambda(presentation, prime=()):
                 if m[i] and all(e == 0 for k, e in enumerate(m) if k != i):
                     basis.append(ring.var(name))
                     break
-        return KernelReport(basis, t, "monomial")
+        return basis, t, "monomial"
     if len(init.generators) == 1:
         ell = _power_of_linear_form(init.generators[0])
-        return KernelReport([] if ell is None else [ell], t, "factorization")
+        return [] if ell is None else [ell], t, "factorization"
     if ring.char and len(ring.variables) <= 3:
         basis = [_row_to_linear(ring, row) for row in
                  _frobenius_kernel(init, presentation.initial_basis())]
-        return KernelReport(basis, t, "frobenius-Fp")
+        return basis, t, "frobenius-Fp"
     found = []
     for name in ring.variables:
         if radical_member(ring.var(name), init):
             found.append(ring.var(name))
-    return KernelReport(found, t, "partial")
+    return found, t, "partial"
 
 
 def _kernel_at_prime(presentation, prime):

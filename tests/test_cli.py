@@ -645,6 +645,25 @@ class TestCaps:
         code, out, err = run([command, job], capsys)
         assert_one_error_line(code, out, err, "%s.%s" % (section, key))
 
+    @pytest.mark.parametrize("section,key,extra", [
+        ("nubar", "max_n", {"f": "x", "strategy": "limit"}),
+        ("slope", "max_rounds", {"g": "x^2 + y^3"}),
+        ("samuel_slope", "max_n", {}),
+        ("check_theorems", "max_n", {}),
+        ("check_theorems", "max_rounds", {}),
+    ])
+    def test_a_cap_above_the_limit_is_one_error_line(
+            self, tmp_path, capsys, section, key, extra):
+        command = section.replace("_", "-")
+        flag = "--" + key.replace("_", "-")
+        huge = 2 ** 70
+        job = cusp_char2_job(tmp_path, **{section: dict(extra, **{key: huge})})
+        code, out, err = run([command, job], capsys)
+        assert_one_error_line(code, out, err, "%s must be at most" % key)
+        job = cusp_char2_job(tmp_path, **{section: extra})
+        code, out, err = run([command, job, flag, str(huge)], capsys)
+        assert_one_error_line(code, out, err, "%s must be at most" % key)
+
     def test_flag_overrides_a_bad_job_key(self, tmp_path, capsys):
         job = cusp_char2_job(tmp_path, slope={"g": "x^2 + y^3",
                                               "max_rounds": 0})
@@ -700,6 +719,16 @@ class TestMalformedJobs:
                                            "value": "2"}]},
                    "nubar": {"f": "x", "certificate": "w"}},
          "certificates[w]"),
+        ("kernel", {"local_ring": {"relations": ["x^2 - y1^2*y2"]},
+                    "point": {"vars": ["x", "y1"]}},
+         "point vars need kind prime, not origin"),
+        ("kernel", {"local_ring": {"relations": ["x^2 - y1^2*y2"]},
+                    "point": {"kind": "origin", "vars": ["x", "y1"]}},
+         "point vars need kind prime, not origin"),
+        ("slope", {"split": {"base": ["y1", "y2"], "fiber": ["x"]},
+                   "point": {"vars": ["x", "y1"]},
+                   "slope": {"g": "x^2 - y1^2*y2"}},
+         "point vars need kind prime, not origin"),
     ])
     def test_one_error_line(self, tmp_path, capsys, command, sections,
                             message):

@@ -1,9 +1,10 @@
+import random
 import signal
 from fractions import Fraction
 
 import pytest
 
-from slopelab import elimpres
+from slopelab import elimpres, samuel
 from slopelab.arith import INF, ExtendedRational, SlopelabError
 from slopelab.elimpres import (
     BadDegree,
@@ -18,18 +19,45 @@ from slopelab.elimpres import (
     clean,
     cross_check_theorems,
     diff_saturate_once,
-    elimination_generators,
     hord_report,
     sing_order,
     slope,
     tschirnhausen_ord,
 )
-from slopelab.poly import Ring, VariableSplit
-from slopelab.samuel import LocalRingPresentation, NotApplicable, SlopeResult
+from slopelab.poly import Polynomial, Ring, VariableSplit
+from slopelab.samuel import (
+    CAP_LIMIT,
+    LocalRingPresentation,
+    NotApplicable,
+    SlopeResult,
+)
 
 
 def er(x):
     return ExtendedRational(Fraction(x))
+
+
+def elimination_generators(presentation):
+    """The reference generator list for the elimination order: each
+    coefficient a_j of weight j < q, and every nonzero Hasse derivative
+    D^b_y(a_j) in a base variable y, 1 <= b < j, of weight j - b, each
+    one built."""
+    out = []
+    q = presentation.q
+    for j in range(1, q):
+        c = presentation.coefficients[j]
+        if not c.is_zero():
+            out.append((c, j))
+    for j in range(2, q + 1):
+        c = presentation.coefficients[j]
+        if c.is_zero():
+            continue
+        for y in presentation.split.base:
+            for b in range(1, j):
+                d = c.hasse_derivative(y, b)
+                if not d.is_zero():
+                    out.append((d, j - b))
+    return out
 
 
 def gens_as_strings(algebra):
@@ -197,6 +225,63 @@ def test_elimination_generators_empty_for_a_bare_power():
     assert elimination_generators(pres) == []
 
 
+def random_presentation(rng):
+    """A p-presentation z^q + a_1 z^(q-1) + ... + a_q in one or two base
+    variables, each a_j zero or a sum of up to three terms of degree up
+    to 2q in each variable."""
+    p, q = rng.choice([(2, 2), (2, 4), (2, 8), (3, 3), (3, 9), (5, 5),
+                       (7, 7), (13, 13)])
+    names = ("z", "y1", "y2")[:rng.randint(2, 3)]
+    ring = Ring(names, char=p)
+    split = VariableSplit(ring, base=names[1:], fiber=("z",))
+    h = ring.monomial((q,) + (0,) * (len(names) - 1))
+    for j in range(1, q + 1):
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            exps = [q - j] + [rng.randint(0, 2 * q) for _ in names[1:]]
+            h = h + ring.monomial(exps, rng.randrange(1, p))
+    return PPresentation(split, h)
+
+
+def test_the_exponent_read_elimination_order_matches_the_generators():
+    rng = random.Random("elimination-order")
+    points = {2: [PointSpec.origin(), PointSpec.prime(("z",)),
+                  PointSpec.prime(("z", "y1"))],
+              3: [PointSpec.origin(), PointSpec.prime(("z", "y1")),
+                  PointSpec.prime(("z", "y2")),
+                  PointSpec.prime(("y2", "z"))]}
+    finite = 0
+    for _ in range(1000):
+        pres = random_presentation(rng)
+        gens = elimination_generators(pres)
+        for at in points[len(pres.ring.variables)]:
+            want = sing_order(gens, at)
+            assert elimpres._elimination_order(pres, at) == want, (pres, at)
+            finite += not want.is_infinite
+    assert finite > 1000  # most presentations have some generator
+
+
+def test_a_slope_round_builds_few_products(monkeypatch):
+    ring = Ring(("z", "y"), char=13)
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    g = ring.parse("z^13 + 5*y^26 + y^30")
+    assert elimpres._monic_in_fiber(g, split)[0] is g  # monic: no copy
+    products = []
+    real_mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting_mul)
+    report = hord_report(g, split)
+    assert (report.hord, report.case) == (er(Fraction(30, 13)), "B1")
+    assert report.elimination_order == er(Fraction(29, 12))
+    # the one cleaning translation z -> z + 8*y^2 builds (8*y^2)^13 only,
+    # in five products; the slope rounds build none
+    assert len(products) <= 5
+
+
 def test_slope_of_the_cusp_is_three_halves_case_b1():
     ring = Ring(("z", "y"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
@@ -317,6 +402,16 @@ def test_clean_needs_at_least_one_round():
     assert clean(pres, max_rounds=1).hord == er(Fraction(3, 2))
 
 
+def test_clean_refuses_a_round_budget_above_the_cap_limit():
+    ring = Ring(("z", "y"), char=2)
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    pres = build_p_presentation(ring.parse("z^2 - y^3"), split)
+    for rounds in (CAP_LIMIT + 1, 2 ** 70):
+        with pytest.raises(SlopelabError, match="max_rounds must be at most"):
+            clean(pres, max_rounds=rounds)
+    assert clean(pres, max_rounds=CAP_LIMIT).hord == er(Fraction(3, 2))
+
+
 def test_tschirnhausen_examples():
     ring = Ring(("z", "y"))
     split = VariableSplit(ring, base=("y",), fiber=("z",))
@@ -361,6 +456,25 @@ def test_cross_check_cusp_char_two():
     assert report.ord_d == er(2)
     assert report.slope_value == er(Fraction(3, 2))
     assert report.slope_certified
+
+
+def test_cross_check_finds_the_kernel_once(monkeypatch):
+    ring = Ring(("z", "y"), char=2)
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    A = LocalRingPresentation(ring, [ring.parse("z^2 - y^3")])
+    routes = []
+    real_route = samuel._kernel_at_origin
+
+    def counting_route(presentation):
+        routes.append(presentation)
+        return real_route(presentation)
+
+    monkeypatch.setattr(samuel, "_kernel_at_origin", counting_route)
+    report = cross_check_theorems(A, split)
+    # the theorem's kernel and the Samuel slope's are one report
+    assert report.classification == "extremal" and report.slope_certified
+    assert routes == [A]
+    assert samuel.kernel_lambda(A) is samuel.kernel_lambda(A, prime=[])
 
 
 def test_cross_check_cusp_char_zero():

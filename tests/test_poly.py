@@ -4,6 +4,7 @@ import pytest
 
 from slopelab.arith import SlopelabError
 from slopelab.poly import (
+    _TOKEN,
     IllegalSubstitution,
     Polynomial,
     Ring,
@@ -134,7 +135,7 @@ def test_hasse_derivative_linear_over_base():
 
 def test_taylor_identity():
     # f(z + T) = sum_b Delta^b_z(f) T^b, checked in an extended ring
-    for char in (0, 2, 3):
+    for char in (0, 2, 3, 5, 13):
         R = Ring(("z", "y"), char)
         S = R.extend(("T",))
         T = S.var("T")
@@ -293,3 +294,162 @@ def test_power_starts_from_the_base(monkeypatch, n, count):
     # squarings up to the top bit, and one product per further set bit
     assert len(products) == count
     assert power == want
+
+
+def reference_parse(ring, text):
+    """The polynomial text spells, built factor by factor: each number and
+    variable is a Polynomial, and every product and power goes through
+    Polynomial arithmetic."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise SlopelabError("cannot read polynomial at %r"
+                                % text[pos:pos + 12])
+        pos = m.end()
+        tokens.append((m.group(m.lastindex), m.start(m.lastindex)))
+    tokens.append((None, len(text)))
+    k = [0]
+
+    def peek():
+        return tokens[k[0]][0]
+
+    def take():
+        k[0] += 1
+        return tokens[k[0] - 1][0]
+
+    def atom():
+        at = tokens[k[0]][1]
+        tok = take()
+        if tok == "(":
+            e = expr()
+            if take() != ")":
+                raise SlopelabError("unbalanced parenthesis in %r" % text)
+            return e
+        if tok == "-":
+            return -atom()
+        if tok is None:
+            raise SlopelabError("polynomial text ended early: %r" % text)
+        if tok.isdigit():
+            return ring.constant(int(tok))
+        if tok[0].isalpha() or tok[0] == "_":
+            return ring.var(tok)
+        raise SlopelabError("expected a factor at %r, position %d of %r"
+                            % (text[at:at + 12], at, text))
+
+    def factor():
+        base = atom()
+        if peek() != "^":
+            return base
+        take()
+        exp = take()
+        if exp is None or not exp.isdigit():
+            raise SlopelabError("exponent must be a nonnegative integer")
+        return base ** int(exp)
+
+    def term():
+        out = factor()
+        while peek() == "*":
+            take()
+            out = out * factor()
+        return out
+
+    def expr():
+        sign = -1 if peek() == "-" else 1
+        if peek() in ("+", "-"):
+            take()
+        out = term() * sign
+        while peek() in ("+", "-"):
+            sign = -1 if take() == "-" else 1
+            out = out + term() * sign
+        return out
+
+    result = expr()
+    if peek() is not None:
+        raise SlopelabError("trailing junk in polynomial %r" % text)
+    return result
+
+
+def random_text(rng, names, depth=2):
+    """Polynomial text with products, parentheses, negated factors and
+    powers of numbers, variables and parentheses."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if depth and roll < 0.2:
+                f, powers = "(%s)" % random_text(rng, names, depth - 1), 2
+            elif roll < 0.5:
+                f, powers = str(rng.choice([0, 1, 2, 3, 7, 12, 13, 100])), 7
+            else:
+                f, powers = rng.choice(names), 5
+            if rng.random() < 0.15:
+                f = "-" + f
+            if rng.random() < 0.3:
+                f += "^%d" % rng.choice([0, 1, 2, 3, 13, 1000][:powers])
+            factors.append(f)
+        terms.append(rng.choice(["*", " * "]).join(factors))
+    text = rng.choice(["", "-", "+", "- "]) + terms[0]
+    for t in terms[1:]:
+        text += rng.choice([" + ", " - ", "+", "-", " + -"]) + t
+    return text
+
+
+def parse_outcome(parse, ring, text):
+    try:
+        return parse(ring, text)
+    except (SlopelabError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5, 7, 11, 13])
+def test_parse_matches_the_reference_product_parser(char):
+    R = Ring(("x", "y1", "z"), char)
+    rng = random.Random("parse:%d" % char)
+    for _ in range(150):
+        text = random_text(rng, ("x", "y1", "z"))
+        assert R.parse(text) == reference_parse(R, text), text
+        # a character dropped (not a product sign, which could make a
+        # large power) or an unknown name: the same poly or error
+        cut = rng.choice([i for i, ch in enumerate(text) if ch != "*"])
+        for broken in (text[:cut] + text[cut + 1:], text + "*w"):
+            assert parse_outcome(Ring.parse, R, broken) == \
+                parse_outcome(reference_parse, R, broken), broken
+
+
+def counted_products(monkeypatch):
+    """Every later Polynomial product, either operand order, listed."""
+    products = []
+    real_mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting_mul)
+    return products
+
+
+def test_parsing_an_expanded_polynomial_multiplies_nothing(monkeypatch):
+    R = Ring(("z", "y1", "y2"), 13)
+    products = counted_products(monkeypatch)
+    f = R.parse("z^13 + 5*y1^26 - y1^30*y2 + 2^1000*z*y1 - 3 + y2*5*z")
+    assert products == []
+    assert f.canonical_string() == \
+        "12*y1^30*y2 + 5*y1^26 + z^13 + 3*z*y1 + 5*z*y2 + 10"
+    R.parse("(z + y1)^2 - z*-y1")  # the parenthesised power is one square
+    assert len(products) == 1
+
+
+def test_translate_builds_only_the_powers_it_needs(monkeypatch):
+    R = Ring(("z", "y"), 13)
+    f = R.parse("z^13 + 5*y^26 + y^30")
+    shift = R.parse("-5*y^2 + y^3")
+    products = counted_products(monkeypatch)
+    g = f.translate("z", shift)
+    # C(13, j) vanishes mod 13 for 0 < j < 13: only shift^13 is built,
+    # by three squarings and two products
+    assert len(products) == 5
+    assert g == R.parse("z^13 + 5*y^26 + y^30") + shift ** 13

@@ -1015,6 +1015,8 @@ def test_kernel_at_a_coordinate_prime_whitney_shape():
         ring = Ring(("x", "y1", "y2"), char=p)
         A = LocalRingPresentation(
             ring, [ring.parse("x^%d - y1^%d*y2" % (p, p))])
+        # the presentation keeps one report per point: the origin's first
+        assert kernel_lambda(A).classification == "extremal"
         report = kernel_lambda(A, prime=("x", "y1"))
         assert report.method == "frobenius-form"
         assert report.r == 0

@@ -18,7 +18,9 @@ limit route, so samuel_slope takes no certificate and no switch for its
 search, and its complement variables come from the one echelon routine.
 The input picks the kernel's route, so kernel_lambda takes no method, and
 it alone builds a KernelReport, which classifies every route the same way.
-Every name the benchmark's tracer patches still exists."""
+The slope reads its elimination order off the exponents, so elimpres
+builds no list of elimination generators. Every name the benchmark's
+tracer patches still exists."""
 
 import ast
 import importlib
@@ -147,7 +149,8 @@ def test_one_place_picks_each_route():
 
 
 def test_a_p_presentation_is_one_fiber_polynomial():
-    for gone in ("Fiber", "_apply_cleaning", "elimination_algebra"):
+    for gone in ("Fiber", "_apply_cleaning", "elimination_algebra",
+                 "elimination_generators"):
         assert not hasattr(elimpres, gone), gone
     assert not hasattr(elimpres.PointSpec, "contains_all")
     for entry in (elimpres.build_p_presentation, elimpres.PPresentation):
