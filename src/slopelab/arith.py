@@ -242,12 +242,6 @@ class ExtendedRational:
 
     def __mul__(self, other):
         # scalar scaling, used for r * nubar and friends
-        if isinstance(other, ExtendedRational):
-            if self.is_infinite or other.is_infinite:
-                if self == ZERO or other == ZERO:
-                    raise ValueError("0 * infinity is undefined here")
-                return INF
-            return ExtendedRational(self._value * other._value)
         k = Fraction(other)
         if k < 0:
             raise ValueError("negative scaling leaves Q>=0")
@@ -324,7 +318,6 @@ def _coerce(x):
 
 
 INF = ExtendedRational.infinity()
-ZERO = ExtendedRational(0)
 
 
 def ext_min(a, b):

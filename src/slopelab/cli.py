@@ -137,26 +137,24 @@ class Job:
 
     def _parse_certificate(self, name, entries):
         where = "certificates[%s]" % name
-        if not isinstance(entries, list) or not entries:
-            raise JobError("%s: expected a nonempty list" % where)
-        pairs = []
-        for entry in entries:
-            if not isinstance(entry, dict) or "weights" not in entry \
-                    or "value" not in entry:
-                raise JobError("%s: each entry needs weights and value"
-                               % where)
-            weights = entry["weights"]
-            if not isinstance(weights, dict):
-                raise JobError("%s: weights must map variables" % where)
-            try:
-                valuation = MonomialValuation.from_dict(self.ring, weights)
-                claimed = ExtendedRational.parse(str(entry["value"]))
-            except (SlopelabError, ValueError, KeyError, TypeError) as exc:
-                raise JobError("%s: %s" % (where, exc))
-            except ZeroDivisionError:
-                raise JobError("%s: a rational with denominator 0" % where)
-            pairs.append((valuation, claimed))
-        return ValuationCertificate(pairs)
+        try:
+            if not isinstance(entries, list) or not entries:
+                raise JobError("expected a nonempty list")
+            pairs = []
+            for entry in entries:
+                if not isinstance(entry, dict) or "weights" not in entry \
+                        or "value" not in entry:
+                    raise JobError("each entry needs weights and value")
+                if not isinstance(entry["weights"], dict):
+                    raise JobError("weights must map variables")
+                pairs.append((
+                    MonomialValuation.from_dict(self.ring, entry["weights"]),
+                    ExtendedRational.parse(str(entry["value"]))))
+            return ValuationCertificate(pairs)
+        except (SlopelabError, ValueError, KeyError, TypeError) as exc:
+            raise JobError("%s: %s" % (where, exc))
+        except ZeroDivisionError:
+            raise JobError("%s: a rational with denominator 0" % where)
 
     def local_ring(self):
         refs = self.section("local_ring").get("relations", [])

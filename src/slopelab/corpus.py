@@ -24,7 +24,8 @@ from .newton import (MonomialValuation, build_polyhedron, closure_member,
                      nubar_monomial)
 from .poly import Ring, VariableSplit
 from .samuel import (LIMIT_N_DEFAULT, LocalRingPresentation,
-                     ValuationCertificate, kernel_lambda, nu, nubar)
+                     ValuationCertificate, _check_cap, kernel_lambda, nu,
+                     nubar)
 from .elimpres import (PointSpec, ReesAlgebra, build_p_presentation, clean,
                        cross_check_theorems, diff_saturate_once, slope)
 
@@ -280,8 +281,7 @@ def _nubar_rows(member, max_n):
     x = member.ring.var("x")
 
     def certificate_row():
-        res = nubar(pres, x, certificate=member.certificate,
-                    strategy="certificate")
+        res = nubar(pres, x, certificate=member.certificate)
         return "%s %s" % (res.value.serialize(), res.status)
 
     def envelope_row():
@@ -387,6 +387,7 @@ def run_corpus(filters=(), max_n=LIMIT_N_DEFAULT):
     A row is kept when any filter string occurs in its name; with no
     filters every row runs.  Returns the list of CheckRow results.
     """
+    _check_cap("max_n", max_n)
     rows = []
     for name, thunk in checks(max_n=max_n):
         if filters and not any(term in name for term in filters):

@@ -407,6 +407,7 @@ def hord_report(g, split, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
     infinite order, the translated polynomial a pure power of z, is
     flagged degenerate as on the p-presentation route.
     """
+    _check_cap("max_rounds", max_rounds)
     at = at or PointSpec.origin()
     g, n = _admit(g, split, at)
     if split.ring.field.char_exponent(n):
@@ -462,6 +463,8 @@ def cross_check_theorems(local_ring, split, at=None,
     A slope known only as a lower bound below hord <= elimination order
     contradicts neither: that check is inconclusive, not failed.
     """
+    _check_cap("max_n", max_n)
+    _check_cap("max_rounds", max_rounds)
     at = at or PointSpec.origin()
     relations = local_ring.relations.generators
     if len(relations) != 1:

@@ -42,26 +42,16 @@ class MonomialValuation:
             weights[ring.index(name)] = Fraction(w)
         return cls(ring, weights)
 
-    def monomial_value(self, mono):
-        return sum(w * e for w, e in zip(self.weights, mono))
-
     def value(self, f):
         """Min of the weight over the terms; infinity on the zero polynomial.
 
         On the ambient polynomial ring this is the exact valuation: distinct
         monomials cannot cancel, so the minimal layer always survives.
         """
-        if f.is_zero():
-            return INF
-        return ExtendedRational(min(self.monomial_value(m) for m in f.terms))
+        return least_weight_ratio(f, [(self.weights, 1)])
 
     def ideal_value(self, ideal):
-        vals = [self.value(g) for g in ideal.generators]
-        out = INF
-        for v in vals:
-            if v < out:
-                out = v
-        return out
+        return min((self.value(g) for g in ideal.generators), default=INF)
 
     def __repr__(self):
         pairs = ", ".join("%s:%s" % (n, w)
@@ -163,6 +153,24 @@ def build_polyhedron(ideal):
     return NewtonPolyhedron(ideal.ring, facets)
 
 
+def least_weight_ratio(f, pairs):
+    """The least v_w(f)/value over (weights, value) pairs, v_w(f) being the
+    least w-weight of a term of f; infinite when f is zero or there is no
+    pair.
+
+    This is nubar_I(f) = min over the Rees valuations v of I of
+    v(f)/v(I) (Rees 1956; Swanson and Huneke, Integral Closure, ch. 10)
+    with monomial valuations, as the Newton facets of a monomial ideal and
+    a valuation certificate both supply them.
+    """
+    if f.is_zero() or not pairs:
+        return INF
+    return ExtendedRational(min(
+        Fraction(min(sum(a * e for a, e in zip(w, m)) for m in f.terms),
+                 value)
+        for w, value in pairs))
+
+
 def nubar_monomial(ideal_or_polyhedron, f):
     """Asymptotic order of f against a monomial ideal: the facet min formula.
 
@@ -172,15 +180,7 @@ def nubar_monomial(ideal_or_polyhedron, f):
     P = ideal_or_polyhedron
     if not isinstance(P, NewtonPolyhedron):
         P = build_polyhedron(P)
-    if f.is_zero():
-        return INF
-    best = INF
-    for w, thr in P.facets:
-        num = min(sum(a * b for a, b in zip(w, m)) for m in f.terms)
-        v = ExtendedRational(Fraction(num, thr))
-        if v < best:
-            best = v
-    return best
+    return least_weight_ratio(f, P.facets)
 
 
 def closure_member(f, ideal, a=1, polyhedron=None):

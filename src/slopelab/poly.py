@@ -121,9 +121,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(sum(m) == 0 for m in self.terms)
-
     def is_monomial(self):
         return len(self.terms) == 1
 
@@ -409,8 +406,9 @@ def _tokenize(text):
 def _parse(ring, text):
     """The polynomial text spells. A term gathers its numbers and variables
     into one coefficient and one exponent list, a numeric power taken in
-    the field; only a parenthesised or negated factor is a Polynomial,
-    multiplied in. The terms of an expression go into one term dict."""
+    the field; only a parenthesised factor is a Polynomial, multiplied in.
+    A minus that opens a factor negates it after its power, so x + -y^2
+    is x - y^2. The terms of an expression go into one term dict."""
     tokens = _tokenize(text)
     field, n = ring.field, len(ring.variables)
     k = [0]
@@ -432,9 +430,6 @@ def _parse(ring, text):
             if take() != ")":
                 raise SlopelabError("unbalanced parenthesis in %r" % text)
             return e
-        if tok == "-":
-            e = atom()
-            return -ring.var(e) if isinstance(e, str) else -e
         if tok is None:
             raise SlopelabError("polynomial text ended early: %r" % text)
         if tok.isdigit():
@@ -449,6 +444,9 @@ def _parse(ring, text):
         """The terms of one product, as a dict."""
         coeff, exps, rest = field.from_int(sign), [0] * n, None
         while True:
+            while peek() == "-":
+                take()
+                coeff = -coeff
             base = atom()
             e = 1
             if peek() == "^":

@@ -24,7 +24,7 @@ from .groebner import (
     normal_form,
     radical_member,
 )
-from .newton import nubar_monomial
+from .newton import least_weight_ratio, nubar_monomial
 from .poly import Polynomial
 
 NU_CAP_DEFAULT = 24
@@ -182,7 +182,9 @@ class ValuationCertificate:
     """Claimed Rees valuations of an ideal: monomial valuations together
     with the value each one takes on the ideal.
 
-    Structural checks happen here; the deep claim (that these really are
+    Structural checks happen here: each claim is positive and finite when
+    the certificate is built, and validate compares it with the value the
+    valuation takes on the ideal. The deep claim (that these really are
     the Rees valuations of the ideal in the quotient) is the caller's to
     stand behind, and the acceptance suite corroborates it against the
     power-limit estimator on the corpus.
@@ -197,10 +199,6 @@ class ValuationCertificate:
 
     def validate(self, presentation, ideal):
         for valuation, claimed in self.entries:
-            if claimed <= ExtendedRational(0) or claimed.is_infinite:
-                raise CertificateRejected(
-                    "claimed ideal value %s is not positive and finite"
-                    % claimed)
             actual = valuation.ideal_value(ideal)
             if actual != claimed:
                 raise CertificateRejected(
@@ -208,25 +206,23 @@ class ValuationCertificate:
                     "claims %s" % (actual, claimed))
 
     def evaluate(self, f):
-        best = INF
-        for valuation, claimed in self.entries:
-            v = valuation.value(f)
-            if v.is_infinite:
-                continue
-            best = ext_min(best, v / claimed.as_fraction)
-        return best
+        return least_weight_ratio(
+            f, [(valuation.weights, claimed.as_fraction)
+                for valuation, claimed in self.entries])
 
 
 def _claim(claimed):
-    """A claimed ideal value as an ExtendedRational; it lives on Q>=0, so
-    a negative claim is rejected here."""
-    if isinstance(claimed, ExtendedRational):
-        return claimed
+    """A claimed ideal value as an ExtendedRational, which must be positive
+    and finite."""
     try:
-        return ExtendedRational(claimed)
+        value = claimed if isinstance(claimed, ExtendedRational) \
+            else ExtendedRational(claimed)
     except ValueError:
+        value = None
+    if value is None or value.is_infinite or value <= 0:
         raise CertificateRejected(
             "claimed ideal value %s is not positive and finite" % claimed)
+    return value
 
 
 class NubarResult:
@@ -255,18 +251,18 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
           max_n=LIMIT_N_DEFAULT, cap=NU_CAP_DEFAULT):
     """Asymptotic order of f against an ideal of the local ring.
 
-    Three routes:
-      monomial    -- the Newton polyhedron formula; needs a monomial ideal
-                     in a relation-free presentation; exact.
-      certificate -- min of v(f)/v(ideal) over supplied valuations, or
-                     infinite when f is zero in the ring; exact once the
-                     certificate validates. A value below the order of f
-                     against the ideal, a proven lower bound of nubar, is
-                     rejected. The order and the zero test are the first
-                     sample of the limit route.
-      limit       -- max over n <= max_n of nu(f^n)/n; always a valid
-                     lower bound, and exact (infinite) when some power of
-                     f dies in the ring.
+    The input picks the route, unless strategy is "limit":
+      monomial    -- a monomial ideal in a relation-free presentation:
+                     the Newton polyhedron formula; exact.
+      certificate -- a supplied certificate: min of v(f)/v(ideal) over its
+                     valuations, or infinite when f is zero in the ring;
+                     exact once the certificate validates. A value below
+                     the order of f against the ideal, a proven lower
+                     bound of nubar, is rejected. The order and the zero
+                     test are the first sample of the limit route.
+      limit       -- any other input: max over n <= max_n of nu(f^n)/n;
+                     always a valid lower bound, and exact (infinite) when
+                     some power of f dies in the ring.
 
     The limit route reads its samples from _orders, which carries one
     residue, r_n, the normal form of r_(n-1)*f, and builds f^n once, for
@@ -280,30 +276,18 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
     infinite (exact), with (q, inf) as the last sample; if not, the lower
     bound and its samples stand as they were.
     """
-    _check_choice("nubar strategy", strategy,
-                  ("auto", "monomial", "certificate", "limit"))
+    _check_choice("nubar strategy", strategy, ("auto", "limit"))
     _check_cap("max_n", max_n)
     _check_cap("cap", cap)
     if ideal is None:
         ideal = presentation.maximal_ideal()
-    if strategy == "auto":
-        if not presentation.relations.generators and ideal.is_monomial_ideal():
-            strategy = "monomial"
-        elif certificate is not None:
-            strategy = "certificate"
-        else:
-            strategy = "limit"
 
-    if strategy == "monomial":
-        if presentation.relations.generators:
-            raise SlopelabError(
-                "monomial strategy needs a relation-free presentation")
+    if strategy == "auto" and not presentation.relations.generators \
+            and ideal.is_monomial_ideal():
         return NubarResult(nubar_monomial(ideal, f), "exact",
                            certificate="newton-polyhedron")
 
-    if strategy == "certificate":
-        if certificate is None:
-            raise CertificateRejected("no certificate supplied")
+    if strategy == "auto" and certificate is not None:
         certificate.validate(presentation, ideal)
         order, _ = next(_orders(presentation, f, ideal, cap))
         if order is INF:
@@ -373,7 +357,7 @@ def _check_choice(kind, value, choices):
 
 
 def _check_cap(name, value):
-    if value < 1:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise SlopelabError("%s must be a positive integer" % name)
     if value > CAP_LIMIT:
         raise SlopelabError("%s must be at most %d" % (name, CAP_LIMIT))

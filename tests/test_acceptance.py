@@ -45,8 +45,7 @@ def test_criterion_2_cusp_asymptotic_order_certificate_and_envelope():
     3/2."""
     cusp = member("cusp-char0")
     x = cusp.ring.var("x")
-    certified = nubar(cusp.presentation, x, certificate=cusp.certificate,
-                      strategy="certificate")
+    certified = nubar(cusp.presentation, x, certificate=cusp.certificate)
     assert certified.status == "exact"
     assert certified.value == er("3/2")
 

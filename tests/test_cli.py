@@ -5,7 +5,8 @@ import json
 import pytest
 
 from slopelab import cli, corpus, groebner
-from slopelab.samuel import LIMIT_N_DEFAULT, LocalRingPresentation, nubar
+from slopelab.samuel import (CAP_LIMIT, LIMIT_N_DEFAULT, LocalRingPresentation,
+                             nubar)
 
 
 def write_job(tmp_path, data, name="job.json"):
@@ -293,8 +294,8 @@ class TestUnknownChoices:
         code, out, err = run(["nubar", job, "--json"], capsys)
         assert code == 1
         assert out == ""
-        assert err == ("error: unknown nubar strategy 'bogus' (choose auto, "
-                       "monomial, certificate or limit)\n")
+        assert err == ("error: unknown nubar strategy 'bogus' (choose auto "
+                       "or limit)\n")
 
 
 class TestSamuelSlopeCommand:
@@ -664,6 +665,33 @@ class TestCaps:
         code, out, err = run([command, job, flag, str(huge)], capsys)
         assert_one_error_line(code, out, err, "%s must be at most" % key)
 
+    @pytest.mark.parametrize("section,key,char,relation", [
+        # the non-extremal route runs no slope search
+        ("check_theorems", "max_n", 0, "x^2 - y^2"),
+        # the Tschirnhausen route cleans no p-presentation
+        ("check_theorems", "max_rounds", 0, "x^2 - y^3"),
+        ("slope", "max_rounds", 0, "x^2 - y^3"),
+    ])
+    @pytest.mark.parametrize("value", [CAP_LIMIT + 1, 2 ** 70])
+    def test_a_cap_above_the_limit_is_refused_on_every_route(
+            self, tmp_path, capsys, section, key, char, relation, value):
+        command = section.replace("_", "-")
+        flag = "--" + key.replace("_", "-")
+        extra = {"g": relation} if section == "slope" else {}
+        germ = {"ring": {"vars": ["x", "y"], "char": char},
+                "local_ring": {"relations": [relation]}}
+        params = dict(extra, **{key: value})
+        job = cusp_char2_job(tmp_path, **germ, **{section: params})
+        code, out, err = run([command, job], capsys)
+        assert_one_error_line(code, out, err, "%s must be at most" % key)
+        job = cusp_char2_job(tmp_path, **germ, **{section: extra})
+        code, out, err = run([command, job, flag, str(value)], capsys)
+        assert_one_error_line(code, out, err, "%s must be at most" % key)
+
+    def test_corpus_refuses_a_cap_above_the_limit(self, capsys):
+        code, out, err = run(["corpus", "--max-n", str(2 ** 70)], capsys)
+        assert_one_error_line(code, out, err, "max_n must be at most")
+
     def test_flag_overrides_a_bad_job_key(self, tmp_path, capsys):
         job = cusp_char2_job(tmp_path, slope={"g": "x^2 + y^3",
                                               "max_rounds": 0})
@@ -729,7 +757,16 @@ class TestMalformedJobs:
                    "point": {"vars": ["x", "y1"]},
                    "slope": {"g": "x^2 - y1^2*y2"}},
          "point vars need kind prime, not origin"),
-    ])
+    ] + [
+        # a claim of 0 or inf is refused when the job loads, whichever
+        # command runs it
+        (command, dict({"certificates": {"w": [{"weights": {"x": 3, "y1": 2},
+                                                "value": value}]}},
+                       **sections), "certificates[w]: claimed ideal value")
+        for value in ("0", "inf", 0)
+        for command, sections in (
+            ("nubar", {"nubar": {"f": "x", "certificate": "w"}}),
+            ("kernel", {"local_ring": {"relations": ["x^2 - y1^2*y2"]}}))])
     def test_one_error_line(self, tmp_path, capsys, command, sections,
                             message):
         job = write_job(tmp_path, dict({

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from slopelab import elimpres, samuel
+from slopelab import corpus, elimpres, samuel
 from slopelab.arith import INF, ExtendedRational, SlopelabError
 from slopelab.elimpres import (
     BadDegree,
@@ -412,6 +412,58 @@ def test_clean_refuses_a_round_budget_above_the_cap_limit():
     assert clean(pres, max_rounds=CAP_LIMIT).hord == er(Fraction(3, 2))
 
 
+def cap_entries():
+    """Each entry that takes a cap, on each route, as (id, cap name, call
+    with the cap's value)."""
+    q, f2 = Ring(("x", "y")), Ring(("x", "y"), char=2)
+    cusp_q, cusp_f2 = (LocalRingPresentation(r, [r.parse("x^2 - y^3")])
+                       for r in (q, f2))
+    node_q = LocalRingPresentation(q, [q.parse("x^2 - y^2")])
+    plane = LocalRingPresentation(q, [])
+    split_q, split_f2 = (VariableSplit(r, ("y",), ("x",)) for r in (q, f2))
+    x, cert = q.var("x"), corpus.local_ring_members()[0].certificate
+    return [
+        ("nu", "cap", lambda v: samuel.nu(cusp_q, x, cap=v)),
+        ("nubar-limit", "max_n", lambda v: samuel.nubar(cusp_q, x, max_n=v)),
+        ("nubar-limit-cap", "cap", lambda v: samuel.nubar(cusp_q, x, cap=v)),
+        ("nubar-newton", "max_n", lambda v: samuel.nubar(plane, x, max_n=v)),
+        ("nubar-certificate", "max_n",
+         lambda v: samuel.nubar(cusp_q, x, certificate=cert, max_n=v)),
+        ("slope-extremal", "max_n",
+         lambda v: samuel.samuel_slope(cusp_q, max_n=v)),
+        ("slope-non-extremal", "max_n",
+         lambda v: samuel.samuel_slope(node_q, max_n=v)),
+        ("hord-p-presentation", "max_rounds",
+         lambda v: hord_report(f2.parse("x^2 - y^3"), split_f2,
+                               max_rounds=v)),
+        ("hord-tschirnhausen", "max_rounds",
+         lambda v: hord_report(q.parse("x^2 - y^3"), split_q, max_rounds=v)),
+        ("clean", "max_rounds",
+         lambda v: clean(build_p_presentation(f2.parse("x^2 - y^3"),
+                                              split_f2), max_rounds=v)),
+    ] + [
+        ("check-%s-%s" % (route, key), key,
+         lambda v, A=A, split=split, key=key: cross_check_theorems(
+             A, split, **{key: v}))
+        for route, A, split in (("extremal-fp", cusp_f2, split_f2),
+                                ("tschirnhausen", cusp_q, split_q),
+                                ("non-extremal", node_q, split_q))
+        for key in ("max_n", "max_rounds")
+    ] + [
+        ("corpus", "max_n",
+         lambda v: corpus.run_corpus(filters=("no such row",), max_n=v)),
+    ]
+
+
+@pytest.mark.parametrize("name,call", [
+    pytest.param(name, call, id=entry) for entry, name, call in cap_entries()])
+@pytest.mark.parametrize("value", [0, -5, 4.5, "4", True, CAP_LIMIT + 1,
+                                   2 ** 70])
+def test_every_entry_checks_its_caps_on_every_route(name, call, value):
+    with pytest.raises(SlopelabError, match="^%s must be" % name):
+        call(value)
+
+
 def test_tschirnhausen_examples():
     ring = Ring(("z", "y"))
     split = VariableSplit(ring, base=("y",), fiber=("z",))
@@ -656,6 +708,18 @@ def test_cross_check_skips_smooth_points():
     report = cross_check_theorems(A, split)
     assert not report.applicable
     assert report.passed
+
+
+def test_cross_check_leaves_a_kernel_out_of_reach_unjudged():
+    # two terms of the initial form along (x, y1) lie in x^2: the kernel
+    # at the prime is partial, r = 0 < t = 1, so its class is unknown
+    ring = Ring(("x", "y1", "y2"), char=2)
+    split = VariableSplit(ring, base=("x", "y2"), fiber=("y1",))
+    A = LocalRingPresentation(ring, [ring.parse("x^2*y2 + x^2 + y1^2")])
+    report = cross_check_theorems(A, split, at=PointSpec.prime(("x", "y1")))
+    assert (report.applicable, report.passed, report.classification) \
+        == (False, True, "unknown")
+    assert report.note == "kernel classification out of reach"
 
 
 def test_rees_algebra_validation():

@@ -1,0 +1,101 @@
+"""A seeded job-file fuzz: mutated caps, strategies, certificate values and
+polynomial texts, each job run through one of five subcommands. Every run
+either exits 0 or 2 with its report on stdout and nothing on stderr, or
+exits 1 with exactly one `error:` line on stderr and nothing on stdout;
+an exception other than the package's own would escape cli.main as a
+traceback and fail the test."""
+
+import copy
+import json
+import random
+
+from slopelab import cli
+
+BASE_JOB = {
+    "schema": "slopelab-job/1",
+    "ring": {"vars": ["x", "y"], "char": 2},
+    "polys": {"g": "x^2 + y^3"},
+    "local_ring": {"relations": ["g"]},
+    "split": {"base": ["y"], "fiber": ["x"]},
+    "certificates": {"c": [{"weights": {"x": 3, "y": 2}, "value": "2"}]},
+    "nubar": {"f": "x + y^2", "certificate": "c", "max_n": 3},
+    "slope": {"g": "g", "max_rounds": 3},
+    "samuel_slope": {"max_n": 3},
+    "check_theorems": {"max_n": 3, "max_rounds": 3},
+}
+COMMANDS = ("nubar", "slope", "kernel", "samuel-slope", "check-theorems")
+# small valid caps keep each run cheap; the rest are refused
+CAP_VALUES = (1, 3, 0, -1, 4.5, "3", True, None, [3], 10001, 2 ** 70)
+CAP_KEYS = (("nubar", "max_n"), ("slope", "max_rounds"),
+            ("samuel_slope", "max_n"), ("check_theorems", "max_n"),
+            ("check_theorems", "max_rounds"))
+STRATEGIES = ("auto", "limit", "monomial", "certificate", "", 3, None)
+CLAIMS = ("2", "3/2", "0", "inf", "-1", "1/0", "x", 2, 0, None, [2])
+TEXT_CHARS = "xyz0123+-*^() "
+FLAG_VALUES = ("1", "3", "0", "-2", "4.5", "four", "10001")
+
+
+def mutate_text(rng, text):
+    """One character of the text inserted, dropped or replaced, or a
+    unary minus or an unknown name put in."""
+    at = rng.randrange(len(text) + 1)
+    roll = rng.random()
+    if roll < 0.3:
+        return text[:at] + rng.choice(TEXT_CHARS) + text[at:]
+    if roll < 0.5:
+        return text[:at] + text[at + 1:]
+    if roll < 0.7:
+        return text[:at] + rng.choice(TEXT_CHARS) + text[at + 1:]
+    if roll < 0.85:
+        return text + rng.choice([" + -y^2", "*-x^3", " - -2^2*y"])
+    return text + rng.choice(["*w", " + z", "^", "^-1"])
+
+
+def mutated_job(rng):
+    job = copy.deepcopy(BASE_JOB)
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if roll < 0.3:
+            section, key = rng.choice(CAP_KEYS)
+            job[section][key] = rng.choice(CAP_VALUES)
+        elif roll < 0.45:
+            job["nubar"]["strategy"] = rng.choice(STRATEGIES)
+        elif roll < 0.6:
+            job["certificates"]["c"][0]["value"] = rng.choice(CLAIMS)
+        elif roll < 0.9:
+            where = rng.choice([("polys", "g"), ("nubar", "f"),
+                                ("slope", "g")])
+            job[where[0]][where[1]] = mutate_text(rng, job[where[0]][where[1]])
+        else:
+            job["ring"]["char"] = rng.choice([0, 3, 4, -2, "2"])
+    return job
+
+
+def fuzz_runs(seed, count, tmp_path):
+    rng = random.Random(seed)
+    path = tmp_path / "fuzz.json"
+    for _ in range(count):
+        path.write_text(json.dumps(mutated_job(rng)))
+        argv = [rng.choice(COMMANDS), str(path)]
+        argv += [flag for flag in ("--json", "--require-exact")
+                 if rng.random() < 0.3]
+        if rng.random() < 0.2:
+            argv += [rng.choice(["--max-n", "--max-rounds"]),
+                     rng.choice(FLAG_VALUES)]
+        yield argv
+
+
+def test_a_mutated_job_is_a_report_or_one_error_line(tmp_path, capsys):
+    codes = set()
+    for argv in fuzz_runs("job-fuzz", 1500, tmp_path):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        codes.add(code)
+        if code == 1:
+            assert out == "" and len(err.splitlines()) == 1, argv
+            assert "error:" in err, argv
+        else:
+            assert code in (0, 2), argv
+            assert out and err == "", argv
+    # the mutations reach both reports and refusals
+    assert {0, 1} <= codes

@@ -326,8 +326,6 @@ def reference_parse(ring, text):
             if take() != ")":
                 raise SlopelabError("unbalanced parenthesis in %r" % text)
             return e
-        if tok == "-":
-            return -atom()
         if tok is None:
             raise SlopelabError("polynomial text ended early: %r" % text)
         if tok.isdigit():
@@ -338,6 +336,9 @@ def reference_parse(ring, text):
                             % (text[at:at + 12], at, text))
 
     def factor():
+        if peek() == "-":  # a minus that opens a factor negates its power
+            take()
+            return -factor()
         base = atom()
         if peek() != "^":
             return base
@@ -416,6 +417,21 @@ def test_parse_matches_the_reference_product_parser(char):
         for broken in (text[:cut] + text[cut + 1:], text + "*w"):
             assert parse_outcome(Ring.parse, R, broken) == \
                 parse_outcome(reference_parse, R, broken), broken
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x + -y1^2", lambda x, y, z: x - y ** 2),
+    ("x + -2^2*y1", lambda x, y, z: x - y.scale(4)),
+    ("x*-y1^2", lambda x, y, z: -(x * y ** 2)),
+    ("x*-y1^3 - -z^2", lambda x, y, z: z ** 2 - x * y ** 3),
+    ("-(x + z)^2*-y1", lambda x, y, z: (x + z) ** 2 * y),
+])
+@pytest.mark.parametrize("char", [0, 3])
+def test_a_minus_that_opens_a_factor_negates_its_power(char, text, want):
+    R = Ring(("x", "y1", "z"), char)
+    expected = want(R.var("x"), R.var("y1"), R.var("z"))
+    assert R.parse(text) == expected
+    assert reference_parse(R, text) == expected
 
 
 def counted_products(monkeypatch):

@@ -28,6 +28,7 @@ from slopelab.samuel import (
     LocalRingPresentation,
     NotALambdaSequence,
     NotApplicable,
+    UnknownKernel,
     ValuationCertificate,
     kernel_lambda,
     nu,
@@ -323,8 +324,12 @@ def test_certificate_rejected_when_claimed_ideal_value_is_wrong():
 def test_negative_claimed_ideal_value_is_rejected():
     ring, _ = cusp_ring()
     w = MonomialValuation.from_dict(ring, {"x": 3, "y": 2})
-    with pytest.raises(CertificateRejected, match="not positive"):
-        ValuationCertificate([(w, -1)])
+    # a claim must be positive and finite when the certificate is built,
+    # whether it comes as an int or as an ExtendedRational
+    for claimed in (-1, 0, ExtendedRational(0), INF, "inf",
+                    Fraction(-1, 2)):
+        with pytest.raises(CertificateRejected, match="not positive"):
+            ValuationCertificate([(w, claimed)])
 
 
 def test_nubar_monomial_route_agrees_with_newton_polyhedron():
@@ -439,11 +444,14 @@ def whole_power_limit(A, f, ideal, max_n, cap):
 
 
 def limit_ideal(ring, kind):
-    """The maximal ideal, or the m-primary monomial ideal that has x^2 in
-    place of x."""
+    """The maximal ideal, the m-primary monomial ideal that has x^2 in
+    place of x, or the m-primary ideal that is not monomial, with x + y^2
+    and y^3 in place of x and y."""
     gens = [ring.var(v) for v in ring.variables]
     if kind == "x^2":
         gens[0] = gens[0] * gens[0]
+    if kind == "x + y^2":
+        gens[:2] = [gens[0] + gens[1] ** 2, gens[1] ** 3]
     return IdealPresentation(ring, gens)
 
 
@@ -488,6 +496,7 @@ def limit_problems(draw):
 @example(limit_problem(3, ("y", "z"), ["z^3 + y^6"], "z + y^2", "x^2", 2, 8))
 @example(limit_problem(0, ("x", "y"), ["x^2 - y^3"], "x", "m", 5, 6))
 @example(limit_problem(0, ("x", "y"), ["x^2 - y^3"], "x", "x^2", 5, 6))
+@example(limit_problem(0, ("x", "y"), ["x^2 - y^3"], "x", "x + y^2", 4, 6))
 def test_carried_residues_sample_like_whole_powers(problem):
     A, f, ideal, max_n, cap = problem
     result = nubar(A, f, ideal=ideal, strategy="limit", max_n=max_n, cap=cap)
@@ -717,6 +726,27 @@ def test_slope_infinite_when_a_kernel_element_dies():
     result = samuel_slope(A, max_n=4)
     assert result.lower_bound == INF
     assert result.exact
+    # two kernel directions, x and y, each nilpotent: the slope is the
+    # least of the two, inf
+    ring = Ring(("x", "y", "z"))
+    A = LocalRingPresentation(ring, [ring.parse("x^2"), ring.parse("y^2")])
+    result = samuel_slope(A, max_n=4)
+    assert (result.lower_bound, result.exact) == (INF, True)
+    assert [w.canonical_string() for w in result.witness] == ["x", "y"]
+
+
+def test_slope_refuses_a_kernel_the_partial_route_leaves_unknown():
+    # two quadrics over Q: the initial ideal is neither monomial nor
+    # principal, and the Frobenius route needs F_p, so the partial route
+    # runs
+    ring = Ring(("x", "y", "z"))
+    A = LocalRingPresentation(ring, [ring.parse("x^2 - y*z"),
+                                     ring.parse("y^2 - x*z")])
+    report = kernel_lambda(A)
+    assert (report.classification, report.method, report.r, report.t) \
+        == ("unknown", "partial", 0, 2)
+    with pytest.raises(UnknownKernel, match="inconclusive"):
+        samuel_slope(A, max_n=4)
 
 
 def test_slope_not_applicable_for_a_regular_presentation():

@@ -19,16 +19,20 @@ search, and its complement variables come from the one echelon routine.
 The input picks the kernel's route, so kernel_lambda takes no method, and
 it alone builds a KernelReport, which classifies every route the same way.
 The slope reads its elimination order off the exponents, so elimpres
-builds no list of elimination generators. Every name the benchmark's
-tracer patches still exists."""
+builds no list of elimination generators. The input picks nubar's exact
+route, so its strategy choices are auto and limit, and nubar_monomial
+and ValuationCertificate.evaluate call the one weight helper, which
+closure_member, the independent route, does not. Every name the
+benchmark's tracer patches still exists."""
 
 import ast
 import importlib
 import inspect
 import pathlib
+import textwrap
 
 import slopelab
-from slopelab import elimpres, groebner, samuel
+from slopelab import elimpres, groebner, newton, samuel
 
 PACKAGE = pathlib.Path(slopelab.__file__).parent
 TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
@@ -109,7 +113,7 @@ def test_nu_searches_no_power_of_m():
 
 def called_names(function):
     """Names of the plain functions a function's body calls."""
-    tree = ast.parse(inspect.getsource(function))
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
     return {node.func.id for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
@@ -217,6 +221,27 @@ def test_the_input_picks_the_kernel_route():
         "presentation", "prime"]
     assert callers((PACKAGE / "samuel.py").read_text(), "KernelReport") \
         == {"kernel_lambda"}
+
+
+def choices(source, check):
+    """The constant choices each call of check in the source offers."""
+    return [ast.literal_eval(node.args[2])
+            for node in ast.walk(ast.parse(textwrap.dedent(source)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == check]
+
+
+def test_the_input_picks_the_nubar_route():
+    sample = "def f(s):\n    _check_choice('kind', s, ('a', 'b'))\n"
+    assert choices(sample, "_check_choice") == [("a", "b")]
+    assert choices(inspect.getsource(samuel.nubar), "_check_choice") \
+        == [("auto", "limit")]
+    helper = "least_weight_ratio"
+    for function in (newton.nubar_monomial, newton.MonomialValuation.value,
+                     samuel.ValuationCertificate.evaluate):
+        assert helper in called_names(function), function
+    assert helper not in called_names(newton.closure_member)
+    assert not hasattr(newton.MonomialValuation, "monomial_value")
 
 
 def test_every_traced_name_resolves():
