@@ -197,7 +197,28 @@ class PrimeField:
 
 
 def field_of_characteristic(char):
+    if isinstance(char, bool) or not isinstance(char, int) or char < 0:
+        raise ValueError("characteristic must be a nonnegative integer, "
+                         "got %r" % (char,))
     return RationalField() if char == 0 else PrimeField(char)
+
+
+def rational(value):
+    """A weight or a claimed value from outside the program as a Fraction:
+    an int, a Fraction, or text such as ``3/2``. A bool, a float (which is
+    not exact) and a zero denominator are refused."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        try:
+            return Fraction(int(num), int(den) if slash else 1)
+        except ValueError:
+            pass
+        except ZeroDivisionError:
+            raise ValueError("a rational with denominator 0: %r" % value)
+    raise ValueError("expected an integer or a rational such as 3/2, "
+                     "got %r" % (value,))
 
 
 class ExtendedRational:
@@ -213,7 +234,7 @@ class ExtendedRational:
         if _inf:
             self._value = None
             return
-        v = Fraction(value)
+        v = rational(value)
         if v < 0:
             raise ValueError("ExtendedRational lives on Q>=0, got %s" % v)
         self._value = v
@@ -299,13 +320,7 @@ class ExtendedRational:
 
     @classmethod
     def parse(cls, text):
-        text = text.strip()
-        if text == "inf":
-            return INF
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return cls(Fraction(int(num), int(den)))
-        return cls(int(text))
+        return INF if text.strip() == "inf" else cls(text)
 
     def __repr__(self):
         return self.serialize()

@@ -13,16 +13,18 @@ the result is only a bound or an approximation.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
 from . import groebner
-from .arith import ExtendedRational, SlopelabError
+from .arith import SlopelabError
 from .groebner import IdealPresentation
 from .newton import MonomialValuation
 from .poly import Ring, VariableSplit
 from .samuel import (LIMIT_N_DEFAULT, LocalRingPresentation,
-                     ValuationCertificate, kernel_lambda, nubar, samuel_slope)
+                     ValuationCertificate, _check_cap, kernel_lambda, nubar,
+                     samuel_slope)
 from .elimpres import (MAX_ROUNDS_DEFAULT, THEOREM_MAX_N_DEFAULT, PointSpec,
                        cross_check_theorems, hord_report)
 from . import corpus as corpus_module
@@ -76,11 +78,8 @@ class Job:
         if (not isinstance(names, list) or not names
                 or not all(isinstance(v, str) for v in names)):
             raise JobError("ring vars must be a nonempty list of names")
-        char = ring_decl.get("char", 0)
-        if not isinstance(char, int) or char < 0:
-            raise JobError("ring char must be a nonnegative integer")
         try:
-            self.ring = Ring(tuple(names), char=char)
+            self.ring = Ring(tuple(names), char=ring_decl.get("char", 0))
         except (SlopelabError, ValueError) as exc:
             raise JobError("bad ring declaration: %s" % exc)
         self.data = data
@@ -131,7 +130,7 @@ class Job:
         raise JobError("%s: unknown ideal %r" % (where, ref))
 
     def certificate(self, ref, where):
-        if ref not in self.certificates:
+        if not isinstance(ref, str) or ref not in self.certificates:
             raise JobError("%s: unknown certificate %r" % (where, ref))
         return self.certificates[ref]
 
@@ -149,12 +148,10 @@ class Job:
                     raise JobError("weights must map variables")
                 pairs.append((
                     MonomialValuation.from_dict(self.ring, entry["weights"]),
-                    ExtendedRational.parse(str(entry["value"]))))
+                    entry["value"]))
             return ValuationCertificate(pairs)
-        except (SlopelabError, ValueError, KeyError, TypeError) as exc:
+        except (SlopelabError, ValueError, KeyError) as exc:
             raise JobError("%s: %s" % (where, exc))
-        except ZeroDivisionError:
-            raise JobError("%s: a rational with denominator 0" % where)
 
     def local_ring(self):
         refs = self.section("local_ring").get("relations", [])
@@ -171,39 +168,22 @@ class Job:
         if section is None:
             raise JobError("this command needs a split section "
                            "(base and fiber variables)")
-
-        def names(key):
-            # a string is one variable name, not a sequence of letters
-            value = section.get(key, ())
-            return (value,) if isinstance(value, str) else tuple(value)
-
         try:
-            return VariableSplit(self.ring, names("base"), names("fiber"))
+            return VariableSplit(self.ring, section.get("base", ()),
+                                 section.get("fiber", ()))
         except (SlopelabError, ValueError, KeyError, TypeError) as exc:
             raise JobError("bad split: %s" % exc)
 
     def point(self):
-        section = self.data.get("point")
-        if section is None:
-            return PointSpec.origin()
-        kind = section.get("kind", "origin")
-        if kind == "origin":
-            if "vars" in section:  # the origin names no variables
-                raise JobError("point vars need kind prime, not origin")
-            return PointSpec.origin()
-        if kind == "prime":
-            names = section.get("vars", [])
-            if not isinstance(names, list) or not names:
-                raise JobError("a prime point needs a vars list")
-            for name in names:
-                if name not in self.ring.variables:
-                    raise JobError("point variable %r is not in the ring"
-                                   % name)
-            try:
-                return PointSpec.prime(tuple(names))
-            except ValueError as exc:
-                raise JobError("bad point: %s" % exc)
-        raise JobError("point kind must be origin or prime")
+        section = self.section("point")
+        names = section.get("vars", [])
+        if not isinstance(names, list) \
+                or not all(name in self.ring.variables for name in names):
+            raise JobError("point vars must be a list of ring variables")
+        try:
+            return PointSpec(section.get("kind", "origin"), tuple(names))
+        except ValueError as exc:  # PointSpec names the point in its message
+            raise JobError(str(exc))
 
     def candidates(self):
         section = self.data.get("candidates", [])
@@ -232,26 +212,13 @@ def _emit(args, report, lines):
             print(line)
 
 
-def _positive_int(text):
-    """argparse type for --max-n and --max-rounds."""
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        "expected a positive integer, got %r" % text)
-
-
 def _cap(args, params, section, key, default):
-    """A cap from the command line, else the job section, else default."""
+    """A cap from the command line, which main checked, else the job
+    section, else default."""
     value = getattr(args, key)
-    if value is not None:
-        return value
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise JobError("%s.%s must be a positive integer" % (section, key))
+    if value is None:
+        value = params.get(key, default)
+        _check_cap("%s.%s" % (section, key), value)
     return value
 
 
@@ -444,8 +411,9 @@ def cmd_check_theorems(args):
 
 def cmd_corpus(args):
     filters = tuple(args.filter or ())
-    max_n = LIMIT_N_DEFAULT if args.max_n is None else args.max_n
-    rows = corpus_module.run_corpus(filters=filters, max_n=max_n)
+    rows = corpus_module.run_corpus(
+        filters=filters, max_n=_cap(args, {}, "corpus", "max_n",
+                                    LIMIT_N_DEFAULT))
     if not rows:
         print("no corpus rows match %s" % (", ".join(filters)),
               file=sys.stderr)
@@ -503,7 +471,7 @@ def build_parser():
         cmd.add_argument("--json", action="store_true",
                          help="print one line of canonical JSON")
         for flag in caps:
-            cmd.add_argument(flag, type=_positive_int, default=None,
+            cmd.add_argument(flag, type=int, default=None,
                              help=_CAP_HELP[flag])
         cmd.set_defaults(handler=handler)
         return cmd
@@ -537,19 +505,19 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 1
 
     saved = groebner.DEFAULT_PAIR_BUDGET
-    budget = os.environ.get("SLOPELAB_BUDGET")
-    if budget is not None:
-        try:
-            value = int(budget)
-            if value < 1:
-                raise ValueError
-        except ValueError:
-            print("error: SLOPELAB_BUDGET must be a positive integer",
-                  file=sys.stderr)
-            return 1
-        groebner.DEFAULT_PAIR_BUDGET = value
-
     try:
+        for key in ("max_n", "max_rounds"):  # the cap flags, as typed
+            value = getattr(args, key, None)
+            if value is not None:
+                _check_cap("--" + key.replace("_", "-"), value)
+        budget = os.environ.get("SLOPELAB_BUDGET")
+        if budget is not None:
+            try:
+                value = int(budget)
+            except ValueError:
+                value = None
+            _check_cap("SLOPELAB_BUDGET", value, limit=math.inf)
+            groebner.DEFAULT_PAIR_BUDGET = value
         return args.handler(args)
     except SlopelabError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -43,7 +43,9 @@ class PointSpec:
 
     def __init__(self, kind, variables=()):
         if kind not in ("origin", "prime"):
-            raise ValueError("kind must be 'origin' or 'prime'")
+            raise ValueError("point kind must be origin or prime")
+        if kind == "origin" and variables:
+            raise ValueError("point vars need kind prime, not origin")
         if kind == "prime" and not variables:
             raise ValueError("a coordinate prime needs at least one variable")
         if len(set(variables)) != len(variables):

@@ -11,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .arith import INF, ExtendedRational, SlopelabError, echelon
+from .arith import INF, ExtendedRational, SlopelabError, echelon, rational
 from .groebner import NotMonomial, ideal_power
 
 DIMENSION_CAP = 4
@@ -25,7 +25,7 @@ class MonomialValuation:
     """Order function given by nonnegative weights on the variables."""
 
     def __init__(self, ring, weights):
-        weights = tuple(Fraction(w) for w in weights)
+        weights = tuple(rational(w) for w in weights)
         if len(weights) != len(ring.variables):
             raise ValueError("need one weight per variable")
         if any(w < 0 for w in weights):
@@ -37,9 +37,9 @@ class MonomialValuation:
 
     @classmethod
     def from_dict(cls, ring, table):
-        weights = [Fraction(0)] * len(ring.variables)
+        weights = [0] * len(ring.variables)
         for name, w in table.items():
-            weights[ring.index(name)] = Fraction(w)
+            weights[ring.index(name)] = w
         return cls(ring, weights)
 
     def value(self, f):
@@ -116,17 +116,12 @@ def build_polyhedron(ideal):
 
     units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     candidates = set()
-    if n == 1:
-        candidates.add((1,))
     for k in range(1, min(n, len(gens)) + 1):
         for subset in itertools.combinations(gens, k):
             base = subset[0]
             diffs = [tuple(a - b for a, b in zip(s, base)) for s in subset[1:]]
             for rays in itertools.combinations(units, n - k):
-                directions = [list(d) for d in diffs + list(rays)]
-                if len(directions) != n - 1:
-                    continue
-                w = _cross(directions, n)
+                w = _cross([list(d) for d in diffs + list(rays)], n)
                 if all(x == 0 for x in w):
                     continue
                 if all(x <= 0 for x in w):

@@ -368,10 +368,12 @@ class Polynomial:
 
 
 class VariableSplit:
-    """A partition of the ring variables into base and fiber blocks."""
+    """A partition of the ring variables into base and fiber blocks; a
+    block given as a string is one variable name."""
 
     def __init__(self, ring, base, fiber):
-        base, fiber = tuple(base), tuple(fiber)
+        base, fiber = [(block,) if isinstance(block, str) else tuple(block)
+                       for block in (base, fiber)]
         for name in base + fiber:
             ring.index(name)
         if set(base) & set(fiber):

@@ -13,7 +13,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .arith import INF, ExtendedRational, SlopelabError, echelon, ext_min
+from .arith import (INF, ExtendedRational, SlopelabError, echelon, ext_min,
+                    rational)
 from .groebner import (
     IdealPresentation,
     buchberger,
@@ -207,19 +208,19 @@ class ValuationCertificate:
 
     def evaluate(self, f):
         return least_weight_ratio(
-            f, [(valuation.weights, claimed.as_fraction)
+            f, [(valuation.weights, claimed)
                 for valuation, claimed in self.entries])
 
 
 def _claim(claimed):
-    """A claimed ideal value as an ExtendedRational, which must be positive
-    and finite."""
-    try:
-        value = claimed if isinstance(claimed, ExtendedRational) \
-            else ExtendedRational(claimed)
-    except ValueError:
-        value = None
-    if value is None or value.is_infinite or value <= 0:
+    """A claimed ideal value as a Fraction, which must be positive and
+    finite: an ExtendedRational, or a value arith.rational reads, which
+    refuses a float or a bool with its own message."""
+    if isinstance(claimed, ExtendedRational):
+        value = None if claimed.is_infinite else claimed.as_fraction
+    else:
+        value = None if claimed == "inf" else rational(claimed)
+    if value is None or value <= 0:
         raise CertificateRejected(
             "claimed ideal value %s is not positive and finite" % claimed)
     return value
@@ -356,11 +357,13 @@ def _check_choice(kind, value, choices):
             kind, value, ", ".join(choices[:-1]), choices[-1]))
 
 
-def _check_cap(name, value):
+def _check_cap(name, value, limit=CAP_LIMIT):
+    """The one rule for a cap, and for any other positive integer the
+    caller takes from outside; name is what the caller typed."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise SlopelabError("%s must be a positive integer" % name)
-    if value > CAP_LIMIT:
-        raise SlopelabError("%s must be at most %d" % (name, CAP_LIMIT))
+    if value > limit:
+        raise SlopelabError("%s must be at most %d" % (name, limit))
 
 
 def _orders(presentation, f, ideal, cap):

@@ -106,6 +106,33 @@ def test_field_handles():
     assert F3.char == 3
 
 
+def test_a_characteristic_is_a_nonnegative_int():
+    assert arith.field_of_characteristic(0) == RationalField()
+    assert arith.field_of_characteristic(5) == PrimeField(5)
+    # is_prime(3.0) holds, so a float reached the field and failed later
+    for bad in (3.0, 2.5, True, False, -2, "2", None):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            arith.field_of_characteristic(bad)
+
+
+def test_rational_reads_ints_fractions_and_text():
+    assert arith.rational(3) == 3 and type(arith.rational(3)) is Fraction
+    assert arith.rational(Fraction(3, 2)) == Fraction(3, 2)
+    assert arith.rational("3/2") == arith.rational(" 6 / 4 ") == Fraction(3, 2)
+    assert arith.rational("-2") == -2
+    for bad in (True, False, 2.5, 3.0, "2.0", "1.5", "inf", "x", "3/",
+                None, [3]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            arith.rational(bad)
+    with pytest.raises(ValueError, match="denominator 0"):
+        arith.rational("1/0")
+    # ExtendedRational reads its value the same way
+    for bad in (True, 2.0, "2.0"):
+        with pytest.raises(ValueError):
+            ExtendedRational(bad)
+    assert ExtendedRational("3/2") == ExtendedRational(Fraction(3, 2))
+
+
 def test_extended_rational_basics():
     half = ExtendedRational(Fraction(1, 2))
     two = ExtendedRational(2)

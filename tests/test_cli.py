@@ -68,6 +68,14 @@ class TestNubarCommand:
         code, out, _ = run(["nubar", job, "--json"], capsys)
         assert code == 0
         assert out == '{"status":"exact","value":"5/6"}\n'
+        # the same ideal listed inline, not named
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["x", "y"], "char": 0},
+            "nubar": {"f": "x*y", "ideal": ["x^2", "y^3"]},
+        }, name="inline.json")
+        assert run(["nubar", job, "--json"], capsys) \
+            == (0, '{"status":"exact","value":"5/6"}\n', "")
 
     def test_certificate_golden_bytes(self, tmp_path, capsys):
         job = cusp_certificate_job(tmp_path)
@@ -663,7 +671,7 @@ class TestCaps:
         assert_one_error_line(code, out, err, "%s must be at most" % key)
         job = cusp_char2_job(tmp_path, **{section: extra})
         code, out, err = run([command, job, flag, str(huge)], capsys)
-        assert_one_error_line(code, out, err, "%s must be at most" % key)
+        assert_one_error_line(code, out, err, "%s must be at most" % flag)
 
     @pytest.mark.parametrize("section,key,char,relation", [
         # the non-extremal route runs no slope search
@@ -686,11 +694,25 @@ class TestCaps:
         assert_one_error_line(code, out, err, "%s must be at most" % key)
         job = cusp_char2_job(tmp_path, **germ, **{section: extra})
         code, out, err = run([command, job, flag, str(value)], capsys)
-        assert_one_error_line(code, out, err, "%s must be at most" % key)
+        assert_one_error_line(code, out, err, "%s must be at most" % flag)
 
     def test_corpus_refuses_a_cap_above_the_limit(self, capsys):
         code, out, err = run(["corpus", "--max-n", str(2 ** 70)], capsys)
-        assert_one_error_line(code, out, err, "max_n must be at most")
+        assert_one_error_line(code, out, err, "--max-n must be at most")
+
+    def test_a_cap_error_names_what_the_caller_typed(self, tmp_path,
+                                                     capsys):
+        # one rule, samuel._check_cap, checks the flag and the job key
+        job = cusp_char2_job(tmp_path, nubar={"f": "x", "max_n": 10001})
+        assert run(["nubar", job], capsys) == (
+            1, "", "error: nubar.max_n must be at most 10000\n")
+        job = cusp_char2_job(tmp_path, slope={"g": "x^2 + y^3"})
+        assert run(["slope", job, "--max-rounds", "10001"], capsys) == (
+            1, "", "error: --max-rounds must be at most 10000\n")
+        assert run(["slope", job, "--max-n", "0"], capsys) == (
+            1, "", "error: --max-n must be a positive integer\n")
+        assert run(["corpus", "--max-n", "-3"], capsys) == (
+            1, "", "error: --max-n must be a positive integer\n")
 
     def test_flag_overrides_a_bad_job_key(self, tmp_path, capsys):
         job = cusp_char2_job(tmp_path, slope={"g": "x^2 + y^3",
@@ -766,7 +788,34 @@ class TestMalformedJobs:
         for value in ("0", "inf", 0)
         for command, sections in (
             ("nubar", {"nubar": {"f": "x", "certificate": "w"}}),
-            ("kernel", {"local_ring": {"relations": ["x^2 - y1^2*y2"]}}))])
+            ("kernel", {"local_ring": {"relations": ["x^2 - y1^2*y2"]}}))
+    ] + [
+        ("nubar", {"nubar": {"f": "x", "ideal": "I"}},
+         "nubar.ideal: unknown ideal 'I'"),
+        # a reference that is no name is unknown, not a traceback
+        ("nubar", {"certificates": {"w": [{"weights": {"x": 3, "y1": 2},
+                                           "value": "2"}]},
+                   "nubar": {"f": "x", "certificate": ["w"]}},
+         "nubar.certificate: unknown certificate ['w']"),
+        ("nubar", {"nubar": {"f": "x", "certificate": {"w": 1}}},
+         "unknown certificate"),
+        # the ring refuses a characteristic that is no nonnegative int
+        ("kernel", {"ring": {"vars": ["x", "y1", "y2"], "char": 3.0}},
+         "bad ring declaration: characteristic must be a nonnegative "
+         "integer, got 3.0"),
+        ("kernel", {"ring": {"vars": ["x", "y1", "y2"], "char": True}},
+         "characteristic must be a nonnegative integer"),
+    ] + [
+        # a bool or a float is no exact certificate number
+        ("nubar", {"certificates": {"w": [dict(
+            {"weights": {"x": 3, "y1": 2}, "value": "2"}, **entry)]},
+                   "nubar": {"f": "x", "certificate": "w"}},
+         "certificates[w]: expected an integer or a rational such as 3/2")
+        for entry in ({"weights": {"x": True, "y1": 2}},
+                      {"weights": {"x": 2.5, "y1": 2}},
+                      {"weights": {"x": 3.0, "y1": 2}},
+                      {"value": 2.0}, {"value": True}, {"value": "2.0"})
+    ])
     def test_one_error_line(self, tmp_path, capsys, command, sections,
                             message):
         job = write_job(tmp_path, dict({

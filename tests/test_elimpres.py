@@ -3,6 +3,8 @@ import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopelab import corpus, elimpres, samuel
 from slopelab.arith import INF, ExtendedRational, SlopelabError
@@ -30,6 +32,9 @@ from slopelab.samuel import (
     LocalRingPresentation,
     NotApplicable,
     SlopeResult,
+    UnknownKernel,
+    kernel_lambda,
+    samuel_slope,
 )
 
 
@@ -101,6 +106,14 @@ def test_saturation_char_zero_adds_the_derivative():
     ring = Ring(("x",))
     sat = diff_saturate_once(ReesAlgebra(ring, [(ring.parse("x^2"), 2)]))
     assert gens_as_strings(sat) == [("x", 1), ("x^2", 2)]
+
+
+def test_saturation_prunes_a_dominated_generator():
+    # y^2 W^2 divides y^3 at a weight at least as large
+    ring = Ring(("x", "y"), char=2)
+    sat = diff_saturate_once(ReesAlgebra(
+        ring, [(ring.parse("y^2"), 2), (ring.parse("y^3"), 1)]))
+    assert repr(sat) == "<rees y^2W^2>"
 
 
 def test_saturation_preserves_sing_order_at_corpus_points():
@@ -390,6 +403,20 @@ def test_clean_stops_at_its_round_budget_with_a_lower_bound():
 def test_a_prime_point_names_each_variable_once():
     with pytest.raises(ValueError, match="once"):
         PointSpec.prime(("x", "y1", "y1"))
+
+
+def test_the_origin_names_no_variables():
+    # an origin with variables would mix the prime's kernel with the
+    # origin's hord: cross_check_theorems answered FAIL on this germ
+    with pytest.raises(ValueError,
+                       match="point vars need kind prime, not origin"):
+        PointSpec("origin", ("x", "y1"))
+    ring = Ring(("x", "y1", "y2"), char=2)
+    split = VariableSplit(ring, base=("y1", "y2"), fiber=("x",))
+    A = LocalRingPresentation(ring, [ring.parse("x^2 + y1^2*y2")])
+    report = cross_check_theorems(A, split, at=PointSpec.origin())
+    assert (report.verdict(), report.classification, report.slope_value) \
+        == ("pass", "extremal", er("3/2"))
 
 
 def test_clean_needs_at_least_one_round():
@@ -722,9 +749,88 @@ def test_cross_check_leaves_a_kernel_out_of_reach_unjudged():
     assert report.note == "kernel classification out of reach"
 
 
+def test_cross_check_leaves_an_extremal_non_closed_point_out_of_scope():
+    ring = Ring(("x", "y1", "y2"), char=2)
+    split = VariableSplit(ring, base=("y1", "y2"), fiber=("x",))
+    A = LocalRingPresentation(ring, [ring.parse("x^2 + y1^2*y2^2")])
+    report = cross_check_theorems(A, split, at=PointSpec.prime(("x", "y1")))
+    assert (report.applicable, report.passed, report.classification) \
+        == (False, True, "extremal")
+    assert report.verdict() == "pass"
+    assert report.note == "slope at non-closed points is out of scope here"
+
+
 def test_rees_algebra_validation():
     ring = Ring(("x",))
     with pytest.raises(ValueError):
         ReesAlgebra(ring, [(ring.parse("0"), 1)])
     with pytest.raises(ValueError):
         ReesAlgebra(ring, [(ring.parse("x"), 0)])
+
+
+@st.composite
+def changed_germs(draw):
+    """A hypersurface germ x^d + (terms of degree >= d, each of degree < d
+    in x) over Q, F_2, F_3 or F_5 in 2 or 3 variables, d the
+    characteristic (2 or 3 over Q), and its image under a triangular
+    change v -> v + c*m, m a monomial of degree 2 or 3 in the other
+    variables. The change keeps the projection to the base variables
+    exactly when v is the fiber variable x."""
+    char = draw(st.sampled_from([0, 2, 3, 5]))
+    names = ("x", "y", "z")[:draw(st.sampled_from([2, 3]))]
+    ring = Ring(names, char=char)
+    d = char or draw(st.sampled_from([2, 3]))
+    g = ring.parse("x^%d" % d)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, d - 1))
+        base = [0] * (len(names) - 1)
+        for _ in range(draw(st.integers(d - i, d + 2 - i))):
+            base[draw(st.integers(0, len(base) - 1))] += 1
+        g = g + ring.monomial((i,) + tuple(base), draw(st.integers(1, 4)))
+    v = draw(st.sampled_from(names))
+    others = [name for name in names if name != v]
+    exps = [0] * len(names)
+    for _ in range(draw(st.integers(2, 3))):
+        exps[ring.index(draw(st.sampled_from(others)))] += 1
+    shift = ring.monomial(exps, draw(st.integers(1, char - 1 if char else 4)))
+    return ring, g, v, g.translate(v, shift)
+
+
+def invariants(ring, g, split):
+    """The kernel's class, r and t, the slope search's result (None when
+    the kernel is out of reach), hord (None when g is no admitted germ) and
+    the theorem verdict of one germ."""
+    A = LocalRingPresentation(ring, [g])
+    kernel = kernel_lambda(A)
+    try:
+        found = samuel_slope(A, max_n=4)
+        slope_result = (found.lower_bound, found.exact)
+    except UnknownKernel:
+        slope_result = None
+    try:
+        hord = hord_report(g, split).hord
+        verdict = cross_check_theorems(A, split, max_n=4).verdict()
+    except (NotMonic, MultiplicityBelowDegree):
+        # a change of a base variable can raise the degree in x
+        hord = verdict = None
+    return ((kernel.classification, kernel.r, kernel.t), slope_result, hord,
+            verdict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(changed_germs())
+def test_invariants_survive_a_coordinate_change(germ):
+    ring, g, v, changed = germ
+    split = VariableSplit(ring, base=ring.variables[1:], fiber=("x",))
+    kernel, found, hord, verdict = invariants(ring, g, split)
+    kernel2, found2, hord2, verdict2 = invariants(ring, changed, split)
+    assert kernel == kernel2
+    assert (found is None) == (found2 is None)
+    if found is not None:
+        (low, exact), (low2, exact2) = found, found2
+        assert not (exact and exact2) or low == low2
+        assert not exact2 or low <= low2
+        assert not exact or low2 <= low
+    if v == "x":  # the change keeps the projection, so hord stays
+        assert hord is not None and hord == hord2
+    assert "FAIL" not in (verdict, verdict2)

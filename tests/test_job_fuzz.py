@@ -1,5 +1,6 @@
-"""A seeded job-file fuzz: mutated caps, strategies, certificate values and
-polynomial texts, each job run through one of five subcommands. Every run
+"""A seeded job-file fuzz: mutated caps, strategies, certificate weights
+and values, references, points, characteristics and polynomial texts,
+each job run through one of five subcommands. Every run
 either exits 0 or 2 with its report on stdout and nothing on stderr, or
 exits 1 with exactly one `error:` line on stderr and nothing on stdout;
 an exception other than the package's own would escape cli.main as a
@@ -30,7 +31,16 @@ CAP_KEYS = (("nubar", "max_n"), ("slope", "max_rounds"),
             ("samuel_slope", "max_n"), ("check_theorems", "max_n"),
             ("check_theorems", "max_rounds"))
 STRATEGIES = ("auto", "limit", "monomial", "certificate", "", 3, None)
-CLAIMS = ("2", "3/2", "0", "inf", "-1", "1/0", "x", 2, 0, None, [2])
+CLAIMS = ("2", "3/2", "0", "inf", "-1", "1/0", "x", 2, 0, None, [2],
+          True, 2.0, 2.5, "2.0")
+WEIGHTS = (3, "3", "3/2", 0, -1, "1/0", True, False, 3.0, 2.5, "2.0", None)
+REFERENCES = ("c", "d", ["c"], {"c": 1}, 3, None)
+POINTS = ({"kind": "origin"}, {"kind": "origin", "vars": ["x"]},
+          {"vars": ["x", "y"]}, {"kind": "prime", "vars": ["x"]},
+          {"kind": "prime", "vars": ["x", "x"]}, {"kind": "prime"},
+          {"kind": "prime", "vars": "x"}, {"kind": "prime", "vars": ["z"]},
+          {"kind": "bogus"}, {"kind": ["prime"], "vars": ["x"]})
+CHARACTERISTICS = (0, 3, 4, -2, "2", True, False, 3.0, 2.5, None)
 TEXT_CHARS = "xyz0123+-*^() "
 FLAG_VALUES = ("1", "3", "0", "-2", "4.5", "four", "10001")
 
@@ -55,19 +65,26 @@ def mutated_job(rng):
     job = copy.deepcopy(BASE_JOB)
     for _ in range(rng.randint(1, 3)):
         roll = rng.random()
-        if roll < 0.3:
+        if roll < 0.25:
             section, key = rng.choice(CAP_KEYS)
             job[section][key] = rng.choice(CAP_VALUES)
-        elif roll < 0.45:
+        elif roll < 0.35:
             job["nubar"]["strategy"] = rng.choice(STRATEGIES)
-        elif roll < 0.6:
+        elif roll < 0.45:
             job["certificates"]["c"][0]["value"] = rng.choice(CLAIMS)
+        elif roll < 0.52:
+            job["certificates"]["c"][0]["weights"][rng.choice("xy")] = \
+                rng.choice(WEIGHTS)
+        elif roll < 0.59:
+            job["nubar"]["certificate"] = rng.choice(REFERENCES)
+        elif roll < 0.66:
+            job["point"] = rng.choice(POINTS)
         elif roll < 0.9:
             where = rng.choice([("polys", "g"), ("nubar", "f"),
                                 ("slope", "g")])
             job[where[0]][where[1]] = mutate_text(rng, job[where[0]][where[1]])
         else:
-            job["ring"]["char"] = rng.choice([0, 3, 4, -2, "2"])
+            job["ring"]["char"] = rng.choice(CHARACTERISTICS)
     return job
 
 

@@ -57,6 +57,8 @@ def test_facets_frozen_examples():
     assert P.facets == (((1, 1), 1),)
     P = build_polyhedron(ideal(R, ["x^2*y", "x*y^2"]))
     assert P.facets == (((0, 1), 1), ((1, 0), 1), ((1, 1), 3))
+    R1 = Ring(("x",), 0)
+    assert build_polyhedron(ideal(R1, ["x^3"])).facets == (((1,), 3),)
 
 
 def test_facet_invariants():
@@ -153,6 +155,14 @@ def test_monomial_valuation():
         MonomialValuation(R, (0, 0))
     with pytest.raises(ValueError):
         MonomialValuation(R, (-1, 2))
+    v = MonomialValuation.from_dict(R, {"x": "3/2", "y": Fraction(1, 2)})
+    assert v.weights == (Fraction(3, 2), Fraction(1, 2))
+    # a bool is no weight, and a float is not exact, even 3.0
+    for bad in (True, 2.5, 3.0, "2.0", "1/0", None):
+        with pytest.raises(ValueError):
+            MonomialValuation.from_dict(R, {"x": bad, "y": 1})
+        with pytest.raises(ValueError):
+            MonomialValuation(R, (1, bad))
 
 
 def test_dimension_cap_and_guards():

@@ -222,6 +222,10 @@ def test_variable_split():
         VariableSplit(R, base=("y1",), fiber=("z",))  # y2 uncovered
     with pytest.raises(ValueError):
         VariableSplit(R, base=("y1", "z"), fiber=("z",))
+    # a block given as a string is one name, not a sequence of letters
+    R = Ring(("z1", "y"), 2)
+    split = VariableSplit(R, base="y", fiber="z1")
+    assert (split.base, split.fiber) == (("y",), ("z1",))
 
 
 def test_monomial_ops():

@@ -192,6 +192,14 @@ def test_nubar_limit_carries_the_zero_test_past_the_cap(monkeypatch):
         ExtendedRational(Fraction(7, 2)), "lower-bound")
     assert result.capped == tuple(range(21, 61))
     assert len(products) < 2 * 60
+    # a power that dies above the cap: nu(x^n) in k[x, y]/(x^30) stays at
+    # the cap 24 from n = 24 on, and the carried residue of x^30 is zero
+    ring = Ring(("x", "y"))
+    B = LocalRingPresentation(ring, [ring.parse("x^30")])
+    dead = nubar(B, ring.parse("x"), max_n=30)
+    assert (dead.value, dead.status) == (INF, "exact")
+    assert dead.capped == tuple(range(24, 30))
+    assert dead.samples[-2:] == [(29, ExtendedRational(24)), (30, INF)]
 
 
 def test_nubar_limit_flags_the_samples_at_the_cap():
@@ -747,6 +755,14 @@ def test_slope_refuses_a_kernel_the_partial_route_leaves_unknown():
         == ("unknown", "partial", 0, 2)
     with pytest.raises(UnknownKernel, match="inconclusive"):
         samuel_slope(A, max_n=4)
+    # the partial route finds what it can: x is in the radical of the
+    # initial ideal (x^2 + yz, xy), y and z are not
+    A = LocalRingPresentation(ring, [ring.parse("x^2 + y*z"),
+                                     ring.parse("x*y")])
+    report = kernel_lambda(A)
+    assert (report.classification, report.method, report.r, report.t) \
+        == ("unknown", "partial", 1, 2)
+    assert [b.canonical_string() for b in report.basis] == ["x"]
 
 
 def test_slope_not_applicable_for_a_regular_presentation():
@@ -1096,6 +1112,10 @@ def test_kernel_at_prime_rejects_points_off_the_hypersurface():
     A = LocalRingPresentation(ring, [ring.parse("x^2 - y1^2*y2")])
     with pytest.raises(NotApplicable):
         kernel_lambda(A, prime=("y1", "y2"))
+    # a kernel at a prime is read off one relation only
+    B = LocalRingPresentation(ring, [ring.parse("x^2"), ring.parse("y1^2")])
+    with pytest.raises(UnknownKernel, match="hypersurfaces"):
+        kernel_lambda(B, prime=("x", "y1"))
 
 
 def test_kernel_at_prime_refuses_a_repeated_variable():

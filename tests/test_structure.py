@@ -22,8 +22,12 @@ The slope reads its elimination order off the exponents, so elimpres
 builds no list of elimination generators. The input picks nubar's exact
 route, so its strategy choices are auto and limit, and nubar_monomial
 and ValuationCertificate.evaluate call the one weight helper, which
-closure_member, the independent route, does not. Every name the
-benchmark's tracer patches still exists."""
+closure_member, the independent route, does not. Each kind of value from
+outside the program has one check, in the library type that holds it:
+samuel._check_cap for caps, PointSpec for points, arith for the
+characteristic and for weights and claimed values, so the job loader
+checks only the shape of its JSON and converts no number itself. Every
+name the benchmark's tracer patches still exists."""
 
 import ast
 import importlib
@@ -32,7 +36,7 @@ import pathlib
 import textwrap
 
 import slopelab
-from slopelab import elimpres, groebner, newton, samuel
+from slopelab import arith, cli, elimpres, groebner, newton, samuel
 
 PACKAGE = pathlib.Path(slopelab.__file__).parent
 TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
@@ -242,6 +246,25 @@ def test_the_input_picks_the_nubar_route():
         assert helper in called_names(function), function
     assert helper not in called_names(newton.closure_member)
     assert not hasattr(newton.MonomialValuation, "monomial_value")
+
+
+def test_each_outside_value_has_one_check():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+
+    def holders(text):
+        return [name for name, source in sources.items() if text in source]
+
+    assert not hasattr(cli, "_positive_int")
+    assert holders("must be a positive integer") == ["samuel.py"]
+    assert holders("point vars need kind prime") == ["elimpres.py"]
+    assert "Fraction(" not in sources["cli.py"]
+    assert "ExtendedRational" not in sources["cli.py"]
+    valuation = newton.MonomialValuation
+    for function in (valuation.__init__, valuation.from_dict):
+        assert "Fraction" not in called_names(function), function
+    for function in (valuation.__init__, arith.ExtendedRational.__init__):
+        assert "rational" in called_names(function), function
 
 
 def test_every_traced_name_resolves():
