@@ -17,14 +17,14 @@ x = ring.var("x")
 
 print("adic orders of powers of x:")
 for n in range(1, 7):
-    value = nu(cusp, x ** n)
-    print("  nu(x^%d) = %s   ratio %s/%d" % (n, value.value, value.value, n))
+    value = nu(cusp, x ** n).lower
+    print("  nu(x^%d) = %s   ratio %s/%d" % (n, value, value, n))
 
 print()
 print("the ratios climb toward 3/2; the limit strategy certifies a")
 print("lower bound from finitely many powers:")
 estimate = nubar(cusp, x, strategy="limit", max_n=12)
-print("  nubar(x) >= %s (%s)" % (estimate.value, estimate.status))
+print("  nubar(x) >= %s (%s)" % (estimate.lower, estimate.status))
 
 print()
 print("a monomial valuation with weights x:3, y:2 kills the relation")
@@ -33,4 +33,4 @@ print("so it computes the asymptotic order exactly:")
 weights = MonomialValuation.from_dict(ring, {"x": 3, "y": 2})
 certificate = ValuationCertificate([(weights, 2)])
 exact = nubar(cusp, x, certificate=certificate)
-print("  nubar(x) = %s (%s)" % (exact.value, exact.status))
+print("  nubar(x) = %s (%s)" % (exact.lower, exact.status))

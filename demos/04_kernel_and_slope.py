@@ -25,7 +25,7 @@ for char in (0, 2, 3):
               % "; ".join(b.canonical_string() for b in kernel.basis))
     result = samuel_slope(pair)
     tag = "=" if result.exact else ">="
-    print("  samuel slope %s %s" % (tag, result.lower_bound))
+    print("  samuel slope %s %s" % (tag, result.lower))
     if result.witness:
         print("  witness sequence: %s"
               % "; ".join(w.canonical_string() for w in result.witness))
@@ -37,5 +37,5 @@ ring = Ring(("x", "y"))
 cusp = LocalRingPresentation(ring, [ring.parse("x^2 - y^3")])
 result = samuel_slope(cusp, max_n=10)
 print("  samuel slope >= %s via %s"
-      % (result.lower_bound,
+      % (result.lower,
          "; ".join(w.canonical_string() for w in result.witness)))

@@ -1,5 +1,6 @@
 """Exact scalars: rationals, prime fields, and the nonnegative rational line
-with a genuine infinity element, plus the one exact row reduction.
+with a genuine infinity element; the bounds every answer carries; and the
+one exact row reduction.
 
 Everything downstream (orders, slopes, thresholds) flows through these types,
 so no floats anywhere. Coefficients of either field share one spelling for
@@ -15,7 +16,7 @@ class SlopelabError(Exception):
 
 
 def is_prime(p):
-    if p < 2:
+    if not isinstance(p, int) or p < 2:
         return False
     d = 2
     while d * d <= p:
@@ -318,10 +319,6 @@ class ExtendedRational:
             return str(self._value.numerator)
         return "%d/%d" % (self._value.numerator, self._value.denominator)
 
-    @classmethod
-    def parse(cls, text):
-        return INF if text.strip() == "inf" else cls(text)
-
     def __repr__(self):
         return self.serialize()
 
@@ -333,6 +330,56 @@ def _coerce(x):
 
 
 INF = ExtendedRational.infinity()
+
+
+class Bounds:
+    """What is proven about an invariant: a lower bound and, once something
+    proves it, a matching upper bound (INF while none is known). This is
+    the one place an answer's label lives: it is exact when the two bounds
+    meet, and a lower bound otherwise.
+
+    route names the route that proved the answer, and capped lists the
+    sample n's that reached a cap, whose values are only 'at least' it.
+    Two flags stay outside until ROADMAP item 5 makes them bounds:
+    SlopeReport.approximate_elimination and CheckReport.slope_certified
+    rest on the elimination order's approximate generating rule, so
+    folding them in would label an unproven value a proven bound.
+    """
+
+    __slots__ = ("lower", "upper", "route", "capped")
+
+    def __init__(self, lower, upper=INF, route=None, capped=()):
+        # one comparison costs as much as the rest of the constructor, so
+        # it is skipped where the bounds cannot be out of order
+        if upper is not INF and upper is not lower and lower > upper:
+            raise ValueError("lower bound %s above upper bound %s"
+                             % (lower, upper))
+        self.lower = lower
+        self.upper = upper
+        self.route = route
+        self.capped = tuple(capped)
+
+    @property
+    def exact(self):
+        if self.upper is INF:
+            return self.lower.is_infinite
+        return self.lower is self.upper or self.lower == self.upper
+
+    @property
+    def status(self):
+        return "exact" if self.exact else "lower-bound"
+
+    value = lower_bound = property(
+        lambda self: self.lower,
+        doc="lower, by old names that only perfbench/ reads; they go with "
+            "ROADMAP item 6.")
+    at_least = property(
+        lambda self: not self.exact,
+        doc="not exact, by an old name that only perfbench/ reads; it goes "
+            "with ROADMAP item 6.")
+
+    def __repr__(self):
+        return "%s (%s)" % (self.lower, self.status)
 
 
 def ext_min(a, b):

@@ -241,10 +241,10 @@ def cmd_nubar(args):
                    certificate=certificate,
                    max_n=_cap(args, params, "nubar", "max_n",
                               LIMIT_N_DEFAULT))
-    report = {"value": result.value.serialize(), "status": result.status}
+    report = {"value": result.lower.serialize(), "status": result.status}
     _emit(args, report,
           ["nubar = %s (%s)" % (report["value"], report["status"])])
-    if args.require_exact and result.status != "exact":
+    if args.require_exact and not result.exact:
         return 2
     return 0
 
@@ -335,7 +335,7 @@ def _samuel_slope_report(job, args):
                           max_n=_cap(args, params, "samuel_slope", "max_n",
                                      LIMIT_N_DEFAULT))
     report = {
-        "bound": result.lower_bound.serialize(),
+        "bound": result.lower.serialize(),
         "exact": result.exact,
         "classification": result.classification,
         "witness": [w.canonical_string() for w in result.witness],

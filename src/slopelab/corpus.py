@@ -187,9 +187,9 @@ EXPECTED = {
 }
 
 
-def _nu_string(value):
-    out = value.value.serialize()
-    if value.at_least:
+def _nu_string(bounds):
+    out = bounds.lower.serialize()
+    if not bounds.exact:
         out += " at-least"
     return out
 
@@ -282,13 +282,13 @@ def _nubar_rows(member, max_n):
 
     def certificate_row():
         res = nubar(pres, x, certificate=member.certificate)
-        return "%s %s" % (res.value.serialize(), res.status)
+        return "%s %s" % (res.lower.serialize(), res.status)
 
     def envelope_row():
         res = nubar(pres, x, strategy="limit", max_n=max_n)
         low = ExtendedRational(Fraction(7, 5))
         high = ExtendedRational(Fraction(3, 2))
-        peak = res.value
+        peak = res.lower
         ratios = [v / n for n, v in res.samples]
         inside = low <= peak and all(r <= high for r in ratios)
         verdict = "within" if inside else "outside"

@@ -509,7 +509,7 @@ def cross_check_theorems(local_ring, split, at=None,
                            case, note="slope at non-closed points is out of "
                            "scope here")
     slope_result = samuel_slope(local_ring, max_n=max_n)
-    lb = slope_result.lower_bound
+    lb = slope_result.lower
     passed = ext_min(lb, ord_d) == hord
     certified = passed and hord < ord_d
     inconclusive = not slope_result.exact and lb < hord <= ord_d

@@ -13,8 +13,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .arith import (INF, ExtendedRational, SlopelabError, echelon, ext_min,
-                    rational)
+from .arith import (INF, Bounds, ExtendedRational, SlopelabError, echelon,
+                    ext_min, rational)
 from .groebner import (
     IdealPresentation,
     buchberger,
@@ -145,38 +145,25 @@ class LocalRingPresentation:
             ", ".join(g.canonical_string() for g in self.relations.generators))
 
 
-class NuValue:
-    """Result of nu: an exact order, or a certified 'at least cap'."""
-
-    __slots__ = ("value", "at_least")
-
-    def __init__(self, value, at_least=False):
-        self.value = value
-        self.at_least = at_least
-
-    def __repr__(self):
-        tag = ">=" if self.at_least else "="
-        return "nu %s %s" % (tag, self.value)
-
-
 def nu(presentation, f, cap=NU_CAP_DEFAULT):
     """Adic order of f in the local ring: sup of j with f in m^j.
 
-    Exact up to the cap; returns at_least=True when f survives that deep.
-    It is the first sample of nubar's limit route against m (see _orders):
-    f is divided once, by the local basis of J + m^cap, and the order is
-    the lowest degree left. Only when nothing is left is f tested for
-    zero, and the order is infinite when f lies in J in the polynomial
-    ring. That zero test is global: an f that is zero only in the
-    localization, such as x in k[x, y]/(x*y - x), where y - 1 is a unit,
-    reads 'at least cap'.
+    The Bounds are exact below the cap; an f that survives that deep gets
+    the cap as its lower bound, with capped = (1,). It is the first
+    sample of nubar's limit route against m (see _orders): f is divided
+    once, by the local basis of J + m^cap, and the order is the lowest
+    degree left. Only when nothing is left is f tested for zero, and the
+    order is infinite when f lies in J in the polynomial ring. That zero
+    test is global: an f that is zero only in the localization, such as
+    x in k[x, y]/(x*y - x), where y - 1 is a unit, reads 'at least cap'.
     """
     _check_cap("cap", cap)
-    order, at_least = next(
+    order, at_cap = next(
         _orders(presentation, f, presentation.maximal_ideal(), cap))
     if order is INF:
-        return NuValue(INF)
-    return NuValue(ExtendedRational(order), at_least)
+        return Bounds(INF)
+    order = ExtendedRational(order)
+    return Bounds(order, capped=(1,)) if at_cap else Bounds(order, order)
 
 
 class ValuationCertificate:
@@ -226,26 +213,20 @@ def _claim(claimed):
     return value
 
 
-class NubarResult:
-    """A nubar value, its status and the certificate that proves it.
-
-    The limit route also keeps its samples, (n, nu(f^n)) pairs, in
-    capped the n whose sample is only 'at least' its value, the cap, and
+class NubarResult(Bounds):
+    """The Bounds nubar proves, with route naming the route that proved
+    them. The limit route also keeps its samples, (n, nu(f^n)) pairs, and
     in frobenius the normal form modulo J of the Frobenius power f^q it
     tested for zero, or None when it tested none.
     """
 
-    def __init__(self, value, status, certificate=None, samples=None,
-                 capped=(), frobenius=None):
-        self.value = value
-        self.status = status  # "exact" or "lower-bound"
-        self.certificate = certificate
-        self.samples = samples or []
-        self.capped = tuple(capped)
-        self.frobenius = frobenius
+    __slots__ = ("samples", "frobenius")
 
-    def __repr__(self):
-        return "nubar %s (%s)" % (self.value, self.status)
+    def __init__(self, lower, upper=INF, route=None, capped=(), samples=(),
+                 frobenius=None):
+        super().__init__(lower, upper, route, capped)
+        self.samples = list(samples)
+        self.frobenius = frobenius
 
 
 def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
@@ -262,20 +243,23 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
                      bound of nubar, is rejected. The order and the zero
                      test are the first sample of the limit route.
       limit       -- any other input: max over n <= max_n of nu(f^n)/n;
-                     always a valid lower bound, and exact (infinite) when
-                     some power of f dies in the ring.
+                     always a valid lower bound, with no upper bound, and
+                     exact (infinite) when some power of f dies in the
+                     ring.
 
     The limit route reads its samples from _orders, which carries one
     residue, r_n, the normal form of r_(n-1)*f, and builds f^n once, for
     the global zero test at the first zero residue; from there on it
     carries the normal form of f^n modulo J for that test. A sample that
-    reaches the cap is only 'at least' it; capped lists its n. Over F_p,
-    when no power is zero, it tests one more, f^q for the least power q
-    of p above max_n: the power map fixes F_p, so f^q is f with every
-    exponent multiplied by q and needs no product. Its normal form modulo
-    J's grevlex basis is kept on the result. If it is zero the answer is
+    reaches the cap is only 'at least' it; the result's capped lists its
+    n. Over F_p, when no power is zero, it tests one more, f^q for the
+    least power q of p above max_n: the power map fixes F_p, so f^q is f
+    with every exponent multiplied by q and needs no product. Its normal
+    form modulo J's grevlex basis is kept on the result. If it is zero the answer is
     infinite (exact), with (q, inf) as the last sample; if not, the lower
-    bound and its samples stand as they were.
+    bound and its samples stand as they were. The route is named on the
+    result: newton-polyhedron, zero-element, valuation-certificate,
+    nilpotent-power for an infinite limit, or limit.
     """
     _check_choice("nubar strategy", strategy, ("auto", "limit"))
     _check_cap("max_n", max_n)
@@ -285,34 +269,32 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
 
     if strategy == "auto" and not presentation.relations.generators \
             and ideal.is_monomial_ideal():
-        return NubarResult(nubar_monomial(ideal, f), "exact",
-                           certificate="newton-polyhedron")
+        value = nubar_monomial(ideal, f)
+        return NubarResult(value, value, "newton-polyhedron")
 
     if strategy == "auto" and certificate is not None:
         certificate.validate(presentation, ideal)
         order, _ = next(_orders(presentation, f, ideal, cap))
         if order is INF:
-            return NubarResult(INF, "exact", certificate="zero-element")
+            return NubarResult(INF, INF, "zero-element")
         value = certificate.evaluate(f)
         if value < order:
             # nubar(f) >= nu(f), so the certificate cannot be right
             raise CertificateRejected(
                 "the certificate gives %s, below the order %d of %s"
                 % (value, order, f.canonical_string()))
-        return NubarResult(value, "exact",
-                           certificate="valuation-certificate")
+        return NubarResult(value, value, "valuation-certificate")
 
     best = Fraction(0)
     samples, capped = [], []
     orders = itertools.islice(_orders(presentation, f, ideal, cap), max_n)
-    for n, (order, at_least) in enumerate(orders, 1):
+    for n, (order, at_cap) in enumerate(orders, 1):
         if order is INF:
             # f is nilpotent against the relations: the limit is infinite
             samples.append((n, INF))
-            return NubarResult(INF, "exact", certificate="nilpotent-power",
-                               samples=samples, capped=capped)
+            return NubarResult(INF, INF, "nilpotent-power", capped, samples)
         samples.append((n, ExtendedRational(order)))
-        if at_least:
+        if at_cap:
             capped.append(n)
         ratio = Fraction(order, n)
         if ratio > best:
@@ -324,11 +306,10 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
             _frobenius_power(f, q))
         if frobenius.is_zero():
             samples.append((q, INF))
-            return NubarResult(INF, "exact", certificate="nilpotent-power",
-                               samples=samples, capped=capped,
-                               frobenius=frobenius)
-    return NubarResult(ExtendedRational(best), "lower-bound",
-                       samples=samples, capped=capped, frobenius=frobenius)
+            return NubarResult(INF, INF, "nilpotent-power", capped, samples,
+                               frobenius)
+    return NubarResult(ExtendedRational(best), INF, "limit", capped, samples,
+                       frobenius)
 
 
 def _frobenius_exponent(p, bound):
@@ -367,8 +348,8 @@ def _check_cap(name, value, limit=CAP_LIMIT):
 
 
 def _orders(presentation, f, ideal, cap):
-    """Orders against ideal of f, f^2, ... in turn, as (order, at_least):
-    the largest j <= cap with f^n in ideal^j + J, flagged at_least when
+    """Orders against ideal of f, f^2, ... in turn, as (order, at_cap):
+    the largest j <= cap with f^n in ideal^j + J, flagged at_cap when
     that is the cap, or (INF, False) for a power that is zero in the ring,
     which ends the run.
 
@@ -648,16 +629,16 @@ def _power_of_linear_form(g):
     return None
 
 
-class SlopeResult:
-    def __init__(self, lower_bound, exact, witness, classification):
-        self.lower_bound = lower_bound
-        self.exact = exact
+class SlopeResult(Bounds):
+    """The Bounds samuel_slope proves, the witness sequence of the lower
+    bound and the kernel's classification."""
+
+    __slots__ = ("witness", "classification")
+
+    def __init__(self, lower, upper, witness, classification):
+        super().__init__(lower, upper)
         self.witness = witness
         self.classification = classification
-
-    def __repr__(self):
-        tag = "=" if self.exact else ">="
-        return "slope %s %s" % (tag, self.lower_bound)
 
 
 def validate_lambda_sequence(presentation, kernel, candidate):
@@ -729,8 +710,9 @@ def samuel_slope(presentation, candidates=(), max_n=LIMIT_N_DEFAULT):
     """Slope of the local ring: 1 in the non-extremal case, otherwise the
     best min-over-sequence asymptotic order found.
 
-    The extremal value is reported as a lower bound; sup attainment is
-    never assumed here. The theorem cross-check can certify it exact.
+    The extremal value is a lower bound with no upper bound, exact only
+    when infinite; sup attainment is never assumed here. The theorem
+    cross-check can certify it exact.
     Every element is assessed by nubar's limit route.
 
     The search runs nubar on each kernel direction ell and keeps its
@@ -769,7 +751,8 @@ def samuel_slope(presentation, candidates=(), max_n=LIMIT_N_DEFAULT):
     if kernel.classification == "unknown":
         raise UnknownKernel("kernel method was inconclusive")
     if kernel.classification == "non-extremal":
-        return SlopeResult(ExtendedRational(1), True, [], "non-extremal")
+        one = ExtendedRational(1)
+        return SlopeResult(one, one, [], "non-extremal")
 
     def assess(gamma):
         return nubar(presentation, gamma, strategy="limit", max_n=max_n)
@@ -782,7 +765,7 @@ def samuel_slope(presentation, candidates=(), max_n=LIMIT_N_DEFAULT):
     witness = []
     for ell in kernel.basis:
         lead = assess(ell)
-        slot_best, slot_witness = lead.value, ell
+        slot_best, slot_witness = lead.lower, ell
         settled = not lead.capped  # the copy rules need no capped sample
         copies = {}  # shift order d -> whether the binomial rule holds
         for s in shifts:
@@ -802,7 +785,7 @@ def samuel_slope(presentation, candidates=(), max_n=LIMIT_N_DEFAULT):
                 continue
             for u in units:
                 gamma = ell + s.scale(u)
-                value = assess(gamma).value
+                value = assess(gamma).lower
                 if value > slot_best:
                     slot_best, slot_witness = value, gamma
                 if slot_best.is_infinite:
@@ -818,14 +801,13 @@ def samuel_slope(presentation, candidates=(), max_n=LIMIT_N_DEFAULT):
         validate_lambda_sequence(presentation, kernel, list(seq))
         value = None
         for gamma in seq:
-            v = assess(gamma).value
+            v = assess(gamma).lower
             value = v if value is None else ext_min(value, v)
         if value > bound:
             bound = value
             witness = list(seq)
 
-    exact = bound.is_infinite  # an infinite lower bound is already the sup
-    return SlopeResult(bound, exact, witness, "extremal")
+    return SlopeResult(bound, INF, witness, "extremal")
 
 
 def _copies_samples(lead, d, p):

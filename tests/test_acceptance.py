@@ -18,10 +18,6 @@ from slopelab.elimpres import (ReesAlgebra, build_p_presentation, clean,
 from slopelab.samuel import kernel_lambda, nu, nubar
 
 
-def er(text):
-    return ExtendedRational.parse(text)
-
-
 def member(name):
     for m in local_ring_members():
         if m.name == name:
@@ -35,8 +31,8 @@ def test_criterion_1_cusp_adic_orders_are_exact():
     x = cusp.ring.var("x")
     first = nu(cusp.presentation, x)
     second = nu(cusp.presentation, x * x)
-    assert not first.at_least and first.value == er("1")
-    assert not second.at_least and second.value == er("3")
+    assert first.exact and first.lower == ExtendedRational(1)
+    assert second.exact and second.lower == ExtendedRational(3)
 
 
 def test_criterion_2_cusp_asymptotic_order_certificate_and_envelope():
@@ -47,14 +43,14 @@ def test_criterion_2_cusp_asymptotic_order_certificate_and_envelope():
     x = cusp.ring.var("x")
     certified = nubar(cusp.presentation, x, certificate=cusp.certificate)
     assert certified.status == "exact"
-    assert certified.value == er("3/2")
+    assert certified.lower == ExtendedRational("3/2")
 
     limit = nubar(cusp.presentation, x, strategy="limit", max_n=20)
     ratios = [value / n for n, value in limit.samples]
     assert len(ratios) == 20
     assert max(ratios) >= ExtendedRational(Fraction(3, 2) - Fraction(1, 10))
-    assert all(r <= er("3/2") for r in ratios)
-    assert limit.value == er("3/2")
+    assert all(r <= ExtendedRational("3/2") for r in ratios)
+    assert limit.lower == ExtendedRational("3/2")
 
 
 def test_criterion_3_cusp_rees_algebra_saturation_and_orders():
@@ -68,9 +64,9 @@ def test_criterion_3_cusp_rees_algebra_saturation_and_orders():
 
     presentation = build_p_presentation(g, split)
     report = slope(presentation)
-    assert report.elimination_order == er("2")
+    assert report.elimination_order == ExtendedRational(2)
     cleaned = clean(presentation)
-    assert cleaned.hord == er("3/2")
+    assert cleaned.hord == ExtendedRational("3/2")
 
 
 def test_criterion_4_umbrella_orders_at_the_prime():
@@ -81,7 +77,7 @@ def test_criterion_4_umbrella_orders_at_the_prime():
         m = members["whitney-p%d" % p]
         presentation = build_p_presentation(m.g, m.split)
         report = clean(presentation, at=m.point)
-        assert report.hord == er("1"), m.name
+        assert report.hord == ExtendedRational(1), m.name
         assert report.elimination_order == \
             ExtendedRational(Fraction(p, p - 1)), m.name
 
@@ -137,21 +133,22 @@ def test_criterion_8_theorem_cross_checks_hold_on_the_corpus():
         assert report.passed, m.name
         results[m.name] = report
         if report.classification == "non-extremal":
-            assert report.hord == er("1"), m.name
+            assert report.hord == ExtendedRational(1), m.name
         else:
             assert ext_min(report.slope_value, report.ord_d) \
                 == report.hord, m.name
 
     cusp = results["cusp-char2"]
     assert cusp.classification == "extremal"
-    assert cusp.slope_value == er("3/2")
+    assert cusp.slope_value == ExtendedRational("3/2")
     assert cusp.slope_certified
-    assert cusp.hord == er("3/2") and cusp.ord_d == er("2")
+    assert cusp.hord == ExtendedRational("3/2")
+    assert cusp.ord_d == ExtendedRational(2)
 
     pair = results["node-char2"]
     assert pair.hord == INF and pair.slope_value == INF
 
     for p in (2, 3, 5):
         umbrella = results["whitney-p%d" % p]
-        assert umbrella.hord == er("1")
+        assert umbrella.hord == ExtendedRational(1)
         assert umbrella.ord_d == ExtendedRational(Fraction(p, p - 1))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from slopelab import arith
 from slopelab.arith import (
     INF,
+    Bounds,
     ExtendedRational,
     PrimeField,
     PrimeFieldElement,
@@ -24,6 +25,16 @@ def test_prime_check():
         PrimeField(4)
     with pytest.raises(ValueError):
         PrimeFieldElement(1, 9)
+
+
+def test_a_modulus_is_an_int():
+    # 3.0 == 3 passed the trial division, and the field failed later
+    for bad in (3.0, 5.0, 2.5):
+        assert not is_prime(bad)
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(bad)
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeFieldElement(1, bad)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -109,7 +120,7 @@ def test_field_handles():
 def test_a_characteristic_is_a_nonnegative_int():
     assert arith.field_of_characteristic(0) == RationalField()
     assert arith.field_of_characteristic(5) == PrimeField(5)
-    # is_prime(3.0) holds, so a float reached the field and failed later
+    # refused with this message before the field's own primality check
     for bad in (3.0, 2.5, True, False, -2, "2", None):
         with pytest.raises(ValueError, match="nonnegative integer"):
             arith.field_of_characteristic(bad)
@@ -168,14 +179,39 @@ def test_total_order():
 
 
 def test_serialization_round_trip():
-    cases = ["0", "1", "3/2", "5/6", "24", "inf"]
-    for text in cases:
-        assert ExtendedRational.parse(text).serialize() == text
+    for text in ["0", "1", "3/2", "5/6", "24"]:
+        assert ExtendedRational(text).serialize() == text
     # reduced on the way through
-    assert ExtendedRational.parse("2/1").serialize() == "2"
-    assert ExtendedRational.parse("4/6").serialize() == "2/3"
+    assert ExtendedRational("2/1").serialize() == "2"
+    assert ExtendedRational("4/6").serialize() == "2/3"
     assert ExtendedRational(Fraction(3, 2)).serialize() == "3/2"
     assert INF.serialize() == "inf"
+
+
+def test_bounds_carry_the_label():
+    half, three = ExtendedRational(Fraction(1, 2)), ExtendedRational(3)
+    exact = Bounds(three, ExtendedRational(3), route="r", capped=[2])
+    assert (exact.exact, exact.status) == (True, "exact")
+    assert (exact.route, exact.capped) == ("r", (2,))
+    below = Bounds(half)
+    assert below.upper is INF and (below.exact, below.status) == (
+        False, "lower-bound")
+    assert Bounds(half, three).status == "lower-bound"
+    assert Bounds(INF).exact and Bounds(INF, INF).exact
+    assert repr(below) == "1/2 (lower-bound)"
+    for lower, upper in ((three, half), (INF, three)):
+        with pytest.raises(ValueError, match="above upper bound"):
+            Bounds(lower, upper)
+
+
+def test_bounds_keep_the_names_the_benchmark_reads():
+    three = ExtendedRational(3)
+    capped = Bounds(ExtendedRational(24), capped=(1,))
+    assert capped.value == capped.lower_bound == ExtendedRational(24)
+    assert capped.at_least
+    exact = Bounds(three, three)
+    assert exact.value == exact.lower_bound == three
+    assert not exact.at_least
 
 
 def _fractions(rows):

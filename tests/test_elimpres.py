@@ -644,7 +644,7 @@ def test_cross_check_exact_slope_below_hord_fails(monkeypatch):
     A, split = f11_germ()
 
     def exact_slope(local_ring, max_n):
-        return SlopeResult(er(1), True, (), "extremal")
+        return SlopeResult(er(1), er(1), (), "extremal")
 
     monkeypatch.setattr(elimpres, "samuel_slope", exact_slope)
     report = cross_check_theorems(A, split)
@@ -804,7 +804,7 @@ def invariants(ring, g, split):
     kernel = kernel_lambda(A)
     try:
         found = samuel_slope(A, max_n=4)
-        slope_result = (found.lower_bound, found.exact)
+        slope_result = (found.lower, found.exact)
     except UnknownKernel:
         slope_result = None
     try:

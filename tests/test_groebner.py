@@ -516,7 +516,7 @@ def test_nu_is_the_first_power_of_m_plus_j_that_misses_f(problem):
     A, f, cap = problem
     got = samuel.nu(A, f, cap)
     if buchberger(A.relations).contains(f):
-        assert got.value == arith.INF
+        assert got.lower == arith.INF
         return
     m = A.maximal_ideal()
 
@@ -524,9 +524,9 @@ def test_nu_is_the_first_power_of_m_plus_j_that_misses_f(problem):
         return buchberger(
             ideal_sum(ideal_power(m, j), A.relations)).contains(f)
 
-    assert not got.value.is_infinite
-    v = int(got.value.as_fraction)
-    assert v <= cap and got.at_least == (v == cap)
+    assert not got.lower.is_infinite
+    v = int(got.lower.as_fraction)
+    assert v <= cap and got.exact == (v < cap)
     assert within(v) and (v == cap or not within(v + 1))
 
 

@@ -26,8 +26,10 @@ closure_member, the independent route, does not. Each kind of value from
 outside the program has one check, in the library type that holds it:
 samuel._check_cap for caps, PointSpec for points, arith for the
 characteristic and for weights and claimed values, so the job loader
-checks only the shape of its JSON and converts no number itself. Every
-name the benchmark's tracer patches still exists."""
+checks only the shape of its JSON and converts no number itself. One
+answer type, arith.Bounds, carries the label of nu, nubar and the Samuel
+slope: no other class defines it, and only the benchmark reads its old
+names. Every name the benchmark's tracer patches still exists."""
 
 import ast
 import importlib
@@ -39,7 +41,8 @@ import slopelab
 from slopelab import arith, cli, elimpres, groebner, newton, samuel
 
 PACKAGE = pathlib.Path(slopelab.__file__).parent
-TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def field_dispatch(path):
@@ -283,3 +286,75 @@ def test_every_traced_name_resolves():
         if attr not in getattr(owner, "__dict__", {}):
             missing.append((mod, cls, attr))
     assert names and not missing, missing
+
+
+LABELS = ("status", "exact", "at_least", "lower_bound", "capped")
+OLD_NAMES = ("at_least", "lower_bound")
+
+
+def label_holders(source):
+    """(class, name) for each label name a class of one module defines as
+    a method, assigns in its body or on an attribute, or lists in its
+    slots."""
+    hits = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store):
+                names = [node.attr]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+                if names == ["__slots__"]:
+                    names = [c.value for c in ast.walk(node.value)
+                             if isinstance(c, ast.Constant)]
+            else:
+                continue
+            hits.update((cls.name, name) for name in names if name in LABELS)
+    return hits
+
+
+def old_name_reads(source, exempt=None):
+    """Lines of one module that read .at_least or .lower_bound, outside the
+    function named exempt."""
+    tree = ast.parse(source)
+    skipped = {id(node) for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and func.name == exempt
+               for node in ast.walk(func)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in OLD_NAMES
+            and id(node) not in skipped]
+
+
+def test_one_answer_type_carries_the_label():
+    sample = ("class R:\n"
+              "    __slots__ = ('capped',)\n"
+              "    exact = True\n"
+              "    def status(self):\n"
+              "        self.at_least = r.lower_bound\n")
+    assert label_holders(sample) == {("R", "capped"), ("R", "exact"),
+                                     ("R", "status"), ("R", "at_least")}
+    found = {path.name: label_holders(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found["samuel.py"] == set()
+    assert {(name, cls, label) for name, hits in found.items()
+            for cls, label in hits if label in ("exact", "status")} \
+        == {("arith.py", "Bounds", "exact"), ("arith.py", "Bounds", "status")}
+    assert not hasattr(samuel, "NuValue")
+    for result in (samuel.NubarResult, samuel.SlopeResult):
+        assert result.__bases__ == (arith.Bounds,), result
+
+
+def test_only_the_benchmark_reads_the_old_label_names():
+    exempt = "test_bounds_keep_the_names_the_benchmark_reads"
+    pinning = (ROOT / "tests" / "test_arith.py").read_text()
+    assert old_name_reads(pinning) and exempt in pinning
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob(
+        "*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    found = {path.name: old_name_reads(path.read_text(), exempt)
+             for path in files}
+    assert len(found) > 20 and not any(found.values()), found
