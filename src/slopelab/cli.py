@@ -2,12 +2,14 @@
 
 Jobs are JSON files: a ring declaration plus named polynomials, ideals,
 certificates and points, and one parameter section per subcommand.  Each
-subcommand loads the job, runs the matching computation, and prints
-either a short human summary or one line of canonical JSON.
-
-Exit codes: 0 on success, 1 on a parse or validation problem (and on a
-failed corpus or theorem check), 2 when --require-exact was given and
-the result is only a bound or an approximation.
+subcommand runs the matching computation on the loaded job and returns
+its report twice, as a JSON object and as the lines of a short human
+summary, with a code: 0 for an exact answer, 2 for one that is only a
+bound or an approximation, and 1 for a failed corpus or theorem check.
+main alone loads the job, prints the report (one line of canonical JSON
+under --json) and reads --require-exact: it alone maps "not exact" to
+exit code 2, and without the flag such an answer exits 0.  A parse or
+validation problem is one `error:` line on stderr and exit code 1.
 """
 
 import argparse
@@ -22,11 +24,9 @@ from .arith import SlopelabError
 from .groebner import IdealPresentation
 from .newton import MonomialValuation
 from .poly import Ring, VariableSplit
-from .samuel import (LIMIT_N_DEFAULT, LocalRingPresentation,
-                     ValuationCertificate, _check_cap, kernel_lambda, nubar,
-                     samuel_slope)
-from .elimpres import (MAX_ROUNDS_DEFAULT, THEOREM_MAX_N_DEFAULT, PointSpec,
-                       cross_check_theorems, hord_report)
+from .samuel import (LocalRingPresentation, ValuationCertificate,
+                     _check_cap, kernel_lambda, nubar, samuel_slope)
+from .elimpres import PointSpec, cross_check_theorems, hord_report
 from . import corpus as corpus_module
 
 SCHEMA = "slopelab-job/1"
@@ -203,27 +203,23 @@ class Job:
         return section
 
 
-def _emit(args, report, lines):
-    if args.json:
-        sys.stdout.write(
-            json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
-    else:
-        for line in lines:
-            print(line)
+def _caps(args, params, section, *keys):
+    """The caps given for keys, as keywords: each from its flag, which
+    main checked, else from the job section, checked as <section>.<key>.
+    A cap given by neither is left out, so the library's default holds."""
+    caps = {}
+    for key in keys:
+        value = getattr(args, key)
+        if value is None:
+            if key not in params:
+                continue
+            value = params[key]
+            _check_cap("%s.%s" % (section, key), value)
+        caps[key] = value
+    return caps
 
 
-def _cap(args, params, section, key, default):
-    """A cap from the command line, which main checked, else the job
-    section, else default."""
-    value = getattr(args, key)
-    if value is None:
-        value = params.get(key, default)
-        _check_cap("%s.%s" % (section, key), value)
-    return value
-
-
-def cmd_nubar(args):
-    job = Job.load(args.job)
+def cmd_nubar(job, args):
     params = job.section("nubar")
     if "f" not in params:
         raise JobError("nubar section needs an entry f")
@@ -239,101 +235,73 @@ def cmd_nubar(args):
     presentation = job.local_ring()
     result = nubar(presentation, f, ideal=ideal, strategy=strategy,
                    certificate=certificate,
-                   max_n=_cap(args, params, "nubar", "max_n",
-                              LIMIT_N_DEFAULT))
+                   **_caps(args, params, "nubar", "max_n"))
     report = {"value": result.lower.serialize(), "status": result.status}
-    _emit(args, report,
-          ["nubar = %s (%s)" % (report["value"], report["status"])])
-    if args.require_exact and not result.exact:
-        return 2
-    return 0
+    lines = ["nubar = %s (%s)" % (report["value"], report["status"])]
+    return report, lines, 0 if result.exact else 2
 
 
-def _slope_json(report):
-    out = {
-        "Hord": report.hord.serialize(),
-        "elim_ord": report.elimination_order.serialize(),
-        "approximate_elimination": report.approximate_elimination,
-        "transcript": [{"var": name, "shift": shift.canonical_string()}
-                       for name, shift in report.transcript],
-    }
-    if report.case is not None:
-        out["case"] = report.case
-    if report.degenerate:
-        out["flag"] = "degenerate"
-    return out
-
-
-def _slope_lines(report):
-    lines = []
-    if report.value is not None:  # the Tschirnhausen route has no slope
-        lines.append("slope = %s" % report.value.serialize())
-    if report.case is not None:
-        lines.append("case = %s" % report.case)
-    note = " (approximate generating rule)" \
-        if report.approximate_elimination else ""
-    lines.append("elimination order = %s%s"
-                 % (report.elimination_order.serialize(), note))
-    lines.append("hord = %s" % report.hord.serialize())
-    for name, shift in report.transcript:
-        lines.append("cleaning: %s -> %s - (%s)"
-                     % (name, name, (-shift).canonical_string()))
-    if report.degenerate:
-        lines.append("degenerate: the fiber polynomial reduced to a "
-                     "pure power")
-    return lines
-
-
-def cmd_slope(args):
-    job = Job.load(args.job)
+def cmd_slope(job, args):
     params = job.section("slope")
     if "g" not in params:
         raise JobError("slope section needs an entry g")
-    report = hord_report(job.poly(params["g"], "slope.g"), job.split(),
+    result = hord_report(job.poly(params["g"], "slope.g"), job.split(),
                          at=job.point(),
-                         max_rounds=_cap(args, params, "slope", "max_rounds",
-                                         MAX_ROUNDS_DEFAULT))
-    json_report = _slope_json(report)
-    lines = _slope_lines(report)
-    inexact = report.approximate_elimination
-
+                         **_caps(args, params, "slope", "max_rounds"))
+    report = {
+        "Hord": result.hord.serialize(),
+        "elim_ord": result.elimination_order.serialize(),
+        "approximate_elimination": result.approximate_elimination,
+        "transcript": [{"var": name, "shift": shift.canonical_string()}
+                       for name, shift in result.transcript],
+    }
+    lines = []
+    if result.value is not None:  # the Tschirnhausen route has no slope
+        lines.append("slope = %s" % result.value.serialize())
+    if result.case is not None:
+        report["case"] = result.case
+        lines.append("case = %s" % result.case)
+    note = " (approximate generating rule)" \
+        if result.approximate_elimination else ""
+    lines.append("elimination order = %s%s" % (report["elim_ord"], note))
+    lines.append("hord = %s" % report["Hord"])
+    for name, shift in result.transcript:
+        lines.append("cleaning: %s -> %s - (%s)"
+                     % (name, name, (-shift).canonical_string()))
+    if result.degenerate:
+        report["flag"] = "degenerate"
+        lines.append("degenerate: the fiber polynomial reduced to a "
+                     "pure power")
+    code = 2 if result.approximate_elimination else 0
     if "samuel_slope" in job.data:
-        code, samuel_report, samuel_lines = _samuel_slope_report(job, args)
-        json_report["samuel"] = samuel_report
+        report["samuel"], samuel_lines, samuel_code = \
+            cmd_samuel_slope(job, args)
         lines += samuel_lines
-        inexact = inexact or code == 2
-    _emit(args, json_report, lines)
-    if args.require_exact and inexact:
-        return 2
-    return 0
+        code = max(code, samuel_code)
+    return report, lines, code
 
 
-def cmd_kernel(args):
-    job = Job.load(args.job)
-    report = kernel_lambda(job.local_ring(), prime=job.point().variables)
-    json_report = {
-        "classification": report.classification,
-        "method": report.method,
-        "r": report.r,
-        "t": report.t,
-        "basis": [b.canonical_string() for b in report.basis],
+def cmd_kernel(job, args):
+    result = kernel_lambda(job.local_ring(), prime=job.point().variables)
+    report = {
+        "classification": result.classification,
+        "method": result.method,
+        "r": result.r,
+        "t": result.t,
+        "basis": [b.canonical_string() for b in result.basis],
     }
     lines = ["classification = %s (method %s)"
-             % (report.classification, report.method),
-             "t = %d, r = %d" % (report.t, report.r)]
-    if report.basis:
-        lines.append("basis: %s" % "; ".join(json_report["basis"]))
-    _emit(args, json_report, lines)
-    if args.require_exact and report.classification == "unknown":
-        return 2
-    return 0
+             % (result.classification, result.method),
+             "t = %d, r = %d" % (result.t, result.r)]
+    if result.basis:
+        lines.append("basis: %s" % "; ".join(report["basis"]))
+    return report, lines, 2 if result.classification == "unknown" else 0
 
 
-def _samuel_slope_report(job, args):
+def cmd_samuel_slope(job, args):
     params = job.section("samuel_slope")
     result = samuel_slope(job.local_ring(), candidates=job.candidates(),
-                          max_n=_cap(args, params, "samuel_slope", "max_n",
-                                     LIMIT_N_DEFAULT))
+                          **_caps(args, params, "samuel_slope", "max_n"))
     report = {
         "bound": result.lower.serialize(),
         "exact": result.exact,
@@ -345,96 +313,69 @@ def _samuel_slope_report(job, args):
                                           result.classification)]
     if result.witness:
         lines.append("witness: %s" % "; ".join(report["witness"]))
-    code = 0
-    if args.require_exact and not result.exact:
-        code = 2
-    return code, report, lines
+    return report, lines, 0 if result.exact else 2
 
 
-def cmd_samuel_slope(args):
-    job = Job.load(args.job)
-    code, report, lines = _samuel_slope_report(job, args)
-    _emit(args, report, lines)
-    return code
-
-
-def cmd_check_theorems(args):
-    job = Job.load(args.job)
+def cmd_check_theorems(job, args):
     params = job.section("check_theorems")
-    report = cross_check_theorems(
+    result = cross_check_theorems(
         job.local_ring(), job.split(), at=job.point(),
-        max_n=_cap(args, params, "check_theorems", "max_n",
-                   THEOREM_MAX_N_DEFAULT),
-        max_rounds=_cap(args, params, "check_theorems", "max_rounds",
-                        MAX_ROUNDS_DEFAULT))
-    json_report = {"applicable": report.applicable,
-                   "passed": report.passed,
-                   "classification": report.classification}
-    if report.hord is not None:
-        json_report["hord"] = report.hord.serialize()
-    if report.ord_d is not None:
-        json_report["ord"] = report.ord_d.serialize()
-    if report.slope_value is not None:
-        json_report["slope"] = report.slope_value.serialize()
-        json_report["slope_certified"] = report.slope_certified
-    if report.case is not None:
-        json_report["case"] = report.case
-    if report.note:
-        json_report["note"] = report.note
-    if report.inconclusive:
-        json_report["inconclusive"] = True
+        **_caps(args, params, "check_theorems", "max_n", "max_rounds"))
+    report = {"applicable": result.applicable,
+              "passed": result.passed,
+              "classification": result.classification}
+    if result.hord is not None:
+        report["hord"] = result.hord.serialize()
+    if result.ord_d is not None:
+        report["ord"] = result.ord_d.serialize()
+    if result.slope_value is not None:
+        report["slope"] = result.slope_value.serialize()
+        report["slope_certified"] = result.slope_certified
+    if result.case is not None:
+        report["case"] = result.case
+    if result.note:
+        report["note"] = result.note
+    if result.inconclusive:
+        report["inconclusive"] = True
 
-    lines = ["verdict: %s" % report.verdict()]
-    if not report.applicable:
-        lines[0] += " (not applicable: %s)" % (report.note or
-                                               report.classification)
+    lines = ["verdict: %s" % result.verdict()]
+    if not result.applicable:
+        lines[0] += " (not applicable: %s)" % result.note
     else:
-        lines.append("classification = %s" % report.classification)
+        lines.append("classification = %s" % result.classification)
         lines.append("hord = %s, elimination order = %s"
-                     % (report.hord.serialize(), report.ord_d.serialize()))
-        if report.slope_value is not None:
-            tag = "certified exact" if report.slope_certified \
+                     % (report["hord"], report["ord"]))
+        if result.slope_value is not None:
+            tag = "certified exact" if result.slope_certified \
                 else "lower bound"
-            lines.append("slope = %s (%s)"
-                         % (report.slope_value.serialize(), tag))
-        if report.note:
-            lines.append("note: %s" % report.note)
-    _emit(args, json_report, lines)
-    if report.verdict() == "FAIL":
-        return 1
-    if args.require_exact and report.applicable \
-            and report.classification == "extremal" \
-            and not report.slope_certified:
-        return 2
-    return 0
+            lines.append("slope = %s (%s)" % (report["slope"], tag))
+        if result.note:
+            lines.append("note: %s" % result.note)
+    if result.verdict() == "FAIL":
+        return report, lines, 1
+    inexact = result.applicable and result.classification == "extremal" \
+        and not result.slope_certified
+    return report, lines, 2 if inexact else 0
 
 
-def cmd_corpus(args):
+def cmd_corpus(job, args):
     filters = tuple(args.filter or ())
     rows = corpus_module.run_corpus(
-        filters=filters, max_n=_cap(args, {}, "corpus", "max_n",
-                                    LIMIT_N_DEFAULT))
+        filters=filters, **_caps(args, {}, "corpus", "max_n"))
     if not rows:
-        print("no corpus rows match %s" % (", ".join(filters)),
-              file=sys.stderr)
-        return 1
+        raise SlopelabError("no corpus rows match %s" % ", ".join(filters))
     failed = sum(1 for row in rows if not row.ok)
-    if args.json:
-        report = {"failed": failed,
-                  "rows": [{"name": row.name, "expected": row.expected,
-                            "computed": row.computed, "ok": row.ok}
-                           for row in rows]}
-        sys.stdout.write(
-            json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
-    else:
-        name_w = max(len(row.name) for row in rows)
-        exp_w = max(len(row.expected) for row in rows)
-        for row in rows:
-            print("%-4s %-*s  expected %-*s  computed %s"
-                  % ("ok" if row.ok else "FAIL", name_w, row.name,
-                     exp_w, row.expected, row.computed))
-        print("corpus: %d checks, %d failed" % (len(rows), failed))
-    return 1 if failed else 0
+    report = {"failed": failed,
+              "rows": [{"name": row.name, "expected": row.expected,
+                        "computed": row.computed, "ok": row.ok}
+                       for row in rows]}
+    name_w = max(len(row.name) for row in rows)
+    exp_w = max(len(row.expected) for row in rows)
+    lines = ["%-4s %-*s  expected %-*s  computed %s"
+             % ("ok" if row.ok else "FAIL", name_w, row.name,
+                exp_w, row.expected, row.computed) for row in rows]
+    lines.append("corpus: %d checks, %d failed" % (len(rows), failed))
+    return report, lines, 1 if failed else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -518,12 +459,22 @@ def main(argv=None):
                 value = None
             _check_cap("SLOPELAB_BUDGET", value, limit=math.inf)
             groebner.DEFAULT_PAIR_BUDGET = value
-        return args.handler(args)
+        job = Job.load(args.job) if "job" in args else None
+        report, lines, code = args.handler(job, args)
     except SlopelabError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     finally:
         groebner.DEFAULT_PAIR_BUDGET = saved
+    if args.json:
+        sys.stdout.write(
+            json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+    else:
+        for line in lines:
+            print(line)
+    if code == 2 and not args.require_exact:
+        return 0
+    return code
 
 
 if __name__ == "__main__":

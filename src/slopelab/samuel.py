@@ -461,7 +461,17 @@ def kernel_lambda(presentation, prime=()):
 
 
 def _kernel_at_origin(presentation):
-    """Kernel at the origin, as its basis, t and route.
+    """Kernel at the origin, as its basis, t and route: the linear forms
+    in the radical of the initial ideal (see _origin_route), read in
+    m/m^2 (see _modulo_linear_parts)."""
+    t = presentation.excess()
+    basis, method = _origin_route(presentation)
+    return _modulo_linear_parts(presentation, basis), t, method
+
+
+def _origin_route(presentation):
+    """Linear forms in the radical of the initial ideal, and the route
+    that found them.
 
     The initial ideal picks the route: a monomial one is exact (radical
     by squarefree parts), then a principal one (is it a scalar times a
@@ -472,7 +482,6 @@ def _kernel_at_origin(presentation):
     """
     ring = presentation.ring
     init = presentation.initial_ideal()
-    t = presentation.excess()
     if init.is_monomial_ideal():
         monos = init.monomial_generators() if init.generators else []
         basis = []
@@ -481,19 +490,38 @@ def _kernel_at_origin(presentation):
                 if m[i] and all(e == 0 for k, e in enumerate(m) if k != i):
                     basis.append(ring.var(name))
                     break
-        return basis, t, "monomial"
+        return basis, "monomial"
     if len(init.generators) == 1:
         ell = _power_of_linear_form(init.generators[0])
-        return [] if ell is None else [ell], t, "factorization"
+        return [] if ell is None else [ell], "factorization"
     if ring.char and len(ring.variables) <= 3:
         basis = [_row_to_linear(ring, row) for row in
                  _frobenius_kernel(init, presentation.initial_basis())]
-        return basis, t, "frobenius-Fp"
+        return basis, "frobenius-Fp"
     found = []
     for name in ring.variables:
         if radical_member(ring.var(name), init):
             found.append(ring.var(name))
-    return found, t, "partial"
+    return found, "partial"
+
+
+def _modulo_linear_parts(presentation, basis):
+    """The basis read in m/m^2, where the linear parts of the relations
+    vanish: each form reduced modulo their span, and the results in
+    reduced echelon form. A linear part of a relation lies in the radical
+    of the initial ideal, yet it is zero in m/m^2; counted, it would let
+    r exceed t. Unchanged when no relation has a linear part."""
+    ring = presentation.ring
+    span = echelon(_linear_part_rows(presentation.relations.generators, ring))
+    if not span:
+        return basis
+    rows = []
+    for row in _linear_part_rows(basis, ring):
+        for lin in span:
+            c = row[next(k for k, a in enumerate(lin) if a)]
+            row = [a - c * b for a, b in zip(row, lin)]
+        rows.append(row)
+    return [_row_to_linear(ring, row) for row in echelon(rows)]
 
 
 def _kernel_at_prime(presentation, prime):
@@ -581,7 +609,9 @@ def _power_normal_form(gb, h, q):
 
 
 def _power_of_linear_form(g):
-    """If g = c * ell^m for a linear form ell, return ell (monic); else None.
+    """If the form g is c * ell^m for a linear form ell, return ell
+    (monic); else None. Its one caller passes an initial form, which is
+    homogeneous.
 
     Complete over Q and F_p: a linear form's power has a pure-power term in
     every variable the form touches, the candidate coefficients are forced,
@@ -591,8 +621,6 @@ def _power_of_linear_form(g):
     m = g.degree()
     if m <= 1:
         return None  # a linear (or constant) generator leaves no nilpotents
-    if g.initial_form() != g:
-        return None  # not homogeneous, cannot be a power of a linear form
     h, mm, s = g, m, ring.field.char_exponent(m)
     if s:
         mm //= ring.char ** s

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from slopelab import cli, corpus, groebner
-from slopelab.samuel import (CAP_LIMIT, LIMIT_N_DEFAULT, LocalRingPresentation,
-                             nubar)
+from slopelab.arith import ExtendedRational
+from slopelab.elimpres import CheckReport
+from slopelab.samuel import CAP_LIMIT, LocalRingPresentation, nubar
 
 
 def write_job(tmp_path, data, name="job.json"):
@@ -264,6 +265,22 @@ class TestKernelCommand:
         assert report["r"] == 0
         assert report["t"] == 1
 
+    def test_unknown_kernel_fails_require_exact(self, tmp_path, capsys):
+        # each relation is a square, so no variable is in the radical and
+        # the partial route finds nothing of t = 2
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["a", "b", "c", "d"], "char": 2},
+            "local_ring": {"relations": ["a^2 + b^2", "c^2 + d^2"]},
+        })
+        report = ('{"basis":[],"classification":"unknown",'
+                  '"method":"partial","r":0,"t":2}\n')
+        assert run(["kernel", job, "--json"], capsys) == (0, report, "")
+        assert run(["kernel", job, "--json", "--require-exact"], capsys) \
+            == (2, report, "")
+        assert run(["kernel", job, "--require-exact"], capsys) == (
+            2, "classification = unknown (method partial)\nt = 2, r = 0\n",
+            "")
 
     def test_presentation_without_exact_dimension(self, tmp_path, capsys):
         job = write_job(tmp_path, {
@@ -353,6 +370,23 @@ class TestSamuelSlopeCommand:
         })
         code, out, err = run([command, job], capsys)
         assert_one_error_line(code, out, err, "samuel_slope takes no " + key)
+
+    def test_a_candidate_sequence_is_assessed(self, tmp_path, capsys):
+        def job(candidate):
+            return write_job(tmp_path, {
+                "schema": "slopelab-job/1",
+                "ring": {"vars": ["x", "y"], "char": 2},
+                "local_ring": {"relations": ["x^2 + y^3"]},
+                "candidates": [[candidate]],
+            }, name="candidates.json")
+
+        assert run(["samuel-slope", job("x")], capsys) == (
+            0, "samuel slope >= 3/2 (extremal)\nwitness: x\n", "")
+        assert run(["samuel-slope", job("x"), "--require-exact"],
+                   capsys)[0] == 2
+        code, out, err = run(["samuel-slope", job("y")], capsys)
+        assert_one_error_line(code, out, err,
+                              "linear parts do not span the kernel")
 
     def test_regular_ring_is_a_validation_error(self, tmp_path, capsys):
         job = write_job(tmp_path, {
@@ -483,6 +517,42 @@ class TestCheckTheoremsCommand:
             "note": "multiplicity 2 is below the fiber degree 3",
             "passed": True}
 
+    def test_an_applicable_note_is_printed(self, tmp_path, capsys):
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["x", "y1", "y2"], "char": 2},
+            "local_ring": {"relations": ["x^2 - y1^2*y2"]},
+            "split": {"base": ["y1", "y2"], "fiber": ["x"]},
+            "point": {"kind": "prime", "vars": ["x", "y1"]},
+        })
+        assert run(["check-theorems", job], capsys) == (0, (
+            "verdict: pass\n"
+            "classification = non-extremal\n"
+            "hord = 1, elimination order = 2\n"
+            "slope = 1 (certified exact)\n"
+            "note: elimination order stays above 1 at this non-closed "
+            "point\n"), "")
+
+    def test_a_failed_verdict_exits_1_with_its_report(
+            self, tmp_path, capsys, monkeypatch):
+        # no input fails the check, so the check is replaced by a failing
+        # report: hord 1 lies below both the slope 2 and the order 2
+        one, two = ExtendedRational(1), ExtendedRational(2)
+        failing = CheckReport(True, False, "extremal", one, two, two, False,
+                              "B1")
+        monkeypatch.setattr(cli, "cross_check_theorems",
+                            lambda *args, **kwargs: failing)
+        job = cusp_char2_job(tmp_path)
+        assert run(["check-theorems", job, "--require-exact"], capsys) == (
+            1, "verdict: FAIL\n"
+               "classification = extremal\n"
+               "hord = 1, elimination order = 2\n"
+               "slope = 2 (lower bound)\n", "")
+        assert run(["check-theorems", job, "--json"], capsys) == (
+            1, '{"applicable":true,"case":"B1","classification":"extremal",'
+               '"hord":"1","ord":"2","passed":false,"slope":"2",'
+               '"slope_certified":false}\n', "")
+
 
 class TestParser:
     def test_built_once_and_carries_no_value_between_calls(
@@ -491,14 +561,15 @@ class TestParser:
         caps = []
 
         def recording_nubar(presentation, f, **kwargs):
-            caps.append(kwargs["max_n"])
+            caps.append(kwargs.get("max_n"))
             return nubar(presentation, f, **kwargs)
 
         monkeypatch.setattr(cli, "nubar", recording_nubar)
         job = monomial_nubar_job(tmp_path)
         assert run(["nubar", job, "--max-n", "3"], capsys)[0] == 0
         assert run(["nubar", job], capsys)[0] == 0
-        assert caps == [3, LIMIT_N_DEFAULT]
+        # no cap given: none is passed, and nubar's own default holds
+        assert caps == [3, None]
 
 
 class TestValidationErrors:
@@ -815,6 +886,37 @@ class TestMalformedJobs:
                       {"weights": {"x": 2.5, "y1": 2}},
                       {"weights": {"x": 3.0, "y1": 2}},
                       {"value": 2.0}, {"value": True}, {"value": "2.0"})
+    ] + [
+        # the shape of each job object, checked as the job loads or as a
+        # command reads it
+        ("kernel", {"nubar": []}, "section 'nubar' must be an object"),
+        ("kernel", {"polys": []}, "section 'polys' must be an object"),
+        ("kernel", {"ring": {"vars": []}},
+         "ring vars must be a nonempty list of names"),
+        ("kernel", {"ring": {"vars": ["x", 1]}},
+         "ring vars must be a nonempty list of names"),
+        ("kernel", {"ideals": {"I": "x"}},
+         "ideal 'I' must list its generators"),
+        ("kernel", {"polys": {"g": 3}}, "polys[g]: expected polynomial text"),
+        ("kernel", {"certificates": {"w": []}},
+         "certificates[w]: expected a nonempty list"),
+        ("kernel", {"certificates": {"w": [{"weights": {"x": 1}}]}},
+         "certificates[w]: each entry needs weights and value"),
+        ("kernel", {"certificates": {"w": [{"weights": [1], "value": "2"}]}},
+         "certificates[w]: weights must map variables"),
+        ("kernel", {"local_ring": {"relations": "x^2 - y1^3"}},
+         "local_ring relations must be a list"),
+        ("slope", {"slope": {"g": "x^2 - y1^3"}},
+         "this command needs a split section"),
+        ("samuel-slope", {"local_ring": {"relations": ["x^2 - y1^3"]},
+                          "candidates": "x"},
+         "candidates must be a list of sequences"),
+        ("samuel-slope", {"local_ring": {"relations": ["x^2 - y1^3"]},
+                          "candidates": ["x"]},
+         "candidates[0] must be a list"),
+        ("nubar", {"nubar": {}}, "nubar section needs an entry f"),
+        ("slope", {"split": {"base": ["y1", "y2"], "fiber": ["x"]},
+                   "slope": {}}, "slope section needs an entry g"),
     ])
     def test_one_error_line(self, tmp_path, capsys, command, sections,
                             message):
@@ -825,6 +927,15 @@ class TestMalformedJobs:
         code, out, err = run([command, job], capsys)
         assert_one_error_line(code, out, err, message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("data,message", [
+        ([], "job file must hold a JSON object"),
+        ({"schema": "slopelab-job/1"}, "job needs a ring section"),
+    ])
+    def test_a_job_that_is_no_object_or_has_no_ring(
+            self, tmp_path, capsys, data, message):
+        code, out, err = run(["kernel", write_job(tmp_path, data)], capsys)
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
 
     def test_a_string_split_entry_is_one_name(self, tmp_path, capsys):
         # "base": 3 stays a bad split: see test_one_error_line
@@ -933,9 +1044,8 @@ class TestCorpusCommand:
         assert all(row["ok"] for row in report["rows"])
 
     def test_unmatched_filter_fails(self, capsys):
-        code, _, err = run(["corpus", "--filter", "nosuchrow"], capsys)
-        assert code == 1
-        assert "no corpus rows" in err
+        assert run(["corpus", "--filter", "nosuchrow"], capsys) == (
+            1, "", "error: no corpus rows match nosuchrow\n")
 
     def test_injected_wrong_expected_value_fails(self, capsys, monkeypatch):
         monkeypatch.setitem(corpus.EXPECTED, "order/cusp-char0/nu(x)", "2")

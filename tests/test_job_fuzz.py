@@ -4,13 +4,25 @@ each job run through one of five subcommands. Every run
 either exits 0 or 2 with its report on stdout and nothing on stderr, or
 exits 1 with exactly one `error:` line on stderr and nothing on stdout;
 an exception other than the package's own would escape cli.main as a
-traceback and fail the test."""
+traceback and fail the test.
 
+The exit code, stdout and stderr of the first GOLDEN_RUNS runs are
+frozen in tests/golden/cli_fuzz.json. A change that means to alter those
+bytes rewrites the file with `PYTHONPATH=src python tests/test_job_fuzz.py`
+and lists the entries that changed."""
+
+import contextlib
 import copy
+import io
 import json
+import pathlib
 import random
+import tempfile
 
 from slopelab import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_fuzz.json"
+GOLDEN_RUNS = 300
 
 BASE_JOB = {
     "schema": "slopelab-job/1",
@@ -89,24 +101,37 @@ def mutated_job(rng):
 
 
 def fuzz_runs(seed, count, tmp_path):
+    """(argv, job) for each run; argv names the job file written under
+    tmp_path."""
     rng = random.Random(seed)
     path = tmp_path / "fuzz.json"
     for _ in range(count):
-        path.write_text(json.dumps(mutated_job(rng)))
+        job = mutated_job(rng)
+        path.write_text(json.dumps(job))
         argv = [rng.choice(COMMANDS), str(path)]
         argv += [flag for flag in ("--json", "--require-exact")
                  if rng.random() < 0.3]
         if rng.random() < 0.2:
             argv += [rng.choice(["--max-n", "--max-rounds"]),
                      rng.choice(FLAG_VALUES)]
-        yield argv
+        yield argv, job
+
+
+def frozen(argv, code, out, err):
+    """One golden entry: the run with its job file named job.json."""
+    return {"argv": [argv[0], "job.json"] + argv[2:], "code": code,
+            "out": out, "err": err}
 
 
 def test_a_mutated_job_is_a_report_or_one_error_line(tmp_path, capsys):
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) == GOLDEN_RUNS
     codes = set()
-    for argv in fuzz_runs("job-fuzz", 1500, tmp_path):
+    for i, (argv, job) in enumerate(fuzz_runs("job-fuzz", 1500, tmp_path)):
         code = cli.main(argv)
         out, err = capsys.readouterr()
+        if i < GOLDEN_RUNS:
+            assert frozen(argv, code, out, err) == golden[i], (i, argv, job)
         codes.add(code)
         if code == 1:
             assert out == "" and len(err.splitlines()) == 1, argv
@@ -116,3 +141,19 @@ def test_a_mutated_job_is_a_report_or_one_error_line(tmp_path, capsys):
             assert out and err == "", argv
     # the mutations reach both reports and refusals
     assert {0, 1} <= codes
+
+
+
+if __name__ == "__main__":
+    entries = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for argv, _ in fuzz_runs("job-fuzz", GOLDEN_RUNS,
+                                 pathlib.Path(scratch)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            entries.append(frozen(argv, code, out.getvalue(),
+                                  err.getvalue()))
+    GOLDEN.write_text("[\n%s\n]\n" % ",\n".join(
+        json.dumps(entry, sort_keys=True) for entry in entries))

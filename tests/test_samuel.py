@@ -719,6 +719,75 @@ def test_kernel_bound_by_excess():
         assert 0 <= report.r <= report.t
 
 
+@pytest.mark.parametrize("char, names, relations, kernel, basis, slope", [
+    # a linear part of a relation is zero in m/m^2, so it spans no
+    # kernel direction: a regular ring, and two rings that are k[y]/(y^2)
+    # and the char-2 pair of lines with a redundant variable
+    (2, "xy", ["x + y^3"], (0, 0, "extremal", "monomial"), [], None),
+    (0, "xy", ["x", "y^2"], (1, 1, "extremal", "monomial"), ["y"], "inf"),
+    (2, "xyz", ["x", "z^2 + y^2"], (1, 1, "extremal", "frobenius-Fp"),
+     ["y + z"], "inf"),
+    # the node with a redundant variable: the partial route finds only x,
+    # which is zero in m/m^2, and cannot tell non-extremal from extremal
+    (0, "xyz", ["x", "z^2 - y^2"], (0, 1, "unknown", "partial"), [], None),
+    # a linear initial form, and one with no pure-power term: neither is
+    # a power of a linear form of degree 2 or more
+    (0, "xy", ["x + y + y^2"], (0, 0, "extremal", "factorization"), [],
+     None),
+    (0, "xyz", ["x*y + y*z"], (0, 1, "non-extremal", "factorization"), [],
+     "1"),
+])
+def test_kernel_lives_in_m_mod_m_squared(char, names, relations, kernel,
+                                         basis, slope):
+    ring = Ring(tuple(names), char=char)
+    A = LocalRingPresentation(ring, [ring.parse(r) for r in relations])
+    report = kernel_lambda(A)
+    assert (report.r, report.t, report.classification, report.method) \
+        == kernel
+    assert [g.canonical_string() for g in report.basis] == basis
+    if slope is not None:
+        result = samuel_slope(A, max_n=4)
+        assert (result.lower.serialize(), result.exact) == (slope, True)
+
+
+@st.composite
+def binary_forms(draw):
+    """A characteristic and the coefficients of y^d, y^(d-1)*z, ..., z^d
+    of a nonzero binary form of degree d from 2 to 4."""
+    char = draw(st.sampled_from([0, 2, 3]))
+    degree = draw(st.integers(2, 4))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=degree + 1,
+                           max_size=degree + 1))
+    assume(any(c % char if char else c for c in coeffs))
+    return char, coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(binary_forms())
+def test_a_redundant_variable_leaves_the_kernel_alone(form):
+    # k[y,z]/(g) and k[x,y,z]/(x, g) are the same ring
+    char, coeffs = form
+    degree = len(coeffs) - 1
+    plane, space = Ring(("y", "z"), char=char), Ring(("x", "y", "z"), char)
+
+    def g(ring, pad):
+        out = ring.zero()
+        for i, c in enumerate(coeffs):
+            out = out + ring.monomial(pad + [degree - i, i], c)
+        return out
+
+    A = LocalRingPresentation(plane, [g(plane, [])])
+    B = LocalRingPresentation(space, [space.var("x"), g(space, [0])])
+    ka, kb = kernel_lambda(A), kernel_lambda(B)
+    assert ka.r <= ka.t and kb.r <= kb.t
+    if "unknown" in (ka.classification, kb.classification):
+        return
+    assert (ka.r, ka.t, ka.classification) == (kb.r, kb.t, kb.classification)
+    if ka.classification == "extremal":
+        sa, sb = samuel_slope(A, max_n=4), samuel_slope(B, max_n=4)
+        assert (sa.lower, sa.upper) == (sb.lower, sb.upper)
+
+
 def test_dimension_and_excess_of_fixtures():
     ring, A = cusp_ring()
     assert A.embedding_dimension() == 2

@@ -29,7 +29,10 @@ characteristic and for weights and claimed values, so the job loader
 checks only the shape of its JSON and converts no number itself. One
 answer type, arith.Bounds, carries the label of nu, nubar and the Samuel
 slope: no other class defines it, and only the benchmark reads its old
-names. Every name the benchmark's tracer patches still exists."""
+names. Every name the benchmark's tracer patches still exists. One path
+leads from a job file to an exit code: cli.main alone loads the job,
+reads --json and --require-exact, and the command line names no cap
+default, so the library's are the only ones."""
 
 import ast
 import importlib
@@ -358,3 +361,39 @@ def test_only_the_benchmark_reads_the_old_label_names():
     found = {path.name: old_name_reads(path.read_text(), exempt)
              for path in files}
     assert len(found) > 20 and not any(found.values()), found
+
+
+def readers(source):
+    """(function, what) for each read of args.json or args.require_exact
+    and each call of Job.load in one module, by the function it is in."""
+    hits = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name):
+                if node.value.id == "args" \
+                        and node.attr in ("json", "require_exact"):
+                    hits.add((func.name, "args." + node.attr))
+                if node.value.id == "Job" and node.attr == "load":
+                    hits.add((func.name, "Job.load"))
+    return hits
+
+
+def test_main_alone_turns_a_job_into_output_and_an_exit_code():
+    sample = ("def cmd(args):\n"
+              "    job = Job.load(args.job)\n"
+              "    return 2 if args.require_exact else args.json\n")
+    assert readers(sample) == {("cmd", "Job.load"),
+                               ("cmd", "args.require_exact"),
+                               ("cmd", "args.json")}
+    source = (PACKAGE / "cli.py").read_text()
+    assert readers(source) == {("main", "Job.load"),
+                               ("main", "args.require_exact"),
+                               ("main", "args.json")}
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             if isinstance(node, ast.Attribute) else node.name
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert not {name for name in names if name.endswith("_DEFAULT")}
