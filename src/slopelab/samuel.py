@@ -56,12 +56,12 @@ class LocalRingPresentation:
     The presentation owns the bases its questions need and builds each one
     once, on first use; they live as long as the instance: the grevlex
     bases of J (zero tests, and the residues of nubar against an ideal
-    other than m) and of the initial ideal (dimension and the Frobenius
+    other than m) and of the tangent cone (dimension and the Frobenius
     kernel), the local basis of J + m^cap for each cap (nu, and nubar
     against m), and the grevlex basis of ideal^j + J for each other ideal
-    and exponent j asked for (nubar against it); so is kernel_lambda's
-    report for each point. The maximal ideal is built once, so its hash
-    is computed once.
+    and exponent j asked for (nubar against it); so are the span of the
+    relations' linear parts (m/m^2) and kernel_lambda's report for each
+    point. The maximal ideal is built once, so its hash is computed once.
     """
 
     def __init__(self, ring, relations=()):
@@ -91,50 +91,78 @@ class LocalRingPresentation:
     def relation_basis(self):
         return self._basis("J", lambda: buchberger(self.relations))
 
-    def initial_basis(self):
-        return self._basis("in(J)",
-                           lambda: buchberger(self.initial_ideal()))
-
     def power_basis(self, ideal, j):
         """Groebner basis of ideal^j + J."""
         return self._basis((ideal, j), lambda: buchberger(
             ideal_sum(ideal_power(ideal, j), self.relations)))
 
-    def initial_ideal(self):
-        """Initial forms of the presented generators.
+    def tangent_cone(self):
+        """The tangent cone in(J), proven, as the ideal of the initial forms
+        of the relations, its grevlex basis and the Krull dimension of
+        k[x]/in(J), which is the local ring's; built once.
 
-        This is the tangent cone relative to the presentation: exact when
-        the relations are principal or homogeneous, a subideal in general.
+        The initial forms generate in(J) when every relation is
+        homogeneous, and when they are a regular sequence: "if the initial
+        forms of f_1, ..., f_s in the maximal ideal of a regular local ring
+        are a regular sequence of its associated graded ring, then they
+        generate the ideal of initial forms of (f_1, ..., f_s)" (G. Valla,
+        On form rings which are Cohen-Macaulay, J. Algebra 58 (1979);
+        L. Robbiano and G. Valla, On the equations defining tangent cones,
+        Math. Proc. Cambridge Philos. Soc. 88 (1980)). k[x] is
+        Cohen-Macaulay, so s forms are a regular sequence exactly when
+        dim k[x]/(in g_1, ..., in g_s) = n - s, which one relation always
+        meets. Any other presentation raises NotApplicable.
         """
-        return IdealPresentation(
-            self.ring,
-            [g.initial_form() for g in self.relations.generators])
+        ring, gens = self.ring, self.relations.generators
 
-    def embedding_dimension(self):
-        rows = _linear_part_rows(self.relations.generators, self.ring)
-        rank = len(echelon(rows))
-        return len(self.ring.variables) - rank
+        def build():
+            forms = IdealPresentation(ring, [g.initial_form() for g in gens])
+            basis = buchberger(forms)
+            return forms, basis, monomial_dimension(IdealPresentation(
+                ring, [Polynomial(ring, {m: ring.field.one})
+                       for m in basis.leading_monomials()]))
+        cone = self._basis("in(J)", build)
+        if cone[2] != len(ring.variables) - len(gens) \
+                and any(g.min_degree() != g.degree() for g in gens):
+            raise NotApplicable(
+                "the dimension is computed only when the relations are "
+                "homogeneous or their initial forms are a regular sequence; "
+                "neither holds for (%s)"
+                % ", ".join(g.canonical_string() for g in gens))
+        return cone
+
+    def initial_ideal(self):
+        """in(J), generated by the relations' initial forms."""
+        return self.tangent_cone()[0]
+
+    def initial_basis(self):
+        return self.tangent_cone()[1]
 
     def dimension(self):
-        """Krull dimension, through the initial ideal of the presentation.
+        """Krull dimension of the local ring, read from its tangent cone."""
+        return self.tangent_cone()[2]
 
-        The initial forms of the given relations span in(J) exactly when J
-        is principal or every relation is homogeneous; only then is the
-        answer exact, and otherwise this raises NotApplicable.
-        """
-        gens = self.relations.generators
-        if not gens:
-            return len(self.ring.variables)
-        if len(gens) > 1 and any(g.min_degree() != g.degree() for g in gens):
-            raise NotApplicable(
-                "the dimension is computed only for a principal or "
-                "homogeneous presentation; (%s) is neither"
-                % ", ".join(g.canonical_string() for g in gens))
-        lead = IdealPresentation(
-            self.ring,
-            [Polynomial(self.ring, {m: self.ring.field.one})
-             for m in self.initial_basis().leading_monomials()])
-        return monomial_dimension(lead)
+    def linear_span(self):
+        """Reduced echelon rows spanning the linear parts of the relations,
+        the kernel of k^n -> m/m^2; built once."""
+        return self._basis("linear parts", lambda: echelon(
+            _linear_part_rows(self.relations.generators, self.ring)))
+
+    def embedding_dimension(self):
+        return len(self.ring.variables) - len(self.linear_span())
+
+    def cotangent_rows(self, forms):
+        """The forms read in m/m^2: the rows of echelon(span + their linear
+        parts) whose pivot is not the span's, a reduced echelon basis of
+        their image, or their linear parts as they are when no relation
+        has one."""
+        span = self.linear_span()
+        rows = _linear_part_rows(forms, self.ring)
+        if not span:
+            return rows
+        pivots = {_pivot(row) for row in span}
+        return [row for row in echelon(span + rows)
+                if _pivot(row) not in pivots]
 
     def excess(self):
         return self.embedding_dimension() - self.dimension()
@@ -185,7 +213,7 @@ class ValuationCertificate:
             raise CertificateRejected("empty certificate")
         self.entries = entries
 
-    def validate(self, presentation, ideal):
+    def validate(self, ideal):
         for valuation, claimed in self.entries:
             actual = valuation.ideal_value(ideal)
             if actual != claimed:
@@ -273,7 +301,7 @@ def nubar(presentation, f, ideal=None, strategy="auto", certificate=None,
         return NubarResult(value, value, "newton-polyhedron")
 
     if strategy == "auto" and certificate is not None:
-        certificate.validate(presentation, ideal)
+        certificate.validate(ideal)
         order, _ = next(_orders(presentation, f, ideal, cap))
         if order is INF:
             return NubarResult(INF, INF, "zero-element")
@@ -439,6 +467,11 @@ def _linear_part_rows(polys, ring):
     return rows
 
 
+def _pivot(row):
+    """Column of the first nonzero entry of a nonzero row."""
+    return next(k for k, c in enumerate(row) if c)
+
+
 def _row_to_linear(ring, row):
     out = ring.zero()
     for i, c in enumerate(row):
@@ -462,11 +495,14 @@ def kernel_lambda(presentation, prime=()):
 
 def _kernel_at_origin(presentation):
     """Kernel at the origin, as its basis, t and route: the linear forms
-    in the radical of the initial ideal (see _origin_route), read in
-    m/m^2 (see _modulo_linear_parts)."""
+    in the radical of the tangent cone (see _origin_route), read in m/m^2
+    (see LocalRingPresentation.cotangent_rows). A linear part of a
+    relation lies in that radical, yet it is zero in m/m^2; counted, it
+    would let r exceed t."""
     t = presentation.excess()
     basis, method = _origin_route(presentation)
-    return _modulo_linear_parts(presentation, basis), t, method
+    return [_row_to_linear(presentation.ring, row)
+            for row in presentation.cotangent_rows(basis)], t, method
 
 
 def _origin_route(presentation):
@@ -503,25 +539,6 @@ def _origin_route(presentation):
         if radical_member(ring.var(name), init):
             found.append(ring.var(name))
     return found, "partial"
-
-
-def _modulo_linear_parts(presentation, basis):
-    """The basis read in m/m^2, where the linear parts of the relations
-    vanish: each form reduced modulo their span, and the results in
-    reduced echelon form. A linear part of a relation lies in the radical
-    of the initial ideal, yet it is zero in m/m^2; counted, it would let
-    r exceed t. Unchanged when no relation has a linear part."""
-    ring = presentation.ring
-    span = echelon(_linear_part_rows(presentation.relations.generators, ring))
-    if not span:
-        return basis
-    rows = []
-    for row in _linear_part_rows(basis, ring):
-        for lin in span:
-            c = row[next(k for k, a in enumerate(lin) if a)]
-            row = [a - c * b for a, b in zip(row, lin)]
-        rows.append(row)
-    return [_row_to_linear(ring, row) for row in echelon(rows)]
 
 
 def _kernel_at_prime(presentation, prime):
@@ -671,8 +688,7 @@ class SlopeResult(Bounds):
 
 def validate_lambda_sequence(presentation, kernel, candidate):
     """A usable sequence: elements of the maximal ideal whose linear parts
-    span exactly the kernel."""
-    ring = presentation.ring
+    span exactly the kernel in m/m^2."""
     if len(candidate) != kernel.r:
         raise NotALambdaSequence(
             "need %d elements, got %d" % (kernel.r, len(candidate)))
@@ -680,9 +696,8 @@ def validate_lambda_sequence(presentation, kernel, candidate):
         if gamma.is_zero() or gamma.constant_term():
             raise NotALambdaSequence(
                 "element %s does not vanish at the origin" % gamma)
-    rows = _linear_part_rows(candidate, ring)
-    want = echelon(_linear_part_rows(kernel.basis, ring))
-    got = echelon(rows)
+    want, got = (echelon(presentation.cotangent_rows(forms))
+                 for forms in (kernel.basis, candidate))
     if want != got:
         raise NotALambdaSequence(
             "linear parts do not span the kernel")
@@ -702,7 +717,7 @@ def _complement_variables(presentation, kernel):
     n = len(ring.variables)
     rows = echelon([row[::-1]
                     for row in _linear_part_rows(kernel.basis, ring)])
-    lasts = {n - 1 - next(k for k, c in enumerate(row) if c) for row in rows}
+    lasts = {n - 1 - _pivot(row) for row in rows}
     return [name for i, name in enumerate(ring.variables) if i not in lasts]
 
 

@@ -251,6 +251,20 @@ class TestKernelCommand:
             "basis": ["x + y"], "classification": "extremal",
             "method": "factorization", "r": 1, "t": 1}
 
+    def test_a_redundant_variable_keeps_the_dimension(self, tmp_path, capsys):
+        # k[x, y, z]/(x, z^2 - y^3) is the cusp in y and z
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["x", "y", "z"], "char": 0},
+            "local_ring": {"relations": ["x", "z^2 - y^3"]},
+        })
+        code, out, err = run(["kernel", job, "--json", "--require-exact"],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "basis": ["z"], "classification": "extremal",
+            "method": "monomial", "r": 1, "t": 1}
+
     def test_kernel_at_prime(self, tmp_path, capsys):
         job = write_job(tmp_path, {
             "schema": "slopelab-job/1",
@@ -291,9 +305,10 @@ class TestKernelCommand:
         code, out, err = run(["kernel", job, "--json"], capsys)
         assert code == 1
         assert out == ""
-        assert err == ("error: the dimension is computed only for a "
-                       "principal or homogeneous presentation; "
-                       "(y^2 + x, x) is neither\n")
+        assert err == ("error: the dimension is computed only when the "
+                       "relations are homogeneous or their initial forms "
+                       "are a regular sequence; neither holds for "
+                       "(y^2 + x, x)\n")
 
 
 class TestUnknownChoices:

@@ -25,8 +25,7 @@ class TestInventory:
 
     def test_cusp_carries_a_validating_certificate(self):
         cusp = corpus.local_ring_members()[0]
-        cusp.certificate.validate(cusp.presentation,
-                                  cusp.presentation.maximal_ideal())
+        cusp.certificate.validate(cusp.presentation.maximal_ideal())
 
     def test_three_umbrella_members_at_a_prime(self):
         members = corpus.whitney_members()

@@ -736,6 +736,14 @@ def test_kernel_bound_by_excess():
      None),
     (0, "xyz", ["x*y + y*z"], (0, 1, "non-extremal", "factorization"), [],
      "1"),
+    # relations whose initial forms are a regular sequence: the cusp with a
+    # redundant variable, and two non-homogeneous pairs of dimension 1
+    (0, "xyz", ["x", "z^2 - y^3"], (1, 1, "extremal", "monomial"), ["z"],
+     None),
+    (0, "xyz", ["x^2 - y^3 + z^4", "x*z - y^2 + z^3"],
+     (2, 2, "extremal", "partial"), ["x", "y"], None),
+    (2, ("z1", "z2", "y"), ["z1^2 + y^3", "z2^2 + y^5"],
+     (2, 2, "extremal", "monomial"), ["z1", "z2"], None),
 ])
 def test_kernel_lives_in_m_mod_m_squared(char, names, relations, kernel,
                                          basis, slope):
@@ -762,28 +770,54 @@ def binary_forms(draw):
     return char, coeffs
 
 
+@st.composite
+def redundant_variables(draw):
+    """A binary form from binary_forms, with terms in y and z of higher
+    degree to add to it, and the terms of h, of order at least 2 in y and
+    z, or none: x - h is the relation that makes x redundant. Each term is
+    (exponent of y, exponent of z, coefficient)."""
+    char, coeffs = draw(binary_forms())
+    degree = len(coeffs) - 1
+
+    def terms(low, high):
+        term = st.integers(low, high).flatmap(lambda d: st.tuples(
+            st.integers(0, d), st.integers(-2, 2)).map(
+                lambda t: (d - t[0], t[0], t[1])))
+        return st.lists(term, max_size=3)
+
+    return char, coeffs, draw(terms(degree + 1, degree + 2)), \
+        draw(terms(2, 3))
+
+
 @settings(max_examples=150, deadline=None)
-@given(binary_forms())
-def test_a_redundant_variable_leaves_the_kernel_alone(form):
-    # k[y,z]/(g) and k[x,y,z]/(x, g) are the same ring
-    char, coeffs = form
+@given(redundant_variables())
+def test_a_redundant_variable_leaves_the_kernel_alone(drawn):
+    # k[y,z]/(g) and k[x,y,z]/(x - h, g) are the same ring
+    char, coeffs, tail, h = drawn
     degree = len(coeffs) - 1
     plane, space = Ring(("y", "z"), char=char), Ring(("x", "y", "z"), char)
 
-    def g(ring, pad):
+    def poly(ring, pad, terms):
         out = ring.zero()
-        for i, c in enumerate(coeffs):
-            out = out + ring.monomial(pad + [degree - i, i], c)
+        for a, b, c in terms:
+            out = out + ring.monomial(pad + [a, b], c)
         return out
 
+    def g(ring, pad):
+        return poly(ring, pad, [(degree - i, i, c)
+                                for i, c in enumerate(coeffs)] + tail)
+
     A = LocalRingPresentation(plane, [g(plane, [])])
-    B = LocalRingPresentation(space, [space.var("x"), g(space, [0])])
+    B = LocalRingPresentation(space, [space.var("x") - poly(space, [0], h),
+                                      g(space, [0])])
     ka, kb = kernel_lambda(A), kernel_lambda(B)
     assert ka.r <= ka.t and kb.r <= kb.t
     if "unknown" in (ka.classification, kb.classification):
         return
     assert (ka.r, ka.t, ka.classification) == (kb.r, kb.t, kb.classification)
-    if ka.classification == "extremal":
+    # x = h lets the search of B shift by x times a monomial, which the
+    # search of A has no counterpart for, so only x = 0 keeps the slopes
+    if ka.classification == "extremal" and poly(space, [0], h).is_zero():
         sa, sb = samuel_slope(A, max_n=4), samuel_slope(B, max_n=4)
         assert (sa.lower, sa.upper) == (sb.lower, sb.upper)
 
@@ -812,13 +846,79 @@ def test_dimension_refuses_a_presentation_its_initial_forms_miss():
     A = LocalRingPresentation(ring, [ring.parse("x + y^2"), ring.parse("x")])
     for call in (A.dimension, A.excess, lambda: kernel_lambda(A),
                  lambda: samuel_slope(A, max_n=4)):
-        with pytest.raises(NotApplicable, match="principal or homogeneous"):
+        with pytest.raises(NotApplicable, match="regular sequence"):
             call()
     # several homogeneous relations, or one of any shape, stay exact
     B = LocalRingPresentation(ring, [ring.parse("x^2"), ring.parse("x*y")])
     assert B.dimension() == 1
     C = LocalRingPresentation(ring, [ring.parse("x + y^2")])
     assert C.dimension() == 1
+    # and so do relations whose initial forms are a regular sequence
+    for char, names, relations in [
+            (0, ("x", "y", "z"), ["x", "z^2 - y^3"]),
+            (0, ("x", "y", "z"), ["x^2 - y^3 + z^4", "x*z - y^2 + z^3"]),
+            (2, ("z1", "z2", "y"), ["z1^2 + y^3", "z2^2 + y^5"])]:
+        space = Ring(names, char=char)
+        D = LocalRingPresentation(space, [space.parse(r) for r in relations])
+        assert D.dimension() == 1
+
+
+@st.composite
+def presentations(draw):
+    """A ring in x, y, z over Q, F_2 or F_3 and one to three relations,
+    each with up to three terms of degree 1 to 3 and small coefficients."""
+    ring = Ring(("x", "y", "z"), char=draw(st.sampled_from([0, 2, 3])))
+    exponent = st.integers(1, 3).flatmap(lambda d: st.integers(0, d).flatmap(
+        lambda a: st.integers(0, d - a).map(lambda b: (a, b, d - a - b))))
+    term = st.tuples(exponent, st.integers(-2, 2))
+    relations = draw(st.lists(st.lists(term, min_size=1, max_size=3),
+                              min_size=1, max_size=3))
+    return LocalRingPresentation(ring, [
+        sum((ring.monomial(e, c) for e, c in terms), ring.zero())
+        for terms in relations])
+
+
+def standard_monomials(leads, degree, n):
+    """How many monomials of the degree in n variables no lead divides."""
+    return sum(1 for e in itertools.product(range(degree + 1), repeat=n)
+               if sum(e) == degree and not any(
+                   all(a <= b for a, b in zip(lead, e)) for lead in leads))
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations())
+def test_the_tangent_cone_has_the_hilbert_function_of_the_local_ring(A):
+    # dim_k m^d/(m^(d+1) + J) is read twice: from the tangent cone, and
+    # from the leading monomials of the standard basis of J + m^cap in the
+    # local degree order, which is exact below the cap
+    try:
+        cone = A.initial_basis().leading_monomials()
+    except NotApplicable:
+        assume(False)
+    cap = 7
+    local = local_basis(A.relations, cap).leading_monomials()
+    assert [standard_monomials(cone, d, 3) for d in range(cap)] \
+        == [standard_monomials(local, d, 3) for d in range(cap)]
+
+
+def test_a_redundant_variable_keeps_the_cusp_slope():
+    space, plane = Ring(("x", "y", "z")), Ring(("y", "z"))
+    A = LocalRingPresentation(space, [space.parse("x"),
+                                      space.parse("z^2 - y^3")])
+    B = LocalRingPresentation(plane, [plane.parse("z^2 - y^3")])
+    sa, sb = samuel_slope(A, max_n=6), samuel_slope(B, max_n=6)
+    assert (sa.lower, sa.upper, sa.status) == (sb.lower, sb.upper, sb.status) \
+        == (ExtendedRational(Fraction(3, 2)), INF, "lower-bound")
+
+
+def test_a_candidate_is_read_in_m_mod_m_squared():
+    # on Q[x, y]/(x, y^2), x + y = y spans the kernel, and x = 0 does not
+    ring = Ring(("x", "y"))
+    A = LocalRingPresentation(ring, [ring.parse("x"), ring.parse("y^2")])
+    result = samuel_slope(A, candidates=[[ring.parse("x + y")]])
+    assert (result.lower.serialize(), result.exact) == ("inf", True)
+    with pytest.raises(NotALambdaSequence, match="do not span"):
+        samuel_slope(A, candidates=[[ring.parse("x")]])
 
 
 def test_slope_is_one_in_the_non_extremal_case():

@@ -32,7 +32,14 @@ slope: no other class defines it, and only the benchmark reads its old
 names. Every name the benchmark's tracer patches still exists. One path
 leads from a job file to an exit code: cli.main alone loads the job,
 reads --json and --require-exact, and the command line names no cap
-default, so the library's are the only ones."""
+default, so the library's are the only ones. A presented local ring owns
+its tangent data: its tangent-cone method alone refuses a dimension, and
+it alone passes its relations to _linear_part_rows, for the one span of
+their linear parts that m/m^2 is read against; arith alone reduces one
+row by a multiple of another, so _modulo_linear_parts is gone. No
+function takes a parameter it never reads, except the shared signature
+of the job commands, cmd_<name>(job, args), and the rational field's
+char_exponent(n), which is 0 whatever n is."""
 
 import ast
 import importlib
@@ -397,3 +404,136 @@ def test_main_alone_turns_a_job_into_output_and_an_exit_code():
              for node in ast.walk(ast.parse(source))
              if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
     assert not {name for name in names if name.endswith("_DEFAULT")}
+
+
+def unread_parameters(source):
+    """(qualified function name, parameter) for each parameter of a
+    function of one module that its body never reads; self and cls are
+    not counted."""
+    hits = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name + ".")
+            elif isinstance(child, ast.FunctionDef):
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                          + [v for v in (a.vararg, a.kwarg) if v]]
+                read = {n.id for n in ast.walk(child)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                hits.update((owner + child.name, p) for p in params
+                            if p not in read and p not in ("self", "cls"))
+                visit(child, owner + child.name + ".")
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return hits
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    sample = ("class C:\n"
+              "    def f(self, a, b):\n"
+              "        def g(c):\n"
+              "            return b\n"
+              "        a = 1\n"
+              "        return g\n")
+    assert unread_parameters(sample) == {("C.f", "a"), ("C.f.g", "c")}
+    allowed = {("arith.py", "RationalField.char_exponent", "n")}
+    found = {(path.name, func, param)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for func, param in unread_parameters(path.read_text())}
+    # the job commands share one signature, cmd_<name>(job, args)
+    found = {(name, func, param) for name, func, param in found
+             if not (name == "cli.py" and func.startswith("cmd_")
+                     and param in ("job", "args"))}
+    assert found == allowed
+
+
+def row_reductions(source):
+    """Lines of one module that subtract a multiple of one row from
+    another, as a - c * b over a zip of the two rows."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+            continue
+        elt = node.elt
+        if isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Sub) \
+                and isinstance(elt.right, ast.BinOp) \
+                and isinstance(elt.right.op, ast.Mult) \
+                and any(isinstance(gen.iter, ast.Call)
+                        and isinstance(gen.iter.func, ast.Name)
+                        and gen.iter.func.id == "zip"
+                        for gen in node.generators):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_arith_alone_reduces_rows():
+    assert not hasattr(samuel, "_modulo_linear_parts")
+    sample = ("row = [a - c * b for a, b in zip(row, lin)]\n"
+              "gap = [a - b for a, b in zip(m, common)]\n")
+    assert row_reductions(sample) == [1]
+    found = {path.name: row_reductions(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == {"arith.py"}
+
+
+def top_functions(source):
+    """(class name or None, function) for each function defined at the top
+    of one module or of one of its classes; nested functions count as
+    part of the function that holds them."""
+    tree = ast.parse(source)
+    scopes = [(None, tree.body)] + [(node.name, node.body)
+                                    for node in tree.body
+                                    if isinstance(node, ast.ClassDef)]
+    return [(owner, func) for owner, body in scopes for func in body
+            if isinstance(func, ast.FunctionDef)]
+
+
+def relation_row_readers(source):
+    """(class, function) for each call of _linear_part_rows on an argument
+    that names the relations."""
+    return {(owner, func.name) for owner, func in top_functions(source)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_linear_part_rows"
+            and any(isinstance(a, ast.Attribute) and a.attr == "relations"
+                    for arg in node.args for a in ast.walk(arg))}
+
+
+def test_the_presentation_alone_reads_its_cotangent_space():
+    sample = ("def f(A):\n"
+              "    return _linear_part_rows(A.relations.generators, R)\n")
+    assert relation_row_readers(sample) == {(None, "f")}
+    found = {path.name: relation_row_readers(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} \
+        == {"samuel.py": {("LocalRingPresentation", "linear_span")}}
+
+
+def dimension_refusals(source):
+    """Names of the module-level functions and methods of one module that
+    raise NotApplicable with a message about the dimension."""
+    return {func.name for _, func in top_functions(source)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "NotApplicable"
+            and any(isinstance(c, ast.Constant) and "dimension" in str(c.value)
+                    for c in ast.walk(node.exc))}
+
+
+def test_the_tangent_cone_alone_refuses_a_dimension():
+    sample = ("class A:\n"
+              "    def dimension(self):\n"
+              "        def check():\n"
+              "            raise NotApplicable('no dimension for %s' % 1)\n"
+              "        raise NotApplicable('regular')\n")
+    assert dimension_refusals(sample) == {"dimension"}
+    found = {path.name: dimension_refusals(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: funcs for name, funcs in found.items() if funcs} \
+        == {"samuel.py": {"tangent_cone"}}
