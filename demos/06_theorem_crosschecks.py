@@ -29,7 +29,7 @@ for m in local_ring_members() + whitney_members():
         print("  samuel slope %s (%s)" % (report.slope_value, tag))
     if report.note:
         print("  note: %s" % report.note)
-    print("  verdict: %s" % report.verdict())
+    print("  verdict: %s" % report.verdict)
     print()
 
 print("the same checks run from the command line:")

@@ -338,7 +338,7 @@ def cmd_check_theorems(job, args):
     if result.inconclusive:
         report["inconclusive"] = True
 
-    lines = ["verdict: %s" % result.verdict()]
+    lines = ["verdict: %s" % result.verdict]
     if not result.applicable:
         lines[0] += " (not applicable: %s)" % result.note
     else:
@@ -351,7 +351,7 @@ def cmd_check_theorems(job, args):
             lines.append("slope = %s (%s)" % (report["slope"], tag))
         if result.note:
             lines.append("note: %s" % result.note)
-    if result.verdict() == "FAIL":
+    if result.verdict == "FAIL":
         return report, lines, 1
     inexact = result.applicable and result.classification == "extremal" \
         and not result.slope_certified

@@ -258,7 +258,7 @@ def _kernel_string(member):
 def _theorem_string(member):
     report = cross_check_theorems(member.presentation, member.split,
                                   at=member.point)
-    bits = [report.verdict(), report.classification,
+    bits = [report.verdict, report.classification,
             "hord=%s" % report.hord.serialize(),
             "ord=%s" % report.ord_d.serialize()]
     if report.classification == "extremal":

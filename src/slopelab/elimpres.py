@@ -254,15 +254,28 @@ def build_p_presentation(g, split):
 
 
 class SlopeReport:
-    def __init__(self, value, case, elimination_order, degenerate=False,
-                 hord=None, transcript=(), root=None):
+    """What slope found after the cleaning shifts of the transcript. hord
+    is the elimination order on the Tschirnhausen route, unknown in case
+    B3, which cleaning would still change, and the slope otherwise."""
+
+    def __init__(self, value, case, elimination_order, transcript=(),
+                 root=None):
         self.value = value
         self.case = case
         self.elimination_order = elimination_order
-        self.degenerate = degenerate
-        self.hord = hord
         self.transcript = list(transcript)
         self.root = root
+
+    @property
+    def hord(self):
+        if self.case == "tschirnhausen":
+            return self.elimination_order
+        return None if self.case == "B3" else self.value
+
+    @property
+    def degenerate(self):
+        # the fiber polynomial reduced to a pure power of z
+        return self.hord is not None and self.hord.is_infinite
 
     @property
     def approximate_elimination(self):
@@ -332,11 +345,10 @@ def slope(presentation, at=None):
     elim = _elimination_order(presentation, at)
     value = ext_min(top, elim)
 
-    if value.is_infinite:
-        return SlopeReport(value, None, elim, degenerate=True)
-
     root = None
-    if elim <= top:
+    if value.is_infinite:
+        case = None
+    elif elim <= top:
         case = "A"
     elif not value.is_integer():
         case = "B1"
@@ -348,8 +360,8 @@ def slope(presentation, at=None):
 
 def clean(presentation, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
     """Iterate cleaning translations until a normal form (cases A, B1, B2,
-    or nothing left at all) and stamp the final slope as the order of the
-    presentation there.
+    or nothing left at all), whose slope is the order of the presentation
+    there; the report carries the translations in its transcript.
 
     Each B3 round translates z to z - G, G the root the slope found, which
     cancels the initial form of the top coefficient because raising to
@@ -360,16 +372,13 @@ def clean(presentation, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
     best = None
     current = presentation
     for _ in range(max_rounds):
-        report = slope(current, at)
-        report.transcript = list(transcript)
+        found = slope(current, at)
+        report = SlopeReport(found.value, found.case, found.elimination_order,
+                             transcript, found.root)
+        if report.case != "B3":
+            return report
         if best is None or report.value > best.value:
             best = report
-        if report.degenerate:
-            report.hord = INF
-            return report
-        if report.case != "B3":
-            report.hord = report.value
-            return report
         shift = -report.root
         current = PPresentation(current.split,
                                 current.h.translate(current.z, shift))
@@ -414,20 +423,18 @@ def hord_report(g, split, at=None, max_rounds=MAX_ROUNDS_DEFAULT):
     g, n = _admit(g, split, at)
     if split.ring.field.char_exponent(n):
         return clean(build_p_presentation(g, split), at, max_rounds)
-    value = tschirnhausen_ord(g, split, at)
-    return SlopeReport(None, "tschirnhausen", value,
-                       degenerate=value.is_infinite, hord=value)
+    return SlopeReport(None, "tschirnhausen", tschirnhausen_ord(g, split, at))
 
 
 class CheckReport:
-    """Outcome of cross_check_theorems. An inconclusive report has not
-    passed, and it is no contradiction either."""
+    """Outcome of cross_check_theorems: the verdict pass, FAIL or
+    inconclusive. An inconclusive report has not passed, and it is no
+    contradiction either; a report that does not apply passes."""
 
-    def __init__(self, applicable, passed, classification, hord, ord_d,
-                 slope_value, slope_certified, case, note="",
-                 inconclusive=False):
-        self.applicable = applicable
-        self.passed = passed
+    def __init__(self, verdict, classification, hord=None, ord_d=None,
+                 slope_value=None, slope_certified=False, case=None, note="",
+                 applicable=True):
+        self.verdict = verdict
         self.classification = classification
         self.hord = hord
         self.ord_d = ord_d
@@ -435,15 +442,18 @@ class CheckReport:
         self.slope_certified = slope_certified
         self.case = case
         self.note = note
-        self.inconclusive = inconclusive
+        self.applicable = applicable
 
-    def verdict(self):
-        if self.passed:
-            return "pass"
-        return "inconclusive" if self.inconclusive else "FAIL"
+    @property
+    def passed(self):
+        return self.verdict == "pass"
+
+    @property
+    def inconclusive(self):
+        return self.verdict == "inconclusive"
 
     def __repr__(self):
-        verdict = self.verdict() if self.applicable else "n/a"
+        verdict = self.verdict if self.applicable else "n/a"
         return "<check %s: %s hord=%s ord=%s slope=%s>" % (
             verdict, self.classification, self.hord, self.ord_d,
             self.slope_value)
@@ -477,18 +487,18 @@ def cross_check_theorems(local_ring, split, at=None,
 
     multiplicity = at.order_of(g)
     if multiplicity <= ExtendedRational(1):
-        return CheckReport(False, True, "smooth", None, None, None, False,
-                           None, note="multiplicity 1: point not singular")
+        return CheckReport("pass", "smooth", applicable=False,
+                           note="multiplicity 1: point not singular")
     try:
         _admit(g, split, at)
     except MultiplicityBelowDegree as exc:
-        return CheckReport(False, True, "singular", None, None, None, False,
-                           None, note=str(exc))
+        return CheckReport("pass", "singular", applicable=False,
+                           note=str(exc))
 
     kernel = kernel_lambda(local_ring, prime=at.variables)
     if kernel.classification == "unknown":
-        return CheckReport(False, True, "unknown", None, None, None, False,
-                           None, note="kernel classification out of reach")
+        return CheckReport("pass", "unknown", applicable=False,
+                           note="kernel classification out of reach")
 
     report = hord_report(g, split, at, max_rounds)
     hord, ord_d, case = report.hord, report.elimination_order, report.case
@@ -500,20 +510,20 @@ def cross_check_theorems(local_ring, split, at=None,
             passed = passed and ord_d == ExtendedRational(1)
         elif ord_d > ExtendedRational(1):
             note = "elimination order stays above 1 at this non-closed point"
-        return CheckReport(True, passed, "non-extremal", hord, ord_d,
-                           ExtendedRational(1), True, case, note=note)
+        return CheckReport("pass" if passed else "FAIL", "non-extremal",
+                           hord, ord_d, ExtendedRational(1), True, case,
+                           note=note)
 
     # extremal branch: needs the Samuel slope of the local ring
     if at.kind != "origin":
-        return CheckReport(False, True, "extremal", hord, ord_d, None, False,
-                           case, note="slope at non-closed points is out of "
-                           "scope here")
+        return CheckReport("pass", "extremal", hord, ord_d, case=case,
+                           applicable=False, note="slope at non-closed "
+                           "points is out of scope here")
     slope_result = samuel_slope(local_ring, max_n=max_n)
     lb = slope_result.lower
     passed = ext_min(lb, ord_d) == hord
-    certified = passed and hord < ord_d
-    inconclusive = not slope_result.exact and lb < hord <= ord_d
-    return CheckReport(True, passed, "extremal", hord, ord_d, lb,
-                       certified or slope_result.exact, case,
-                       inconclusive=inconclusive)
+    unproven = not slope_result.exact and lb < hord <= ord_d
+    verdict = "pass" if passed else "inconclusive" if unproven else "FAIL"
+    return CheckReport(verdict, "extremal", hord, ord_d, lb,
+                       slope_result.exact or passed and hord < ord_d, case)
 

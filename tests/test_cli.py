@@ -553,8 +553,7 @@ class TestCheckTheoremsCommand:
         # no input fails the check, so the check is replaced by a failing
         # report: hord 1 lies below both the slope 2 and the order 2
         one, two = ExtendedRational(1), ExtendedRational(2)
-        failing = CheckReport(True, False, "extremal", one, two, two, False,
-                              "B1")
+        failing = CheckReport("FAIL", "extremal", one, two, two, False, "B1")
         monkeypatch.setattr(cli, "cross_check_theorems",
                             lambda *args, **kwargs: failing)
         job = cusp_char2_job(tmp_path)

@@ -385,6 +385,17 @@ def test_clean_is_a_no_op_on_the_cusp():
     assert clean(pres).hord == er(Fraction(3, 2))
 
 
+def test_a_normal_form_reports_its_hord_before_and_after_cleaning():
+    # the F_2 cusp needs no cleaning round, so the bare slope already
+    # reports the hord that clean returns
+    ring = Ring(("z", "y"), char=2)
+    split = VariableSplit(ring, base=("y",), fiber=("z",))
+    pres = build_p_presentation(ring.parse("z^2 + y^3"), split)
+    bare, cleaned = slope(pres), clean(pres)
+    assert bare.hord == cleaned.hord == er(Fraction(3, 2))
+    assert not bare.degenerate and not cleaned.degenerate
+
+
 def test_clean_stops_at_its_round_budget_with_a_lower_bound():
     ring = Ring(("y", "z"), char=2)
     split = VariableSplit(ring, base=("y",), fiber=("z",))
@@ -398,6 +409,7 @@ def test_clean_stops_at_its_round_budget_with_a_lower_bound():
     assert str(caught.value) == ("no normal form after 1 cleaning rounds; "
                                  "best slope 1 is a lower bound")
     assert caught.value.report.case == "B3"
+    assert caught.value.report.hord is None
 
 
 def test_a_prime_point_names_each_variable_once():
@@ -415,7 +427,7 @@ def test_the_origin_names_no_variables():
     split = VariableSplit(ring, base=("y1", "y2"), fiber=("x",))
     A = LocalRingPresentation(ring, [ring.parse("x^2 + y1^2*y2")])
     report = cross_check_theorems(A, split, at=PointSpec.origin())
-    assert (report.verdict(), report.classification, report.slope_value) \
+    assert (report.verdict, report.classification, report.slope_value) \
         == ("pass", "extremal", er("3/2"))
 
 
@@ -636,7 +648,7 @@ def test_cross_check_slope_bound_below_hord_is_inconclusive():
     assert report.ord_d == er(Fraction(6, 5))
     assert report.slope_value == er(1) and not report.slope_certified
     assert not report.passed and report.inconclusive
-    assert report.verdict() == "inconclusive"
+    assert report.verdict == "inconclusive"
 
 
 def test_cross_check_exact_slope_below_hord_fails(monkeypatch):
@@ -649,7 +661,7 @@ def test_cross_check_exact_slope_below_hord_fails(monkeypatch):
     monkeypatch.setattr(elimpres, "samuel_slope", exact_slope)
     report = cross_check_theorems(A, split)
     assert not report.passed and not report.inconclusive
-    assert report.verdict() == "FAIL"
+    assert report.verdict == "FAIL"
 
 
 def test_cross_check_needs_a_hypersurface():
@@ -756,7 +768,7 @@ def test_cross_check_leaves_an_extremal_non_closed_point_out_of_scope():
     report = cross_check_theorems(A, split, at=PointSpec.prime(("x", "y1")))
     assert (report.applicable, report.passed, report.classification) \
         == (False, True, "extremal")
-    assert report.verdict() == "pass"
+    assert report.verdict == "pass"
     assert report.note == "slope at non-closed points is out of scope here"
 
 
@@ -809,7 +821,7 @@ def invariants(ring, g, split):
         slope_result = None
     try:
         hord = hord_report(g, split).hord
-        verdict = cross_check_theorems(A, split, max_n=4).verdict()
+        verdict = cross_check_theorems(A, split, max_n=4).verdict
     except (NotMonic, MultiplicityBelowDegree):
         # a change of a base variable can raise the degree in x
         hord = verdict = None

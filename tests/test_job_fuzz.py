@@ -6,10 +6,15 @@ exits 1 with exactly one `error:` line on stderr and nothing on stdout;
 an exception other than the package's own would escape cli.main as a
 traceback and fail the test.
 
+A second stream, with a seed of its own and no golden file, also gives
+each job more relations or a linear term in g, so the kernel and the
+Samuel slope answer on presentations with several relations.
+
 The exit code, stdout and stderr of the first GOLDEN_RUNS runs are
 frozen in tests/golden/cli_fuzz.json. A change that means to alter those
-bytes rewrites the file with `PYTHONPATH=src python tests/test_job_fuzz.py`
-and lists the entries that changed."""
+bytes rewrites the file with `PYTHONPATH=src python tests/test_job_fuzz.py`,
+which first prints the index and argv of each entry that changed, and
+lists those entries."""
 
 import contextlib
 import copy
@@ -53,6 +58,8 @@ POINTS = ({"kind": "origin"}, {"kind": "origin", "vars": ["x"]},
           {"kind": "prime", "vars": "x"}, {"kind": "prime", "vars": ["z"]},
           {"kind": "bogus"}, {"kind": ["prime"], "vars": ["x"]})
 CHARACTERISTICS = (0, 3, 4, -2, "2", True, False, 3.0, 2.5, None)
+RELATIONS = ("x", "x + y^2", "y^2 + x*y", "x*y", "y^3")
+LINEAR_TERMS = (" + x", " + y", " - x", " + y + x")
 TEXT_CHARS = "xyz0123+-*^() "
 FLAG_VALUES = ("1", "3", "0", "-2", "4.5", "four", "10001")
 
@@ -100,13 +107,25 @@ def mutated_job(rng):
     return job
 
 
-def fuzz_runs(seed, count, tmp_path):
+def job_with_relations(rng):
+    """A mutated job that also appends one or two relations to its local
+    ring, or adds a linear term to g."""
+    job = mutated_job(rng)
+    if rng.random() < 0.6:
+        job["local_ring"]["relations"] += rng.sample(RELATIONS,
+                                                     rng.randint(1, 2))
+    else:
+        job["polys"]["g"] += rng.choice(LINEAR_TERMS)
+    return job
+
+
+def fuzz_runs(seed, count, tmp_path, make_job=mutated_job):
     """(argv, job) for each run; argv names the job file written under
     tmp_path."""
     rng = random.Random(seed)
     path = tmp_path / "fuzz.json"
     for _ in range(count):
-        job = mutated_job(rng)
+        job = make_job(rng)
         path.write_text(json.dumps(job))
         argv = [rng.choice(COMMANDS), str(path)]
         argv += [flag for flag in ("--json", "--require-exact")
@@ -123,6 +142,15 @@ def frozen(argv, code, out, err):
             "out": out, "err": err}
 
 
+def assert_report_or_one_error(argv, code, out, err):
+    if code == 1:
+        assert out == "" and len(err.splitlines()) == 1, argv
+        assert "error:" in err, argv
+    else:
+        assert code in (0, 2), argv
+        assert out and err == "", argv
+
+
 def test_a_mutated_job_is_a_report_or_one_error_line(tmp_path, capsys):
     golden = json.loads(GOLDEN.read_text())
     assert len(golden) == GOLDEN_RUNS
@@ -133,15 +161,23 @@ def test_a_mutated_job_is_a_report_or_one_error_line(tmp_path, capsys):
         if i < GOLDEN_RUNS:
             assert frozen(argv, code, out, err) == golden[i], (i, argv, job)
         codes.add(code)
-        if code == 1:
-            assert out == "" and len(err.splitlines()) == 1, argv
-            assert "error:" in err, argv
-        else:
-            assert code in (0, 2), argv
-            assert out and err == "", argv
+        assert_report_or_one_error(argv, code, out, err)
     # the mutations reach both reports and refusals
     assert {0, 1} <= codes
 
+
+def test_a_job_with_several_relations_is_a_report_or_one_error_line(
+        tmp_path, capsys):
+    answered = set()
+    for argv, job in fuzz_runs("relations-fuzz", 500, tmp_path,
+                               job_with_relations):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert_report_or_one_error(argv, code, out, err)
+        if code != 1 and len(job["local_ring"]["relations"]) > 1:
+            answered.add(argv[0])
+    # the kernel and the Samuel slope answer on several relations
+    assert {"kernel", "samuel-slope"} <= answered
 
 
 if __name__ == "__main__":
@@ -155,5 +191,12 @@ if __name__ == "__main__":
                 code = cli.main(argv)
             entries.append(frozen(argv, code, out.getvalue(),
                                   err.getvalue()))
-    GOLDEN.write_text("[\n%s\n]\n" % ",\n".join(
-        json.dumps(entry, sort_keys=True) for entry in entries))
+    lines = [json.dumps(entry, sort_keys=True) for entry in entries]
+    old = [json.dumps(entry, sort_keys=True)
+           for entry in json.loads(GOLDEN.read_text())]
+    changed = [i for i, line in enumerate(lines)
+               if i >= len(old) or line != old[i]]
+    for i in changed:
+        print("%d %s" % (i, " ".join(entries[i]["argv"])))
+    print("%d of %d entries changed" % (len(changed), len(entries)))
+    GOLDEN.write_text("[\n%s\n]\n" % ",\n".join(lines))

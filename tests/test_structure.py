@@ -39,7 +39,11 @@ their linear parts that m/m^2 is read against; arith alone reduces one
 row by a multiple of another, so _modulo_linear_parts is gone. No
 function takes a parameter it never reads, except the shared signature
 of the job commands, cmd_<name>(job, args), and the rational field's
-char_exponent(n), which is 0 whatever n is."""
+char_exponent(n), which is 0 whatever n is. Each elimpres report is built
+once and stores only what its computation decided: no statement outside
+__init__ assigns an attribute there, hord, degenerate, passed and
+inconclusive are read-only properties, and a theorem check's verdict is a
+stored string."""
 
 import ast
 import importlib
@@ -537,3 +541,55 @@ def test_the_tangent_cone_alone_refuses_a_dimension():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: funcs for name, funcs in found.items() if funcs} \
         == {"samuel.py": {"tangent_cone"}}
+
+
+def attribute_writes(source):
+    """(function, attribute) for each attribute that a statement of one
+    module assigns, or setattr sets, outside every __init__."""
+    tree = ast.parse(source)
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name == "__init__"
+              for node in ast.walk(func)}
+    hits = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if id(node) in inside:
+                continue
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store):
+                hits.add((func.name, node.attr))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "setattr":
+                hits.add((func.name, "setattr"))
+    return hits
+
+
+def test_no_elimpres_statement_writes_to_a_built_report():
+    sample = ("class R:\n"
+              "    def __init__(self):\n"
+              "        self.hord = None\n"
+              "def clean(r):\n"
+              "    r.transcript, r.hord = [], 1\n"
+              "    setattr(r, 'case', 'A')\n")
+    assert attribute_writes(sample) == {("clean", "transcript"),
+                                        ("clean", "hord"),
+                                        ("clean", "setattr")}
+    assert attribute_writes((PACKAGE / "elimpres.py").read_text()) == set()
+
+
+def test_hord_degenerate_passed_and_inconclusive_are_derived():
+    derived = {(elimpres.SlopeReport, "hord"),
+               (elimpres.SlopeReport, "degenerate"),
+               (elimpres.CheckReport, "passed"),
+               (elimpres.CheckReport, "inconclusive")}
+    for cls, name in derived:
+        found = inspect.getattr_static(cls, name, None)
+        assert isinstance(found, property) and found.fset is None, name
+
+
+def test_a_theorem_check_stores_its_verdict():
+    assert not callable(getattr(elimpres.CheckReport, "verdict", None))
+    report = elimpres.CheckReport("pass", "smooth", applicable=False)
+    assert report.verdict == "pass" and not callable(report.verdict)
