@@ -382,11 +382,6 @@ class Bounds:
         return "%s (%s)" % (self.lower, self.status)
 
 
-def ext_min(a, b):
-    a, b = _coerce(a), _coerce(b)
-    return a if a <= b else b
-
-
 def echelon(rows):
     """Reduced row echelon form of a matrix over Q or F_p, zero rows dropped.
 

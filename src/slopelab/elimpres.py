@@ -7,7 +7,7 @@ the local-ring invariants of the samuel module.
 
 import math
 
-from .arith import INF, ExtendedRational, SlopelabError, ext_min
+from .arith import INF, ExtendedRational, SlopelabError
 from .groebner import monic, normal_form
 from .samuel import NotApplicable, _check_cap, kernel_lambda, samuel_slope
 
@@ -117,10 +117,7 @@ def sing_order(pairs, at):
     On the generators of a Rees algebra, the point lies in the singular
     locus of the algebra exactly when the result is at least 1.
     """
-    best = INF
-    for f, n in pairs:
-        best = ext_min(best, at.order_of(f) / n)
-    return best
+    return min((at.order_of(f) / n for f, n in pairs), default=INF)
 
 
 def _dominated(f, n, others):
@@ -343,7 +340,7 @@ def slope(presentation, at=None):
     q = presentation.q
     top = sing_order([(presentation.coefficients[q], q)], at)
     elim = _elimination_order(presentation, at)
-    value = ext_min(top, elim)
+    value = min(top, elim)
 
     root = None
     if value.is_infinite:
@@ -521,7 +518,7 @@ def cross_check_theorems(local_ring, split, at=None,
                            "points is out of scope here")
     slope_result = samuel_slope(local_ring, max_n=max_n)
     lb = slope_result.lower
-    passed = ext_min(lb, ord_d) == hord
+    passed = min(lb, ord_d) == hord
     unproven = not slope_result.exact and lb < hord <= ord_d
     verdict = "pass" if passed else "inconclusive" if unproven else "FAIL"
     return CheckReport(verdict, "extremal", hord, ord_d, lb,

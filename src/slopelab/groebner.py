@@ -5,21 +5,23 @@ monomial quotient, and standard bases in a local degree order.
 Everything here is exact and deterministic. The public entry points work
 in graded reverse lex (grevlex), but for local_basis, which uses the one
 private local degree order: lowest degree first, grevlex among equal
-degrees. Each basis element's leading term is fixed once, when the element
-is made monic, and a GroebnerBasis keeps it next to the polynomial.
+degrees. Every divisor is an entry (lm, g) with g monic and lm its
+leading monomial, fixed once, when g is made monic: a GroebnerBasis keeps
+its entries, and the free normal_form makes its divisors monic first.
 Division works on one dict of terms: each step takes the leading term off
-a heap ordered by the order's key and subtracts a shifted multiple of a
-basis element from the dict in place, term by term, and S-polynomials are
-written into such a dict straight from the two shifted elements, so
-neither builds intermediate polynomials. Under a degree cap, which goes
-with the local order, terms of degree cap or more are dropped.
+a heap ordered by the order's key and subtracts coeff times a shifted g
+from the dict in place, term by term, never inverting a coefficient, and
+S-polynomials are written into such a dict straight from the two shifted
+elements, so neither builds intermediate polynomials. Under a degree cap,
+which goes with the local order, terms of degree cap or more are dropped.
 
 Buchberger queues a pair only when at least one side is not a monomial,
 since the S-polynomial of two monomials is zero, both for the generators
 and for each element that joins the basis; it takes the queued pairs
 first in, first out, and skips one whose leading terms are coprime or,
 under a cap, whose lcm has degree cap or more. The pair budget counts
-queued pairs only. Minimalizing keeps the first element for each leading
+queued pairs only, those of the first queue too, and is checked before
+each pair is taken. Minimalizing keeps the first element for each leading
 term and tries only leading terms of lower degree as divisors; tail
 reduction passes over monomials, which are already reduced. A power of a
 monomial ideal is built by adding exponent tuples, with no polynomial
@@ -102,11 +104,6 @@ class IdealPresentation:
             g.canonical_string() for g in self.generators)
 
 
-def _grevlex(m):
-    """Sort key of the one term order, graded reverse lex."""
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
 def _divides(a, b):
     return all(map(le, a, b))
 
@@ -116,25 +113,17 @@ def _quotient(m, d):
     return tuple(map(sub, m, d))
 
 
-def leading(f):
-    mono = max(f.terms, key=_grevlex)
-    return mono, f.terms[mono]
-
-
 def monic(f):
     """Scale f so that its leading coefficient is one."""
-    return _monic_lead(f, _heap_key)[2]
+    return _monic_lead(f, _heap_key)[1]
 
 
 def _monic_lead(f, key):
-    # (leading monomial, leading coefficient, f made monic) in the order of
-    # the heap key; a monic f is returned as it is
+    # the divisor entry (leading monomial, f made monic) in the order of the
+    # heap key; a monic f is returned as it is
     lm = min(f.terms, key=key)
     lc = f.terms[lm]
-    if lc == 1:
-        return lm, lc, f
-    g = f.scale(1 / lc)
-    return lm, g.terms[lm], g
+    return lm, f if lc == 1 else f.scale(1 / lc)
 
 
 def _heap_key(m):
@@ -176,17 +165,19 @@ def _add_shifted(work, factor, shift, g, lm, heap=None, key=_heap_key,
 
 
 def _reduce(ring, work, leads, key=_heap_key, cap=None):
-    """Divide the term dict work, in place, by the (lm, lc, g) entries.
+    """Divide the term dict work, in place, by the (lm, g) entries, each g
+    monic with leading monomial lm.
 
-    Each step takes the leading work term and the first entry, in list
-    order, whose leading monomial divides it, and subtracts that multiple
-    of g term by term; the leading terms cancel, so g's is skipped. A term
-    no entry divides moves to the remainder. The leading term comes off a
-    heap built once from work under the order's key; each term is pushed
-    when it appears, and an entry whose term has cancelled since is
-    skipped when popped. A cap goes with the local key only: the first
-    popped term of degree cap or more ends the division, and what is left
-    of work, all of such degree, is dropped.
+    Each step takes the leading work term coeff * x^m and the first entry,
+    in list order, whose leading monomial divides it, and subtracts
+    coeff * x^(m - lm) * g term by term, so no coefficient is inverted; the
+    leading terms cancel, so g's is skipped. A term no entry divides moves
+    to the remainder. The leading term comes off a heap built once from
+    work under the order's key; each term is pushed when it appears, and
+    an entry whose term has cancelled since is skipped when popped. A cap
+    goes with the local key only: the first popped term of degree cap or
+    more ends the division, and what is left of work, all of such degree,
+    is dropped.
     """
     heap = [key(m) for m in work]
     heapify(heap)
@@ -198,10 +189,10 @@ def _reduce(ring, work, leads, key=_heap_key, cap=None):
         coeff = work.pop(mono, None)
         if coeff is None:
             continue
-        for lm, lc, g in leads:
+        for lm, g in leads:
             if _divides(lm, mono):
-                _add_shifted(work, -(coeff / lc), _quotient(mono, lm), g, lm,
-                             heap, key, cap)
+                _add_shifted(work, -coeff, _quotient(mono, lm), g, lm, heap,
+                             key, cap)
                 break
         else:
             remainder[mono] = coeff
@@ -209,19 +200,21 @@ def _reduce(ring, work, leads, key=_heap_key, cap=None):
 
 
 def normal_form(f, basis):
-    """Remainder of f on division by the listed polynomials."""
+    """Remainder of f on division by the listed polynomials, each made
+    monic first; a divisor's scale does not change the remainder."""
     return _reduce(f.ring, dict(f.terms),
-                   [leading(g) + (g,) for g in basis if not g.is_zero()])
+                   [_monic_lead(g, _heap_key) for g in basis
+                    if not g.is_zero()])
 
 
 class GroebnerBasis:
-    """A reduced basis, kept as (leading monomial, coefficient, poly);
+    """A reduced basis, kept as (leading monomial, monic poly) entries;
     division by it is grevlex unless local_basis made it."""
 
     def __init__(self, ring, leads):
         self.ring = ring
         self.leads = tuple(leads)
-        self.polys = tuple(g for _, _, g in self.leads)
+        self.polys = tuple(g for _, g in self.leads)
         self._key, self._cap = _heap_key, None
 
     def normal_form(self, f):
@@ -232,7 +225,7 @@ class GroebnerBasis:
         return self.normal_form(f).is_zero()
 
     def leading_monomials(self):
-        return [lm for lm, _, _ in self.leads]
+        return [lm for lm, _ in self.leads]
 
     def __repr__(self):
         order = "grevlex" if self._cap is None else "local < %d" % self._cap
@@ -244,9 +237,10 @@ def _spoly(lcm, entry_i, entry_j):
     """Terms of (lcm/lmi)*fi - (lcm/lmj)*fj for monic basis entries.
 
     Both shifted leading terms are lcm with coefficient one and cancel, so
-    neither is written.
+    neither is written; that one, read off fi, is the unit of the field.
     """
-    (lmi, one, fi), (lmj, _, fj) = entry_i, entry_j
+    (lmi, fi), (lmj, fj) = entry_i, entry_j
+    one = fi.terms[lmi]
     terms = {}
     _add_shifted(terms, one, _quotient(lcm, lmi), fi, lmi)
     _add_shifted(terms, -one, _quotient(lcm, lmj), fj, lmj)
@@ -274,12 +268,18 @@ def _buchberger(ideal, key, cap):
     budget = DEFAULT_PAIR_BUDGET
     # the S-polynomial of two monomials is zero, so a pair is queued only
     # when one side is not a monomial
-    monomial = [len(g.terms) == 1 for _, _, g in basis]
+    monomial = [len(g.terms) == 1 for _, g in basis]
     pairs = deque((i, j)
                   for i, j in itertools.combinations(range(len(basis)), 2)
                   if not (monomial[i] and monomial[j]))
     enqueued = len(pairs)
     while pairs:
+        # checked before each pair, so the first queue counts even when
+        # every pair in it reduces to zero
+        if enqueued > budget:
+            raise BudgetExceeded(
+                "S-pair budget %d exceeded; raise it if the input is "
+                "really this large" % budget)
         i, j = pairs.popleft()
         lmi, lmj = basis[i][0], basis[j][0]
         lcm = tuple(map(max, lmi, lmj))
@@ -297,10 +297,6 @@ def _buchberger(ideal, key, cap):
         fresh = [(k, new) for k in range(new)
                  if not (monomial[k] and monomial[new])]
         enqueued += len(fresh)
-        if enqueued > budget:
-            raise BudgetExceeded(
-                "S-pair budget %d exceeded; raise it if the input is "
-                "really this large" % budget)
         pairs.extend(fresh)
 
     # minimalize: keep the first member for each leading term, and drop
@@ -320,7 +316,7 @@ def _buchberger(ideal, key, cap):
     # its leading term, which no other leading term divides, so it stays
     reduced = []
     for idx, entry in enumerate(keep):
-        g = entry[2]
+        g = entry[1]
         if len(g.terms) == 1:
             reduced.append(entry)
             continue

@@ -31,6 +31,9 @@ class Ring:
         variables = tuple(variables)
         if len(variables) > VARIABLE_CAP:
             raise ValueError("at most %d variables supported" % VARIABLE_CAP)
+        self._setup(variables, char)
+
+    def _setup(self, variables, char):
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         for name in variables:
@@ -78,7 +81,11 @@ class Ring:
         return _parse(self, text)
 
     def extend(self, extra):
-        return Ring(self.variables + tuple(extra), self.char)
+        """This ring with extra variables appended. The variable cap bounds
+        the rings a caller declares, so an extension may pass it."""
+        ring = object.__new__(Ring)
+        ring._setup(self.variables + tuple(extra), self.char)
+        return ring
 
     def lift(self, poly):
         """Carry a polynomial from a ring whose variables are a subset of ours."""

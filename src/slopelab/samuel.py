@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .arith import (INF, Bounds, ExtendedRational, SlopelabError, echelon,
-                    ext_min, rational)
+                    rational)
 from .groebner import (
     IdealPresentation,
     buchberger,
@@ -836,16 +836,11 @@ def samuel_slope(presentation, candidates=(), max_n=LIMIT_N_DEFAULT):
         best_by_slot.append(slot_best)
         witness.append(slot_witness)
 
-    bound = best_by_slot[0]
-    for v in best_by_slot[1:]:
-        bound = ext_min(bound, v)
+    bound = min(best_by_slot)
 
     for seq in candidates:
         validate_lambda_sequence(presentation, kernel, list(seq))
-        value = None
-        for gamma in seq:
-            v = assess(gamma).lower
-            value = v if value is None else ext_min(value, v)
+        value = min(assess(gamma).lower for gamma in seq)
         if value > bound:
             bound = value
             witness = list(seq)

@@ -7,7 +7,7 @@ there are no numeric tolerances anywhere in the package.
 
 from fractions import Fraction
 
-from slopelab.arith import INF, ExtendedRational, ext_min
+from slopelab.arith import INF, ExtendedRational
 from slopelab.corpus import (closure_equivalence_mismatches,
                              local_ring_members, monomial_members,
                              power_scaling_mismatches, rees_cusp_char2,
@@ -135,7 +135,7 @@ def test_criterion_8_theorem_cross_checks_hold_on_the_corpus():
         if report.classification == "non-extremal":
             assert report.hord == ExtendedRational(1), m.name
         else:
-            assert ext_min(report.slope_value, report.ord_d) \
+            assert min(report.slope_value, report.ord_d) \
                 == report.hord, m.name
 
     cusp = results["cusp-char2"]

@@ -296,6 +296,20 @@ class TestKernelCommand:
             2, "classification = unknown (method partial)\nt = 2, r = 0\n",
             "")
 
+    @pytest.mark.parametrize("char", [0, 3])
+    def test_partial_route_runs_on_eight_variables(self, tmp_path, capsys,
+                                                   char):
+        # radical membership adds a ninth, auxiliary variable, which the
+        # cap on declared rings does not bound
+        job = write_job(tmp_path, {
+            "schema": "slopelab-job/1",
+            "ring": {"vars": list("abcdefgh"), "char": char},
+            "local_ring": {"relations": ["a*b - c*d", "e*f - g*h"]},
+        })
+        assert run(["kernel", job], capsys) == (
+            0, "classification = unknown (method partial)\nt = 2, r = 0\n",
+            "")
+
     def test_presentation_without_exact_dimension(self, tmp_path, capsys):
         job = write_job(tmp_path, {
             "schema": "slopelab-job/1",

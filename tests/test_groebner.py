@@ -15,7 +15,6 @@ from slopelab.groebner import (
     buchberger,
     ideal_power,
     ideal_sum,
-    leading,
     local_basis,
     monomial_dimension,
     normal_form,
@@ -23,6 +22,18 @@ from slopelab.groebner import (
 )
 from slopelab.poly import Polynomial, Ring
 from slopelab.samuel import LocalRingPresentation
+
+
+def grevlex(m):
+    """Sort key of graded reverse lex, kept apart from the package's heap
+    key so that the reference division below does not lean on it."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def leading(f):
+    """The grevlex-largest term of f, found by a scan."""
+    mono = max(f.terms, key=grevlex)
+    return mono, f.terms[mono]
 
 
 def monomials_up_to(ring, bound):
@@ -89,9 +100,9 @@ def test_generators_reduce_to_zero():
         gb = buchberger(I)
         for g in I.generators:
             assert gb.normal_form(g).is_zero()
-        # basis is monic
-        for b in gb.polys:
-            assert leading(b)[1] == R.field.one
+        # basis is monic: each entry is (lm, g), g's coefficient at lm one
+        for lm, b in gb.leads:
+            assert b.terms[lm] == R.field.one
 
 
 def test_membership_against_span_oracle():
@@ -233,15 +244,18 @@ def test_contains_does_not_recompute_basis_leading_terms(monkeypatch):
     gb = buchberger(ideal_power(m, 3))
     assert len(gb.polys) == 10
     calls = []
-    real_leading = groebner.leading
+    real_monic_lead = groebner._monic_lead
 
-    def counting_leading(*args):
+    def counting_monic_lead(*args):
         calls.append(args)
-        return real_leading(*args)
+        return real_monic_lead(*args)
 
-    monkeypatch.setattr(groebner, "leading", counting_leading)
+    monkeypatch.setattr(groebner, "_monic_lead", counting_monic_lead)
     assert gb.contains(R.parse("x^2*y*z"))
-    assert len(calls) < len(gb.polys)
+    assert calls == []
+    # the count sees the free normal_form, which makes each divisor monic
+    assert normal_form(R.parse("x^2*y*z"), gb.polys).is_zero()
+    assert len(calls) == len(gb.polys)
 
 
 def reference_normal_form(f, divisors):
@@ -286,21 +300,35 @@ def polynomials(draw, ring, max_terms=4, max_degree=3):
 
 
 @st.composite
+def nonzero_scalars(draw, ring):
+    field = ring.field
+    num, den = (draw(st.integers(-6, 6).map(field.from_int).filter(bool))
+                for _ in range(2))
+    return num / den
+
+
+@st.composite
 def division_problems(draw):
     ring = draw(st.sampled_from(RINGS))
     f = draw(polynomials(ring, max_terms=8, max_degree=6))
     divisors = draw(st.lists(polynomials(ring).filter(
         lambda g: not g.is_zero()), min_size=1, max_size=3))
-    return f, divisors
+    scales = [draw(nonzero_scalars(ring)) for _ in divisors]
+    return f, divisors, scales
 
 
 @settings(max_examples=150, deadline=None)
 @given(division_problems())
 def test_in_place_division_matches_the_polynomial_level_loop(problem):
-    f, divisors = problem
+    f, divisors, scales = problem
     want = reference_normal_form(f, divisors)
-    entries = [leading(g) + (g,) for g in divisors]
-    for got in (normal_form(f, divisors),
+    scaled = [g.scale(c) for g, c in zip(divisors, scales)]
+    assert reference_normal_form(f, scaled) == want
+    entries = []
+    for g in divisors:
+        lm, lc = leading(g)
+        entries.append((lm, g.scale(1 / lc)))
+    for got in (normal_form(f, divisors), normal_form(f, scaled),
                 GroebnerBasis(f.ring, entries).normal_form(f)):
         assert list(got.terms.items()) == list(want.terms.items())
         assert all(got.terms.values())
@@ -321,7 +349,7 @@ def sympy_reduced_basis(ideal):
                      else Fraction(str(c))) for m, c in p.terms()}
         lc = terms[p.LM(order="grevlex").exponents]
         out.append(Polynomial(ring, {m: c / lc for m, c in terms.items()}))
-    return sorted(out, key=lambda g: groebner._grevlex(leading(g)[0]))
+    return sorted(out, key=lambda g: grevlex(leading(g)[0]))
 
 
 @st.composite
@@ -428,7 +456,7 @@ def test_buchberger_forms_no_s_polynomial_of_two_monomials(monkeypatch):
     real_spoly = groebner._spoly
 
     def recording_spoly(lcm, entry_i, entry_j):
-        pairs.append((entry_i[2], entry_j[2]))
+        pairs.append((entry_i[1], entry_j[1]))
         return real_spoly(lcm, entry_i, entry_j)
 
     monkeypatch.setattr(groebner, "_spoly", recording_spoly)
@@ -448,6 +476,17 @@ def test_pair_budget_counts_only_queued_pairs(monkeypatch):
     assert len(ideal.generators) == 67
     monkeypatch.setattr(groebner, "DEFAULT_PAIR_BUDGET", 500)
     assert list(buchberger(ideal).polys) == sympy_reduced_basis(ideal)
+
+
+def test_pair_budget_bounds_the_first_queue(monkeypatch):
+    # x*h, y*h and z*h queue 3 pairs, all of which reduce to zero
+    R = Ring(("x", "y", "z"), 0)
+    h = R.parse("y + z^2")
+    ideal = IdealPresentation(R, [R.var(v) * h for v in R.variables])
+    assert len(buchberger(ideal).polys) == 3
+    monkeypatch.setattr(groebner, "DEFAULT_PAIR_BUDGET", 2)
+    with pytest.raises(BudgetExceeded, match="S-pair budget 2 exceeded"):
+        buchberger(ideal)
 
 
 def test_local_basis_counts_pairs_against_the_budget(monkeypatch):

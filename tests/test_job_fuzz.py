@@ -8,7 +8,9 @@ traceback and fail the test.
 
 A second stream, with a seed of its own and no golden file, also gives
 each job more relations or a linear term in g, so the kernel and the
-Samuel slope answer on presentations with several relations.
+Samuel slope answer on presentations with several relations; about a
+third of its jobs also pad the ring with unused variables, up to the
+variable cap, so radical membership runs one variable past it.
 
 The exit code, stdout and stderr of the first GOLDEN_RUNS runs are
 frozen in tests/golden/cli_fuzz.json. A change that means to alter those
@@ -25,6 +27,7 @@ import random
 import tempfile
 
 from slopelab import cli
+from slopelab.poly import VARIABLE_CAP
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_fuzz.json"
 GOLDEN_RUNS = 300
@@ -109,13 +112,18 @@ def mutated_job(rng):
 
 def job_with_relations(rng):
     """A mutated job that also appends one or two relations to its local
-    ring, or adds a linear term to g."""
+    ring, or adds a linear term to g, and now and then appends unused
+    variables u0, u1, ... to its ring."""
     job = mutated_job(rng)
     if rng.random() < 0.6:
         job["local_ring"]["relations"] += rng.sample(RELATIONS,
                                                      rng.randint(1, 2))
     else:
         job["polys"]["g"] += rng.choice(LINEAR_TERMS)
+    if rng.random() < 0.3:
+        names = job["ring"]["vars"]
+        pad = rng.randint(1, min(6, VARIABLE_CAP - len(names)))
+        names += ["u%d" % i for i in range(pad)]
     return job
 
 

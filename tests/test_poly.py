@@ -66,6 +66,11 @@ def test_ring_guards():
         Ring(("x", "x"), 0)
     with pytest.raises(ValueError):
         Ring(("2x",), 0)
+    # the cap bounds declared rings; an extension checks only the names
+    big = Ring(tuple("abcdefgh"), 3).extend(("t",))
+    assert big.variables == tuple("abcdefght") and big.char == 3
+    with pytest.raises(ValueError):
+        Ring(("x",), 0).extend(("x",))
 
 
 def test_ring_axioms_on_samples():

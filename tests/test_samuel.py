@@ -12,7 +12,6 @@ from slopelab.arith import (
     ExtendedRational,
     SlopelabError,
     echelon,
-    ext_min,
 )
 from slopelab.groebner import (
     GroebnerBasis,
@@ -1073,7 +1072,7 @@ def reference_slope(presentation, max_n):
                 slot_best, slot_witness = value, gamma
             if slot_best.is_infinite:
                 break
-        bound = slot_best if bound is None else ext_min(bound, slot_best)
+        bound = slot_best if bound is None else min(bound, slot_best)
         witness.append(slot_witness)
     return bound, bound.is_infinite, witness, "extremal"
 

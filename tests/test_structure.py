@@ -43,7 +43,9 @@ char_exponent(n), which is 0 whatever n is. Each elimpres report is built
 once and stores only what its computation decided: no statement outside
 __init__ assigns an attribute there, hord, degenerate, passed and
 inconclusive are read-only properties, and a theorem check's verdict is a
-stored string."""
+stored string. Every divisor the Groebner layer divides by is an (lm, g)
+entry with g monic, so only _monic_lead divides and a reduction step
+never does."""
 
 import ast
 import importlib
@@ -139,10 +141,44 @@ def called_names(function):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
 
+def scanned_lead(terms):
+    """A leading term found by a scan, the control for the check below."""
+    return max(terms)
+
+
 def test_division_scans_for_no_largest_term():
-    assert "max" in called_names(groebner.leading)  # the scan sees a max
+    assert "max" in called_names(scanned_lead)  # the scan sees a max
     called = called_names(groebner._reduce)
     assert "heappop" in called and "max" not in called
+
+
+def division_sites(source):
+    """Names of the top-level functions and classes of one module whose
+    bodies hold a `/`, "<module>" for one outside them."""
+    sites = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    node.op, ast.Div):
+                sites.append(getattr(top, "name", "<module>"))
+    return sites
+
+
+def test_every_divisor_is_a_monic_pair():
+    sample = "def f(a):\n    return 1 / a\n\nb = f(2) / 3\n"
+    assert division_sites(sample) == ["f", "<module>"]
+    assert division_sites(inspect.getsource(groebner)) == ["_monic_lead"]
+    assert not hasattr(groebner, "leading")
+    assert not hasattr(groebner, "_grevlex")
+    for char in (0, 5):
+        ring = slopelab.Ring(("x", "y", "z"), char)
+        ideal = groebner.IdealPresentation(ring, [
+            ring.parse(text) for text in ("2*x^2 - 3*y^3", "3*x*y - z^2")])
+        for basis in (groebner.buchberger(ideal),
+                      groebner.local_basis(ideal, 6)):
+            assert basis.leads
+            for lm, g in basis.leads:
+                assert g.terms[lm] == ring.field.one
 
 
 def route_picks(source):
