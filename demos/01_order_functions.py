@@ -8,7 +8,6 @@ class of x shows why the limit matters: nu(x) = 1, but nu(x^2) jumps to
 """
 
 from slopelab import LocalRingPresentation, Ring, nu, nubar
-from slopelab.newton import MonomialValuation
 from slopelab.samuel import ValuationCertificate
 
 ring = Ring(("x", "y"))
@@ -30,7 +29,6 @@ print()
 print("a monomial valuation with weights x:3, y:2 kills the relation")
 print("(both terms get weight 6) and takes value 2 on the maximal ideal,")
 print("so it computes the asymptotic order exactly:")
-weights = MonomialValuation.from_dict(ring, {"x": 3, "y": 2})
-certificate = ValuationCertificate([(weights, 2)])
+certificate = ValuationCertificate(ring, [({"x": 3, "y": 2}, 2)])
 exact = nubar(cusp, x, certificate=certificate)
 print("  nubar(x) = %s (%s)" % (exact.lower, exact.status))

@@ -10,8 +10,8 @@ from .arith import INF, ExtendedRational, SlopelabError
 from .poly import Polynomial, Ring, VariableSplit
 from .groebner import GroebnerBasis, IdealPresentation, buchberger, \
     radical_member
-from .newton import MonomialValuation, NewtonPolyhedron, build_polyhedron, \
-    closure_member, nubar_monomial
+from .newton import NewtonPolyhedron, build_polyhedron, closure_member, \
+    nubar_monomial
 from .samuel import (LocalRingPresentation, ValuationCertificate,
                      kernel_lambda, nu, nubar, samuel_slope)
 from .elimpres import (PointSpec, PPresentation, ReesAlgebra,
@@ -25,8 +25,8 @@ __all__ = [
     "INF", "ExtendedRational", "SlopelabError",
     "Polynomial", "Ring", "VariableSplit",
     "GroebnerBasis", "IdealPresentation", "buchberger", "radical_member",
-    "MonomialValuation", "NewtonPolyhedron", "build_polyhedron",
-    "closure_member", "nubar_monomial",
+    "NewtonPolyhedron", "build_polyhedron", "closure_member",
+    "nubar_monomial",
     "LocalRingPresentation", "ValuationCertificate", "kernel_lambda", "nu",
     "nubar", "samuel_slope",
     "PointSpec", "PPresentation", "ReesAlgebra", "build_p_presentation",

@@ -22,7 +22,6 @@ import sys
 from . import groebner
 from .arith import SlopelabError
 from .groebner import IdealPresentation
-from .newton import MonomialValuation
 from .poly import Ring, VariableSplit
 from .samuel import (LocalRingPresentation, ValuationCertificate,
                      _check_cap, kernel_lambda, nubar, samuel_slope)
@@ -92,9 +91,6 @@ class Job:
                 raise JobError("ideal %r must list its generators" % name)
             self.ideals[name] = IdealPresentation(
                 self.ring, [self.poly(g, "ideals[%s]" % name) for g in gens])
-        self.certificates = {}
-        for name, entries in self.section("certificates").items():
-            self.certificates[name] = self._parse_certificate(name, entries)
 
     @classmethod
     def load(cls, path):
@@ -112,7 +108,7 @@ class Job:
             raise JobError("%s: expected polynomial text" % where)
         try:
             return self.ring.parse(text)
-        except (SlopelabError, ValueError, KeyError) as exc:
+        except (SlopelabError, ValueError) as exc:
             raise JobError("%s: %s" % (where, exc))
 
     def poly(self, ref, where):
@@ -130,28 +126,18 @@ class Job:
         raise JobError("%s: unknown ideal %r" % (where, ref))
 
     def certificate(self, ref, where):
-        if not isinstance(ref, str) or ref not in self.certificates:
+        """Parse and check the certificate ref names; no other entry of the
+        certificates section is read."""
+        section = self.section("certificates")
+        if not isinstance(ref, str) or ref not in section:
             raise JobError("%s: unknown certificate %r" % (where, ref))
-        return self.certificates[ref]
-
-    def _parse_certificate(self, name, entries):
-        where = "certificates[%s]" % name
+        entries = section[ref]
         try:
             if not isinstance(entries, list) or not entries:
                 raise JobError("expected a nonempty list")
-            pairs = []
-            for entry in entries:
-                if not isinstance(entry, dict) or "weights" not in entry \
-                        or "value" not in entry:
-                    raise JobError("each entry needs weights and value")
-                if not isinstance(entry["weights"], dict):
-                    raise JobError("weights must map variables")
-                pairs.append((
-                    MonomialValuation.from_dict(self.ring, entry["weights"]),
-                    entry["value"]))
-            return ValuationCertificate(pairs)
-        except (SlopelabError, ValueError, KeyError) as exc:
-            raise JobError("%s: %s" % (where, exc))
+            return ValuationCertificate(self.ring, map(_entry, entries))
+        except (SlopelabError, ValueError) as exc:
+            raise JobError("certificates[%s]: %s" % (ref, exc))
 
     def local_ring(self):
         refs = self.section("local_ring").get("relations", [])
@@ -171,7 +157,7 @@ class Job:
         try:
             return VariableSplit(self.ring, section.get("base", ()),
                                  section.get("fiber", ()))
-        except (SlopelabError, ValueError, KeyError, TypeError) as exc:
+        except (SlopelabError, ValueError, TypeError) as exc:
             raise JobError("bad split: %s" % exc)
 
     def point(self):
@@ -201,6 +187,17 @@ class Job:
         if not isinstance(section, dict):
             raise JobError("section %r must be an object" % key)
         return section
+
+
+def _entry(entry):
+    """A certificate entry's (weights, value) pair, once its JSON shape
+    is checked; ValuationCertificate checks the numbers."""
+    if not isinstance(entry, dict) or "weights" not in entry \
+            or "value" not in entry:
+        raise JobError("each entry needs weights and value")
+    if not isinstance(entry["weights"], dict):
+        raise JobError("weights must map variables")
+    return entry["weights"], entry["value"]
 
 
 def _caps(args, params, section, *keys):

@@ -20,8 +20,7 @@ from fractions import Fraction
 
 from .arith import ExtendedRational
 from .groebner import IdealPresentation, ideal_power
-from .newton import (MonomialValuation, build_polyhedron, closure_member,
-                     nubar_monomial)
+from .newton import build_polyhedron, closure_member, nubar_monomial
 from .poly import Ring, VariableSplit
 from .samuel import (LIMIT_N_DEFAULT, LocalRingPresentation,
                      ValuationCertificate, _check_cap, kernel_lambda, nu,
@@ -75,8 +74,7 @@ def local_ring_members():
     out = []
 
     r_cusp0 = Ring(("x", "y"))
-    cert = ValuationCertificate(
-        [(MonomialValuation.from_dict(r_cusp0, {"x": 3, "y": 2}), 2)])
+    cert = ValuationCertificate(r_cusp0, [({"x": 3, "y": 2}, 2)])
     out.append(LocalRingMember("cusp-char0", r_cusp0,
                                r_cusp0.parse("x^2 - y^3"), fiber="x",
                                certificate=cert))

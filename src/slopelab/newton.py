@@ -11,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .arith import INF, ExtendedRational, SlopelabError, echelon, rational
+from .arith import INF, ExtendedRational, SlopelabError, echelon
 from .groebner import NotMonomial, ideal_power
 
 DIMENSION_CAP = 4
@@ -19,44 +19,6 @@ DIMENSION_CAP = 4
 
 class DimensionCap(SlopelabError):
     """Facet enumeration is only wired up through dimension 4."""
-
-
-class MonomialValuation:
-    """Order function given by nonnegative weights on the variables."""
-
-    def __init__(self, ring, weights):
-        weights = tuple(rational(w) for w in weights)
-        if len(weights) != len(ring.variables):
-            raise ValueError("need one weight per variable")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
-        if all(w == 0 for w in weights):
-            raise ValueError("the zero weight vector is not a valuation")
-        self.ring = ring
-        self.weights = weights
-
-    @classmethod
-    def from_dict(cls, ring, table):
-        weights = [0] * len(ring.variables)
-        for name, w in table.items():
-            weights[ring.index(name)] = w
-        return cls(ring, weights)
-
-    def value(self, f):
-        """Min of the weight over the terms; infinity on the zero polynomial.
-
-        On the ambient polynomial ring this is the exact valuation: distinct
-        monomials cannot cancel, so the minimal layer always survives.
-        """
-        return least_weight_ratio(f, [(self.weights, 1)])
-
-    def ideal_value(self, ideal):
-        return min((self.value(g) for g in ideal.generators), default=INF)
-
-    def __repr__(self):
-        pairs = ", ".join("%s:%s" % (n, w)
-                          for n, w in zip(self.ring.variables, self.weights))
-        return "MonomialValuation(%s)" % pairs
 
 
 class NewtonPolyhedron:

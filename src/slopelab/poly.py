@@ -47,7 +47,8 @@ class Ring:
         try:
             return self.variables.index(name)
         except ValueError:
-            raise KeyError("no variable %r in %r" % (name, self.variables))
+            raise SlopelabError("no variable %r in %r"
+                                % (name, self.variables))
 
     def zero(self):
         return Polynomial(self, {})
@@ -444,7 +445,7 @@ def _parse(ring, text):
         if tok.isdigit():
             return int(tok)
         if tok[0].isalpha() or tok[0] == "_":
-            ring.index(tok)  # an unknown name fails here, as a KeyError
+            ring.index(tok)  # an unknown name fails here
             return tok
         raise SlopelabError("expected a factor at %r, position %d of %r"
                             % (text[at:at + 12], at, text))

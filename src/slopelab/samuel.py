@@ -195,36 +195,55 @@ def nu(presentation, f, cap=NU_CAP_DEFAULT):
 
 
 class ValuationCertificate:
-    """Claimed Rees valuations of an ideal: monomial valuations together
-    with the value each one takes on the ideal.
+    """Claimed Rees valuations of an ideal: monomial valuations, each
+    given by a map from variable names to weights (a missing name weighs
+    0), together with the value each one takes on the ideal. The claims
+    are held as (weights, value) pairs, the shape of the Newton facets.
 
-    Structural checks happen here: each claim is positive and finite when
-    the certificate is built, and validate compares it with the value the
-    valuation takes on the ideal. The deep claim (that these really are
+    Structural checks happen here: the weights are nonnegative and not
+    all zero, and each claim is positive and finite, when the certificate
+    is built; validate compares each claim with the least weight of a
+    term of the ideal's generators. The deep claim (that these really are
     the Rees valuations of the ideal in the quotient) is the caller's to
     stand behind, and the acceptance suite corroborates it against the
-    power-limit estimator on the corpus.
+    power-limit estimator on the corpus. evaluate weighs the terms of the
+    representative it is given and never reduces it modulo the relations,
+    so two representatives of one class can read differently.
     """
 
-    def __init__(self, entries):
-        entries = [(valuation, _claim(claimed))
-                   for valuation, claimed in entries]
+    def __init__(self, ring, entries):
+        entries = [(_weights(ring, table), claimed)
+                   for table, claimed in entries]
         if not entries:
             raise CertificateRejected("empty certificate")
-        self.entries = entries
+        self.entries = [(weights, _claim(claimed))
+                        for weights, claimed in entries]
 
     def validate(self, ideal):
-        for valuation, claimed in self.entries:
-            actual = valuation.ideal_value(ideal)
+        for weights, claimed in self.entries:
+            actual = min((least_weight_ratio(g, [(weights, 1)])
+                          for g in ideal.generators), default=INF)
             if actual != claimed:
                 raise CertificateRejected(
                     "valuation takes value %s on the ideal, certificate "
                     "claims %s" % (actual, claimed))
 
     def evaluate(self, f):
-        return least_weight_ratio(
-            f, [(valuation.weights, claimed)
-                for valuation, claimed in self.entries])
+        return least_weight_ratio(f, self.entries)
+
+
+def _weights(ring, table):
+    """One weight per variable of the ring, each read by arith.rational,
+    from a map of variable names; nonnegative and not all zero."""
+    weights = [0] * len(ring.variables)
+    for name, w in table.items():
+        weights[ring.index(name)] = w
+    weights = tuple(rational(w) for w in weights)
+    if any(w < 0 for w in weights):
+        raise CertificateRejected("weights must be nonnegative")
+    if not any(weights):
+        raise CertificateRejected("the zero weight vector is not a valuation")
+    return weights
 
 
 def _claim(claimed):

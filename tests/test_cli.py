@@ -879,15 +879,16 @@ class TestMalformedJobs:
                    "slope": {"g": "x^2 - y1^2*y2"}},
          "point vars need kind prime, not origin"),
     ] + [
-        # a claim of 0 or inf is refused when the job loads, whichever
-        # command runs it
+        # a claim of 0 or inf is refused when nubar reads the certificate,
+        # with or without relations
         (command, dict({"certificates": {"w": [{"weights": {"x": 3, "y1": 2},
                                                 "value": value}]}},
                        **sections), "certificates[w]: claimed ideal value")
         for value in ("0", "inf", 0)
         for command, sections in (
             ("nubar", {"nubar": {"f": "x", "certificate": "w"}}),
-            ("kernel", {"local_ring": {"relations": ["x^2 - y1^2*y2"]}}))
+            ("nubar", {"local_ring": {"relations": ["x^2 - y1^2*y2"]},
+                       "nubar": {"f": "x", "certificate": "w"}}))
     ] + [
         ("nubar", {"nubar": {"f": "x", "ideal": "I"}},
          "nubar.ideal: unknown ideal 'I'"),
@@ -926,11 +927,14 @@ class TestMalformedJobs:
         ("kernel", {"ideals": {"I": "x"}},
          "ideal 'I' must list its generators"),
         ("kernel", {"polys": {"g": 3}}, "polys[g]: expected polynomial text"),
-        ("kernel", {"certificates": {"w": []}},
+        ("nubar", {"certificates": {"w": []},
+                   "nubar": {"f": "x", "certificate": "w"}},
          "certificates[w]: expected a nonempty list"),
-        ("kernel", {"certificates": {"w": [{"weights": {"x": 1}}]}},
+        ("nubar", {"certificates": {"w": [{"weights": {"x": 1}}]},
+                   "nubar": {"f": "x", "certificate": "w"}},
          "certificates[w]: each entry needs weights and value"),
-        ("kernel", {"certificates": {"w": [{"weights": [1], "value": "2"}]}},
+        ("nubar", {"certificates": {"w": [{"weights": [1], "value": "2"}]},
+                   "nubar": {"f": "x", "certificate": "w"}},
          "certificates[w]: weights must map variables"),
         ("kernel", {"local_ring": {"relations": "x^2 - y1^3"}},
          "local_ring relations must be a list"),
@@ -955,6 +959,40 @@ class TestMalformedJobs:
         code, out, err = run([command, job], capsys)
         assert_one_error_line(code, out, err, message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sections,where", [
+        ({"polys": {"g": "x + z"}}, "polys[g]"),
+        ({"nubar": {"f": "z^2"}}, "nubar.f"),
+        ({"certificates": {"w": [{"weights": {"z": 1}, "value": "1"}]},
+          "nubar": {"f": "x", "certificate": "w"}}, "certificates[w]"),
+    ])
+    def test_an_unknown_variable_is_named_without_quotes(
+            self, tmp_path, capsys, sections, where):
+        job = write_job(tmp_path, dict({
+            "schema": "slopelab-job/1",
+            "ring": {"vars": ["x", "y1", "y2"], "char": 2},
+        }, **sections))
+        code, out, err = run(["nubar", job], capsys)
+        assert (code, out, err) == (
+            1, "", "error: %s: no variable 'z' in ('x', 'y1', 'y2')\n" % where)
+
+    @pytest.mark.parametrize("certificates", [
+        [], {"w": []}, {"w": [{"weights": {"z": 1}, "value": "0"}]},
+        {"w": [{"weights": {"x": True}, "value": 2.0}]}, {"w": [3]}])
+    def test_only_nubar_reads_the_certificates(self, tmp_path, capsys,
+                                                certificates):
+        # every other command answers as if the section were not there
+        plain = cusp_char2_job(tmp_path, slope={"g": "x^2 - y^3"})
+        with open(plain) as handle:
+            data = dict(json.load(handle), certificates=certificates)
+        malformed = write_job(tmp_path, data, name="malformed.json")
+        for command in ("kernel", "slope", "samuel-slope", "check-theorems"):
+            for flags in ([], ["--json"]):
+                argv = ["--require-exact"] + flags
+                want = run([command, plain] + argv, capsys)
+                assert want[1] and not want[2], (command, flags)
+                assert run([command, malformed] + argv, capsys) == want, \
+                    (command, flags)
 
     @pytest.mark.parametrize("data,message", [
         ([], "job file must hold a JSON object"),

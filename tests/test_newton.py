@@ -8,7 +8,6 @@ from slopelab.groebner import (IdealPresentation, NotMonomial, buchberger,
                                ideal_power)
 from slopelab.newton import (
     DimensionCap,
-    MonomialValuation,
     build_polyhedron,
     closure_member,
     nubar_monomial,
@@ -139,30 +138,6 @@ def test_power_scaling_of_facets():
             scaled = build_polyhedron(ideal_power(I, a))
             assert scaled.facets == tuple(sorted(
                 (w, a * thr) for w, thr in base.facets))
-
-
-def test_monomial_valuation():
-    R = Ring(("x", "y"), 0)
-    v = MonomialValuation.from_dict(R, {"x": 3, "y": 2})
-    assert v.value(R.parse("x")) == ExtendedRational(3)
-    assert v.value(R.parse("x^2 - y^3")) == ExtendedRational(6)
-    assert v.value(R.zero()) == INF
-    assert v.ideal_value(ideal(R, ["x", "y"])) == ExtendedRational(2)
-    # value is an order function: v(fg) = v(f) + v(g) on samples
-    f, g = R.parse("x + y^2"), R.parse("x*y - y^4")
-    assert v.value(f * g) == v.value(f) + v.value(g)
-    with pytest.raises(ValueError):
-        MonomialValuation(R, (0, 0))
-    with pytest.raises(ValueError):
-        MonomialValuation(R, (-1, 2))
-    v = MonomialValuation.from_dict(R, {"x": "3/2", "y": Fraction(1, 2)})
-    assert v.weights == (Fraction(3, 2), Fraction(1, 2))
-    # a bool is no weight, and a float is not exact, even 3.0
-    for bad in (True, 2.5, 3.0, "2.0", "1/0", None):
-        with pytest.raises(ValueError):
-            MonomialValuation.from_dict(R, {"x": bad, "y": 1})
-        with pytest.raises(ValueError):
-            MonomialValuation(R, (1, bad))
 
 
 def test_dimension_cap_and_guards():

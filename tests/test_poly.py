@@ -409,7 +409,7 @@ def random_text(rng, names, depth=2):
 def parse_outcome(parse, ring, text):
     try:
         return parse(ring, text)
-    except (SlopelabError, KeyError) as exc:
+    except SlopelabError as exc:
         return type(exc), str(exc)
 
 

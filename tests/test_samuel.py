@@ -20,7 +20,6 @@ from slopelab.groebner import (
     local_basis,
     radical_member,
 )
-from slopelab.newton import MonomialValuation
 from slopelab.poly import Polynomial, Ring
 from slopelab.samuel import (
     CertificateRejected,
@@ -72,8 +71,7 @@ def test_nu_powers_of_x_on_the_cusp_follow_the_known_pattern():
 
 def test_nubar_of_x_on_the_cusp_certificate_route():
     ring, A = cusp_ring()
-    w = MonomialValuation.from_dict(ring, {"x": 3, "y": 2})
-    cert = ValuationCertificate([(w, 2)])
+    cert = ValuationCertificate(ring, [({"x": 3, "y": 2}, 2)])
     result = nubar(A, ring.parse("x"), certificate=cert)
     assert result.status == "exact"
     assert result.lower == ExtendedRational(Fraction(3, 2))
@@ -322,21 +320,50 @@ def test_certificate_value_below_the_order_is_rejected():
 
 def test_certificate_rejected_when_claimed_ideal_value_is_wrong():
     ring, A = cusp_ring()
-    w = MonomialValuation.from_dict(ring, {"x": 3, "y": 2})
     with pytest.raises(CertificateRejected):
         nubar(A, ring.parse("x"),
-              certificate=ValuationCertificate([(w, 3)]))
+              certificate=ValuationCertificate(ring, [({"x": 3, "y": 2}, 3)]))
 
 
 def test_negative_claimed_ideal_value_is_rejected():
     ring, _ = cusp_ring()
-    w = MonomialValuation.from_dict(ring, {"x": 3, "y": 2})
     # a claim must be positive and finite when the certificate is built,
     # whether it comes as an int or as an ExtendedRational
     for claimed in (-1, 0, ExtendedRational(0), INF, "inf",
                     Fraction(-1, 2)):
         with pytest.raises(CertificateRejected, match="not positive"):
-            ValuationCertificate([(w, claimed)])
+            ValuationCertificate(ring, [({"x": 3, "y": 2}, claimed)])
+
+
+def test_a_certificate_reads_one_weight_per_variable():
+    R = Ring(("x", "y"), 0)
+    cert = ValuationCertificate(R, [({"x": 3, "y": 2}, 1)])
+    assert cert.entries == [((3, 2), 1)]
+    assert cert.evaluate(R.parse("x")) == ExtendedRational(3)
+    assert cert.evaluate(R.parse("x^2 - y^3")) == ExtendedRational(6)
+    assert cert.evaluate(R.zero()) == INF
+    # the weight is an order function: v(fg) = v(f) + v(g) on samples
+    f, g = R.parse("x + y^2"), R.parse("x*y - y^4")
+    assert cert.evaluate(f * g) == cert.evaluate(f) + cert.evaluate(g)
+    # v(x, y) = 2: a claim of 2 validates, 1 does not
+    m = IdealPresentation(R, [R.parse("x"), R.parse("y")])
+    ValuationCertificate(R, [({"x": 3, "y": 2}, 2)]).validate(m)
+    with pytest.raises(CertificateRejected, match="takes value 2"):
+        cert.validate(m)
+    # a missing name weighs 0, and text or a Fraction is an exact weight
+    assert ValuationCertificate(R, [({"x": 1}, 1)]).entries == [((1, 0), 1)]
+    cert = ValuationCertificate(R, [({"x": "3/2", "y": Fraction(1, 2)}, 1)])
+    assert cert.entries == [((Fraction(3, 2), Fraction(1, 2)), 1)]
+    for table, message in (({"x": -1, "y": 2}, "weights must be nonnegative"),
+                           ({"x": 0, "y": 0}, "zero weight vector"),
+                           ({}, "zero weight vector"),
+                           ({"z": 1}, "no variable 'z' in")):
+        with pytest.raises(SlopelabError, match=message):
+            ValuationCertificate(R, [(table, 1)])
+    # a bool is no weight, and a float is not exact, even 3.0
+    for bad in (True, 2.5, 3.0, "2.0", "1/0", None):
+        with pytest.raises(ValueError):
+            ValuationCertificate(R, [({"x": bad, "y": 1}, 1)])
 
 
 def test_nubar_monomial_route_agrees_with_newton_polyhedron():

@@ -20,13 +20,18 @@ The input picks the kernel's route, so kernel_lambda takes no method, and
 it alone builds a KernelReport, which classifies every route the same way.
 The slope reads its elimination order off the exponents, so elimpres
 builds no list of elimination generators. The input picks nubar's exact
-route, so its strategy choices are auto and limit, and nubar_monomial
-and ValuationCertificate.evaluate call the one weight helper, which
-closure_member, the independent route, does not. Each kind of value from
-outside the program has one check, in the library type that holds it:
-samuel._check_cap for caps, PointSpec for points, arith for the
-characteristic and for weights and claimed values, so the job loader
-checks only the shape of its JSON and converts no number itself. One
+route, so its strategy choices are auto and limit, and nubar_monomial,
+ValuationCertificate.validate and ValuationCertificate.evaluate call the
+one weight helper, which closure_member, the independent route, does
+not. Each kind of value from outside the program has one check, in the
+library type that holds it: samuel._check_cap for caps, PointSpec for
+points, arith for the characteristic and for weights and claimed values,
+which ValuationCertificate reads with arith.rational, so the job loader
+checks only the shape of its JSON and converts no number itself. A
+certificate is one list of (weights, value) pairs, with no valuation
+type of its own: cli imports nothing from newton, Job.__init__ never
+reads the certificates section, and only the nubar command asks the job
+for the certificate it names. One
 answer type, arith.Bounds, carries the label of nu, nubar and the Samuel
 slope: no other class defines it, and only the benchmark reads its old
 names. Every name the benchmark's tracer patches still exists. One path
@@ -294,11 +299,11 @@ def test_the_input_picks_the_nubar_route():
     assert choices(inspect.getsource(samuel.nubar), "_check_choice") \
         == [("auto", "limit")]
     helper = "least_weight_ratio"
-    for function in (newton.nubar_monomial, newton.MonomialValuation.value,
+    for function in (newton.nubar_monomial,
+                     samuel.ValuationCertificate.validate,
                      samuel.ValuationCertificate.evaluate):
         assert helper in called_names(function), function
     assert helper not in called_names(newton.closure_member)
-    assert not hasattr(newton.MonomialValuation, "monomial_value")
 
 
 def test_each_outside_value_has_one_check():
@@ -313,11 +318,34 @@ def test_each_outside_value_has_one_check():
     assert holders("point vars need kind prime") == ["elimpres.py"]
     assert "Fraction(" not in sources["cli.py"]
     assert "ExtendedRational" not in sources["cli.py"]
-    valuation = newton.MonomialValuation
-    for function in (valuation.__init__, valuation.from_dict):
+    for function in (samuel.ValuationCertificate.__init__, samuel._weights):
         assert "Fraction" not in called_names(function), function
-    for function in (valuation.__init__, arith.ExtendedRational.__init__):
+    for function in (samuel._weights, arith.ExtendedRational.__init__):
         assert "rational" in called_names(function), function
+
+
+def test_only_the_nubar_command_reads_a_certificate():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert sources and not any("MonomialValuation" in s for s in sources)
+    cli_tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = {node.module for node in ast.walk(cli_tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(cli_tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+    assert "newton" not in imported and "slopelab.newton" not in imported
+    init = ast.parse(textwrap.dedent(inspect.getsource(cli.Job.__init__)))
+    assert "certificates" not in {node.value for node in ast.walk(init)
+                                  if isinstance(node, ast.Constant)}
+    assert "certificates" not in {node.attr for node in ast.walk(cli_tree)
+                                  if isinstance(node, ast.Attribute)}
+    callers = {function.name for function in ast.walk(cli_tree)
+               if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "certificate"}
+    assert callers == {"cmd_nubar"}
 
 
 def test_every_traced_name_resolves():
